@@ -14,9 +14,9 @@ Subcommands::
     run              full pipeline: scenario, training, evaluation
     export-vectors   write inferred target-space vectors for test users
 
-All randomness derives from the single ``--seed`` through fixed stream
-slots, so ``run`` and an equivalent chain of the step subcommands produce
-identical artifacts.
+All randomness derives from the single ``--seed`` through the fixed stream
+slots of :mod:`crossrec.experiment`, so ``run`` and an equivalent chain of
+the step subcommands produce identical artifacts.
 """
 
 from __future__ import annotations
@@ -59,11 +59,7 @@ def _cmd_gen_synth(args):
     cfg = _resolve_config(args)
     if cfg.synth_users < 1:
         raise ConfigError("gen-synth needs synth.users > 0")
-    from .synth import generate_synthetic
-    source, target = generate_synthetic(
-        cfg.synth_users, cfg.synth_source_items, cfg.synth_target_items,
-        cfg.synth_k_true, cfg.synth_overlap, cfg.synth_density,
-        experiment.derive_seed(cfg.seed, 0))
+    source, target = experiment.generate_domains(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     data.write_interactions(os.path.join(cfg.out_dir, "source.tsv"), source)
     data.write_interactions(os.path.join(cfg.out_dir, "target.tsv"), target)
@@ -87,27 +83,12 @@ def _cmd_build_scenario(args):
     return 0
 
 
-_EMBED_SLOTS = {"source": 2, "target": 3, "unified": 4}
-
-
 def _cmd_train_embed(args):
     cfg = _resolve_config(args)
     scenario = data.load_scenario(args.scenario)
-    if args.domain == "source":
-        interactions = scenario.source
-    elif args.domain == "target":
-        interactions = scenario.target
-    else:
-        interactions = data.build_unified(scenario)
-    train_cfg = embed.EmbedTrainConfig(
-        dim=cfg.embed_dim, margin=cfg.embed_margin,
-        learning_rate=cfg.embed_lr, l2_reg=cfg.embed_l2,
-        epochs=cfg.embed_epochs, batch_size=cfg.embed_batch,
-        seed=experiment.derive_seed(cfg.seed, _EMBED_SLOTS[args.domain]))
     history = []
-    space = embed.train_embeddings(interactions, train_cfg,
-                                   objective=args.objective,
-                                   loss_history=history)
+    space = experiment.train_space(scenario, cfg, args.domain,
+                                   args.objective, loss_history=history)
     embed.save_embeddings(space, args.out)
     print(f"trained {args.domain} {args.objective} space "
           f"({space.U.shape[0]} users, {space.V.shape[0]} items, "
@@ -117,17 +98,11 @@ def _cmd_train_embed(args):
 
 def _cmd_train_map(args):
     cfg = _resolve_config(args)
-    if args.mode is not None:
-        mode = args.mode
-    else:
-        mode = mapping.MODE_SEMI
+    mode = args.mode or mapping.MODE_SEMI
+    train_cfg = experiment.map_config(cfg, mode)
     scenario = data.load_scenario(args.scenario)
     source_space = embed.load_embeddings(args.source_emb)
     target_space = embed.load_embeddings(args.target_emb)
-    train_cfg = mapping.MapTrainConfig(
-        lam=cfg.map_lam, margin=cfg.map_margin, learning_rate=cfg.map_lr,
-        epochs=cfg.map_epochs, batch_size=cfg.map_batch, mode=mode,
-        seed=experiment.derive_seed(cfg.seed, 5))
     history = []
     net = mapping.train_mapping(source_space, target_space, scenario,
                                 train_cfg, loss_history=history)
@@ -137,46 +112,37 @@ def _cmd_train_map(args):
     return 0
 
 
+# MethodArtifacts field -> the eval flag that loads it
+_ARTIFACT_FLAGS = {"unified_space": "--unified-emb",
+                   "source_space": "--source-emb",
+                   "target_space": "--target-emb",
+                   "net": "--mapping"}
+
+
 def _cmd_eval(args):
     cfg = _resolve_config(args)
     cfg.validate()
     scenario = data.load_scenario(args.scenario)
-    art = experiment.MethodArtifacts()
-    if args.unified_emb:
-        art.unified_space = embed.load_embeddings(args.unified_emb)
-    if args.source_emb:
-        art.source_space = embed.load_embeddings(args.source_emb)
-    if args.target_emb:
-        art.target_space = embed.load_embeddings(args.target_emb)
-    if args.mapping:
-        art.net = mapping.load_mapping(args.mapping)
-    if cfg.method == experiment.METHOD_SSCDR:
-        art.hops = cfg.hops
-    _require_artifacts(cfg.method, art)
-    eval_cfg = evaluation.EvalConfig(
-        cutoffs=cfg.eval_cutoffs, repeats=cfg.eval_repeats,
-        negatives=cfg.eval_negatives,
-        seed=experiment.derive_seed(cfg.seed, 6))
+    art = experiment.MethodArtifacts.for_method(cfg)
+    for name, flag in _ARTIFACT_FLAGS.items():
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path:
+            load = mapping.load_mapping if name == "net" \
+                else embed.load_embeddings
+            setattr(art, name, load(path))
+    missing = [flag for name, flag in _ARTIFACT_FLAGS.items()
+               if name in experiment.required_artifacts(cfg.method)
+               and getattr(art, name) is None]
+    if missing:
+        raise ConfigError(f"{cfg.method} needs {', '.join(missing)}")
     scorer = experiment.make_scorer(scenario, cfg, art)
-    report = evaluation.evaluate(scorer, scenario, eval_cfg,
-                               positive=cfg.eval_positive)
+    report = evaluation.evaluate(scorer, scenario,
+                                 experiment.eval_config(cfg),
+                                 positive=cfg.eval_positive)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_tsv(cfg.method, scenario.phi))
     print(report.format_table(title=f"{cfg.method} phi={scenario.phi:g}"))
     return 0
-
-
-def _require_artifacts(method, art):
-    if method in (experiment.METHOD_BPR, experiment.METHOD_CML):
-        if art.unified_space is None:
-            raise ConfigError(f"{method} needs --unified-emb")
-    elif method != experiment.METHOD_ITEMPOP:
-        missing = [flag for flag, val in (
-            ("--source-emb", art.source_space),
-            ("--target-emb", art.target_space),
-            ("--mapping", art.net)) if val is None]
-        if missing:
-            raise ConfigError(f"{method} needs {', '.join(missing)}")
 
 
 def _cmd_run(args):

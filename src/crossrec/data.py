@@ -443,14 +443,11 @@ def write_interactions(path, interactions):
         fh.writelines(lines)
 
 
-_write_pairs = write_interactions
-
-
 def save_scenario(scenario, out_dir):
     """Write a scenario as five text files under ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_pairs(os.path.join(out_dir, _SOURCE_FILE), scenario.source)
-    _write_pairs(os.path.join(out_dir, _TARGET_FILE), scenario.target)
+    write_interactions(os.path.join(out_dir, _SOURCE_FILE), scenario.source)
+    write_interactions(os.path.join(out_dir, _TARGET_FILE), scenario.target)
     with open(os.path.join(out_dir, _OVERLAP_FILE), "w",
               encoding="utf-8") as fh:
         fh.writelines(f"{u}\n" for u in sorted(scenario.overlap_users))

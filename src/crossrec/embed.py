@@ -74,47 +74,62 @@ def _sigmoid(x):
     return out
 
 
+def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
+    """Summed loss and per-row gradients over a batch of triplets.
+
+    Row ``r`` of ``U``, ``Vp`` and ``Vn`` holds one (user, positive item,
+    negative item) triplet.  ``kind`` ``metric`` is the ``margin`` hinge on
+    squared distances, whose subgradient at an exactly-zero hinge argument
+    is zero; ``inner`` is the logistic loss on the score gap plus
+    ``l2`` times the squared norms of the three rows (``l2`` applies to
+    ``inner`` only).  Returns ``(loss, gU, gVp, gVn)``.
+    """
+    if kind == KIND_METRIC:
+        dp = np.einsum("ij,ij->i", U - Vp, U - Vp)
+        dn = np.einsum("ij,ij->i", U - Vn, U - Vn)
+        arg = margin + dp - dn
+        loss = float(np.sum(np.maximum(arg, 0.0)))
+        w = 2.0 * (arg > 0.0)[:, None]
+        return loss, w * (Vn - Vp), w * (Vp - U), w * (U - Vn)
+    s = np.einsum("ij,ij->i", U, Vp - Vn)
+    loss = float(np.sum(np.logaddexp(0.0, -s)))
+    g = (_sigmoid(s) - 1.0)[:, None]  # d loss / d s
+    gu, gp, gn = g * (Vp - Vn), g * U, -g * U
+    if l2 > 0.0:
+        loss += l2 * float(np.sum(U * U) + np.sum(Vp * Vp) + np.sum(Vn * Vn))
+        gu += 2.0 * l2 * U
+        gp += 2.0 * l2 * Vp
+        gn += 2.0 * l2 * Vn
+    return loss, gu, gp, gn
+
+
+def _one_triplet(kind, u, v_pos, v_neg, margin=1.0):
+    rows = [np.asarray(x, dtype=float) for x in (u, v_pos, v_neg)]
+    if rows[0].shape != rows[1].shape or rows[0].shape != rows[2].shape:
+        raise DimensionMismatch("triplet vectors must share one shape")
+    loss, gu, gp, gn = triplet_loss_and_grads(
+        kind, *(x[None] for x in rows), margin=margin)
+    return loss, (gu[0], gp[0], gn[0])
+
+
 def cml_triplet_loss(u, v_pos, v_neg, margin):
     """Hinge on the gap between the positive and negative distances."""
-    return max(0.0, margin + distance(u, v_pos) - distance(u, v_neg))
+    return _one_triplet(KIND_METRIC, u, v_pos, v_neg, margin)[0]
 
 
 def cml_triplet_grad(u, v_pos, v_neg, margin):
-    """Gradients of :func:`cml_triplet_loss` wrt (u, v_pos, v_neg).
-
-    The subgradient at an exactly-zero hinge argument is zero.
-    """
-    u = np.asarray(u, dtype=float)
-    v_pos = np.asarray(v_pos, dtype=float)
-    v_neg = np.asarray(v_neg, dtype=float)
-    arg = margin + distance(u, v_pos) - distance(u, v_neg)
-    if arg <= 0.0:
-        z = np.zeros_like(u)
-        return z, z.copy(), z.copy()
-    gu = 2.0 * (v_neg - v_pos)
-    gp = 2.0 * (v_pos - u)
-    gn = 2.0 * (u - v_neg)
-    return gu, gp, gn
+    """Gradients of :func:`cml_triplet_loss` wrt (u, v_pos, v_neg)."""
+    return _one_triplet(KIND_METRIC, u, v_pos, v_neg, margin)[1]
 
 
 def bpr_triplet_loss(u, v_pos, v_neg):
     """``-log sigmoid(u.v_pos - u.v_neg)``, computed stably."""
-    u = np.asarray(u, dtype=float)
-    v_pos = np.asarray(v_pos, dtype=float)
-    v_neg = np.asarray(v_neg, dtype=float)
-    if u.shape != v_pos.shape or u.shape != v_neg.shape:
-        raise DimensionMismatch("triplet vectors must share one shape")
-    s = float(np.dot(u, v_pos) - np.dot(u, v_neg))
-    return float(np.logaddexp(0.0, -s))
+    return _one_triplet(KIND_INNER, u, v_pos, v_neg)[0]
 
 
 def bpr_triplet_grad(u, v_pos, v_neg):
-    u = np.asarray(u, dtype=float)
-    v_pos = np.asarray(v_pos, dtype=float)
-    v_neg = np.asarray(v_neg, dtype=float)
-    s = np.dot(u, v_pos) - np.dot(u, v_neg)
-    g = _sigmoid(np.asarray([s]))[0] - 1.0  # d loss / d s
-    return g * (v_pos - v_neg), g * u, -g * u
+    """Gradients of :func:`bpr_triplet_loss` wrt (u, v_pos, v_neg)."""
+    return _one_triplet(KIND_INNER, u, v_pos, v_neg)[1]
 
 
 @dataclass(frozen=True)
@@ -124,18 +139,17 @@ class EmbedTrainConfig:
     learning_rate: float = 0.001
     l2_reg: float = 0.0
     epochs: int = 500
-    patience: int = 30
     batch_size: int = 1024
     seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError(f"dim must be positive, got {self.dim}")
-        if self.margin <= 0:
+        if not (np.isfinite(self.margin) and self.margin > 0):
             raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.learning_rate <= 0:
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("learning_rate must be positive")
-        if self.l2_reg < 0:
+        if not (np.isfinite(self.l2_reg) and self.l2_reg >= 0):
             raise ConfigError("l2_reg must be non-negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
@@ -212,14 +226,11 @@ def _sample_negatives_array(rng, pos_u, codes, n_items):
 
 
 def train_embeddings(interactions, cfg, objective=KIND_METRIC,
-                     validation_hook=None, loss_history=None):
+                     loss_history=None):
     """Fit an :class:`EmbeddingSpace` on one interaction matrix.
 
-    ``validation_hook``, when given, is called after each epoch with a
-    read-only snapshot of the current space and must return a score where
-    higher is better; training stops after ``cfg.patience`` epochs without
-    improvement and the best snapshot is returned.  ``loss_history``, when
-    given, receives the mean triplet loss of each epoch.
+    ``loss_history``, when given, receives the mean triplet loss of each
+    epoch.
     """
     if objective not in (KIND_METRIC, KIND_INNER):
         raise ConfigError(f"unknown objective {objective!r}")
@@ -243,10 +254,6 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
     opt_v = Adam(V.shape, cfg.learning_rate)
     metric = objective == KIND_METRIC
 
-    best_score = -np.inf
-    best = None
-    stale = 0
-
     for epoch in range(1, cfg.epochs + 1):
         neg_i = _sample_negatives_array(rng, pos_u, codes, n_items)
         order = rng.permutation(n_pairs)
@@ -254,31 +261,9 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
         for start in range(0, n_pairs, cfg.batch_size):
             b = order[start:start + cfg.batch_size]
             bu, bi, bk = pos_u[b], pos_i[b], neg_i[b]
-            Uu, Vp, Vn = U[bu], V[bi], V[bk]
-            if metric:
-                dp = np.einsum("ij,ij->i", Uu - Vp, Uu - Vp)
-                dn = np.einsum("ij,ij->i", Uu - Vn, Uu - Vn)
-                arg = cfg.margin + dp - dn
-                act = arg > 0.0
-                epoch_loss += float(np.sum(np.maximum(arg, 0.0)))
-                w = act[:, None].astype(float)
-                gu = 2.0 * w * (Vn - Vp)
-                gp = 2.0 * w * (Vp - Uu)
-                gn = 2.0 * w * (Uu - Vn)
-            else:
-                s = np.einsum("ij,ij->i", Uu, Vp - Vn)
-                epoch_loss += float(np.sum(np.logaddexp(0.0, -s)))
-                g = (_sigmoid(s) - 1.0)[:, None]
-                gu = g * (Vp - Vn)
-                gp = g * Uu
-                gn = -g * Uu
-                if cfg.l2_reg > 0.0:
-                    r = 2.0 * cfg.l2_reg
-                    epoch_loss += cfg.l2_reg * float(
-                        np.sum(Uu * Uu) + np.sum(Vp * Vp) + np.sum(Vn * Vn))
-                    gu += r * Uu
-                    gp += r * Vp
-                    gn += r * Vn
+            loss, gu, gp, gn = triplet_loss_and_grads(
+                objective, U[bu], V[bi], V[bk], cfg.margin, cfg.l2_reg)
+            epoch_loss += loss
 
             rows_u, inv_u = np.unique(bu, return_inverse=True)
             acc_u = np.zeros((rows_u.shape[0], k))
@@ -300,23 +285,6 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
         if loss_history is not None:
             loss_history.append(epoch_loss / n_pairs)
 
-        if validation_hook is not None:
-            snapshot = EmbeddingSpace(interactions.user_ids,
-                                      interactions.item_ids,
-                                      U.copy(), V.copy(),
-                                      objective)
-            score = validation_hook(snapshot)
-            if score > best_score:
-                best_score = score
-                best = snapshot
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-
-    if best is not None:
-        return best
     return EmbeddingSpace(interactions.user_ids, interactions.item_ids,
                           U, V, objective)
 
@@ -363,13 +331,13 @@ def load_embeddings(path):
                 continue
             if len(fields) != dim + 2 or fields[0] not in ("U", "V"):
                 raise ValueError(f"{path}: bad embedding row")
-            vec = np.array([float(x) for x in fields[2:]])
-            if fields[0] == "U":
-                U[len(user_ids)] = vec
-                user_ids.append(fields[1])
-            else:
-                V[len(items_ids)] = vec
-                items_ids.append(fields[1])
+            ids, mat = ((user_ids, U) if fields[0] == "U"
+                        else (items_ids, V))
+            if len(ids) == mat.shape[0]:
+                raise ValueError(f"{path}: more {fields[0]} rows than the "
+                                 f"header declares")
+            mat[len(ids)] = [float(x) for x in fields[2:]]
+            ids.append(fields[1])
     if len(user_ids) != n_users or len(items_ids) != n_items:
         raise ValueError(f"{path}: row counts disagree with header")
     return EmbeddingSpace(user_ids, items_ids, U, V, kind)

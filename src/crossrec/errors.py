@@ -72,11 +72,11 @@ class InfeasibleDensity(DataError):
     outside [1, n_items]."""
 
 
-class DimensionMismatch(CrossRecError):
+class DimensionMismatch(DataError):
     """Vector or matrix shapes disagree where equal dims are required."""
 
 
-class IndexMismatch(CrossRecError):
+class IndexMismatch(DataError):
     """Aggregation input does not line up with the interaction data."""
 
 

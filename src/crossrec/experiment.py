@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,15 +50,28 @@ METHODS = (METHOD_ITEMPOP, METHOD_BPR, METHOD_CML, METHOD_EMCDR_BPR,
 # fixed sub-seed slots, independent of the method
 _SLOT_SYNTH = 0
 _SLOT_SPLIT = 1
-_SLOT_EMBED_SOURCE = 2
-_SLOT_EMBED_TARGET = 3
-_SLOT_EMBED_UNIFIED = 4
+_SLOT_EMBED = {"source": 2, "target": 3, "unified": 4}
 _SLOT_MAPPING = 5
 _SLOT_EVAL = 6
+
+# method -> (embedding objective, mapping mode); None where the method
+# trains no embedding or no mapping.  Methods without a mapping train one
+# unified space over both domains.
+_PLAN = {
+    METHOD_ITEMPOP: (None, None),
+    METHOD_BPR: (embed.KIND_INNER, None),
+    METHOD_CML: (embed.KIND_METRIC, None),
+    METHOD_EMCDR_BPR: (embed.KIND_INNER, mapping.MODE_SUPERVISED),
+    METHOD_EMCDR_CML: (embed.KIND_METRIC, mapping.MODE_SUPERVISED),
+    METHOD_SSCDR_NAIVE: (embed.KIND_METRIC, mapping.MODE_SEMI),
+    METHOD_SSCDR: (embed.KIND_METRIC, mapping.MODE_SEMI),
+}
 
 
 def derive_seed(seed, slot):
     """Stable per-purpose sub-seed from the experiment seed."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return int(np.random.SeedSequence(seed).generate_state(8)[slot])
 
 
@@ -115,6 +128,12 @@ class ExperimentConfig:
         if self.source_path and not self.target_path \
                 or self.target_path and not self.source_path:
             raise ConfigError("source and target files go together")
+        # the method's train configs check their values before any work
+        objective, mode = _PLAN[self.method]
+        if objective is not None:
+            embed_config(self, "source")
+        if mode is not None:
+            map_config(self, mode)
 
 
 # config-file key -> (attribute, parser)
@@ -185,15 +204,20 @@ def config_from_mapping(kv):
     return cfg
 
 
+def generate_domains(cfg):
+    """The synthetic (source, target) pair the ``synth.*`` keys describe."""
+    return synth.generate_synthetic(
+        cfg.synth_users, cfg.synth_source_items, cfg.synth_target_items,
+        cfg.synth_k_true, cfg.synth_overlap, cfg.synth_density,
+        derive_seed(cfg.seed, _SLOT_SYNTH))
+
+
 def prepare_scenario(cfg):
     """Resolve the scenario the way the config asks for."""
     if cfg.scenario_dir:
         return data.load_scenario(cfg.scenario_dir)
     if cfg.synth_users > 0:
-        source, target = synth.generate_synthetic(
-            cfg.synth_users, cfg.synth_source_items, cfg.synth_target_items,
-            cfg.synth_k_true, cfg.synth_overlap, cfg.synth_density,
-            derive_seed(cfg.seed, _SLOT_SYNTH))
+        source, target = generate_domains(cfg)
     else:
         source = data.load_interactions(cfg.source_path)
         target = data.load_interactions(cfg.target_path)
@@ -206,18 +230,48 @@ def prepare_scenario(cfg):
         min_other_interactions=cfg.min_other_interactions)
 
 
-def _embed_config(cfg, seed):
+def embed_config(cfg, domain):
+    """Training config of the ``source``, ``target`` or ``unified`` space."""
     return embed.EmbedTrainConfig(
         dim=cfg.embed_dim, margin=cfg.embed_margin,
         learning_rate=cfg.embed_lr, l2_reg=cfg.embed_l2,
-        epochs=cfg.embed_epochs, batch_size=cfg.embed_batch, seed=seed)
+        epochs=cfg.embed_epochs, batch_size=cfg.embed_batch,
+        seed=derive_seed(cfg.seed, _SLOT_EMBED[domain]))
 
 
-def _map_config(cfg, mode):
+def map_config(cfg, mode):
     return mapping.MapTrainConfig(
         lam=cfg.map_lam, margin=cfg.map_margin, learning_rate=cfg.map_lr,
         epochs=cfg.map_epochs, batch_size=cfg.map_batch, mode=mode,
         seed=derive_seed(cfg.seed, _SLOT_MAPPING))
+
+
+def eval_config(cfg):
+    return evaluation.EvalConfig(
+        cutoffs=cfg.eval_cutoffs, repeats=cfg.eval_repeats,
+        negatives=cfg.eval_negatives,
+        seed=derive_seed(cfg.seed, _SLOT_EVAL))
+
+
+def required_artifacts(method):
+    """The :class:`MethodArtifacts` fields ``method`` scores with."""
+    objective, mode = _PLAN[method]
+    if objective is None:
+        return ()
+    if mode is None:
+        return ("unified_space",)
+    return ("source_space", "target_space", "net")
+
+
+def train_space(scenario, cfg, domain, objective, loss_history=None):
+    """Train the ``source``, ``target`` or ``unified`` embedding space."""
+    if domain == "unified":
+        interactions = data.build_unified(scenario)
+    else:
+        interactions = getattr(scenario, domain)
+    return embed.train_embeddings(interactions, embed_config(cfg, domain),
+                                  objective=objective,
+                                  loss_history=loss_history)
 
 
 @dataclass
@@ -229,6 +283,12 @@ class MethodArtifacts:
     unified_space: object = None
     net: object = None
     hops: int = 0
+
+    @classmethod
+    def for_method(cls, cfg):
+        """Empty artifacts carrying ``cfg.hops`` where the method
+        aggregates (SSCDR only)."""
+        return cls(hops=cfg.hops if cfg.method == METHOD_SSCDR else 0)
 
 
 def train_method(scenario, cfg, stage=None):
@@ -243,43 +303,30 @@ def train_method(scenario, cfg, stage=None):
     if stage is None:
         def stage(name, artifact):
             return artifact
-    m = cfg.method
-    art = MethodArtifacts()
-    if m == METHOD_ITEMPOP:
+    objective, mode = _PLAN[cfg.method]
+    art = MethodArtifacts.for_method(cfg)
+    if objective is None:
         return art
-    if m in (METHOD_BPR, METHOD_CML):
-        objective = embed.KIND_INNER if m == METHOD_BPR else embed.KIND_METRIC
-        unified = data.build_unified(scenario)
-        art.unified_space = stage("unified_embeddings", embed.train_embeddings(
-            unified, _embed_config(cfg, derive_seed(cfg.seed,
-                                                    _SLOT_EMBED_UNIFIED)),
-            objective=objective))
+
+    def space(domain):
+        return stage(f"{domain}_embeddings",
+                     train_space(scenario, cfg, domain, objective))
+
+    if mode is None:
+        art.unified_space = space("unified")
         return art
-    objective = embed.KIND_INNER if m == METHOD_EMCDR_BPR \
-        else embed.KIND_METRIC
-    art.source_space = stage("source_embeddings", embed.train_embeddings(
-        scenario.source,
-        _embed_config(cfg, derive_seed(cfg.seed, _SLOT_EMBED_SOURCE)),
-        objective=objective))
-    art.target_space = stage("target_embeddings", embed.train_embeddings(
-        scenario.target,
-        _embed_config(cfg, derive_seed(cfg.seed, _SLOT_EMBED_TARGET)),
-        objective=objective))
-    if m in (METHOD_EMCDR_BPR, METHOD_EMCDR_CML):
-        mode = mapping.MODE_SUPERVISED
-    else:
-        mode = mapping.MODE_SEMI
+    art.source_space = space("source")
+    art.target_space = space("target")
     art.net = stage("mapping", mapping.train_mapping(
         art.source_space, art.target_space, scenario,
-        _map_config(cfg, mode)))
-    art.hops = cfg.hops if m == METHOD_SSCDR else 0
+        map_config(cfg, mode)))
     return art
 
 
 def make_scorer(scenario, cfg, art):
     """Build ``scorer(user, candidates) -> scores`` (higher is better)."""
-    m = cfg.method
-    if m == METHOD_ITEMPOP:
+    objective, mode = _PLAN[cfg.method]
+    if objective is None:  # popularity
         target = scenario.target
         degrees = target.item_degrees()
 
@@ -288,7 +335,7 @@ def make_scorer(scenario, cfg, art):
                              for i in candidates])
         return scorer
 
-    if m in (METHOD_BPR, METHOD_CML):
+    if mode is None:  # one space over both domains
         space = art.unified_space
         inner = space.kind == embed.KIND_INNER
 
@@ -378,13 +425,9 @@ def run_experiment(cfg):
 
     art = train_method(scenario, cfg, stage=stage)
 
-    eval_cfg = evaluation.EvalConfig(
-        cutoffs=cfg.eval_cutoffs, repeats=cfg.eval_repeats,
-        negatives=cfg.eval_negatives,
-        seed=derive_seed(cfg.seed, _SLOT_EVAL))
     scorer = make_scorer(scenario, cfg, art)
-    report = evaluation.evaluate(scorer, scenario, eval_cfg,
-                               positive=cfg.eval_positive)
+    report = evaluation.evaluate(scorer, scenario, eval_config(cfg),
+                                 positive=cfg.eval_positive)
 
     report_path = os.path.join(out, "report.tsv")
     with open(report_path, "w", encoding="utf-8") as fh:

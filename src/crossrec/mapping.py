@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteLoss,
     NoOverlapUsers,
 )
+from .embed import _fmt
 from .optim import Adam
 
 MODE_SUPERVISED = "supervised-only"
@@ -58,18 +59,9 @@ class MappingNetwork:
     def dim(self):
         return self.w1.shape[1]
 
-    def forward(self, x):
-        return mlp_forward(self, x)
-
     def forward_batch(self, X):
-        X = np.asarray(X, dtype=float)
-        h = np.tanh(X @ self.w1.T + self.b1)
-        y = h @ self.w2.T + self.b2
-        norms = np.linalg.norm(y, axis=1)
-        big = norms > 1.0
-        if np.any(big):
-            y[big] /= norms[big][:, None]
-        return y
+        """Map the rows of ``X``; every result row has norm <= 1."""
+        return _Backprop(self, np.asarray(X, dtype=float)).Y
 
 
 def init_mapping(dim, rng):
@@ -88,12 +80,7 @@ def mlp_forward(net, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (net.dim,):
         raise DimensionMismatch(f"expected ({net.dim},), got {x.shape}")
-    h = np.tanh(net.w1 @ x + net.b1)
-    y = net.w2 @ h + net.b2
-    norm = float(np.linalg.norm(y))
-    if norm > 1.0:
-        y = y / norm
-    return y
+    return net.forward_batch(x[None])[0]
 
 
 def supervised_loss(net, source_vecs, target_vecs):
@@ -132,7 +119,7 @@ def unsupervised_triplet_loss(net, pos_item_vecs, neg_item_vecs,
 
 
 def total_mapping_loss(sup, unsup, lam):
-    if lam < 0:
+    if not lam >= 0:
         raise ConfigError(f"lam must be non-negative, got {lam}")
     return sup + lam * unsup
 
@@ -150,33 +137,34 @@ class MapTrainConfig:
     def __post_init__(self):
         if self.mode not in (MODE_SUPERVISED, MODE_SEMI):
             raise ConfigError(f"unknown mapping mode {self.mode!r}")
-        if self.lam < 0:
+        if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
-        if self.margin <= 0 or self.learning_rate <= 0:
+        if not all(np.isfinite(x) and x > 0
+                   for x in (self.margin, self.learning_rate)):
             raise ConfigError("margin and learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
 
 
 class _Backprop:
-    """One shared forward/backward pass over a stacked input batch."""
+    """The network's forward pass over a stacked input batch, keeping what
+    the backward pass needs."""
 
     def __init__(self, net, X):
         self.net = net
         self.X = X
         self.H = np.tanh(X @ net.w1.T + net.b1)
-        self.Yr = self.H @ net.w2.T + net.b2
-        self.norms = np.linalg.norm(self.Yr, axis=1)
+        self.Y = self.H @ net.w2.T + net.b2
+        self.norms = np.linalg.norm(self.Y, axis=1)
         big = self.norms > 1.0
-        self.Y = self.Yr.copy()
-        if np.any(big):
+        if big.any():
             self.Y[big] /= self.norms[big][:, None]
         self.big = big
 
     def grads(self, dY):
         """dLoss/d(w1, b1, w2, b2) given dLoss/dY."""
         G = dY.copy()
-        if np.any(self.big):
+        if self.big.any():
             # through y = yr / |yr|: (I - y y^T) / |yr|
             b = self.big
             yhat = self.Y[b]
@@ -337,10 +325,6 @@ def train_mapping(source_space, target_space, scenario, cfg,
 
 
 # -- mapping file format -------------------------------------------------
-
-def _fmt(x):
-    return format(float(x), ".9g")
-
 
 def save_mapping(net, path):
     """Text format: ``K <dim>`` then W1 rows, b1, W2 rows, b2, one row per

@@ -748,6 +748,7 @@ def _bench_seed_results(seed):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_replication():
     t0 = time.monotonic()
     seeds = (0, 1, 2, 3, 4)

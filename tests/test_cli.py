@@ -208,3 +208,43 @@ def test_method_flag_overrides_config(tmp_path):
     assert "config.method=ITEMPOP\n" in manifest
     report = (out / "report.tsv").read_text()
     assert report.splitlines()[1].startswith("ITEMPOP\t")
+
+
+def test_mismatched_embedding_dims_exit_3(chain, tmp_path, capsys):
+    dim6_cfg = _write(tmp_path / "dim6.cfg", PIPE_CFG + "embed.dim=6\n")
+    tgt6 = str(tmp_path / "tgt6.txt")
+    assert main(["train-embed", "--config", dim6_cfg, "--scenario",
+                 str(chain["scen"]), "--domain", "target",
+                 "--out", tgt6]) == 0
+    capsys.readouterr()
+    code = main(["train-map", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]),
+                 "--source-emb", chain["src_emb"], "--target-emb", tgt6,
+                 "--out", str(tmp_path / "map.txt")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_finite_lambda_exits_2(chain, tmp_path, capsys):
+    run_cfg = _write(tmp_path / "r.cfg",
+                     GEN_CFG + PIPE_CFG + "method=SSCDR\n")
+    assert main(["run", "--config", run_cfg, "--lambda", "nan",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert main(["train-map", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]),
+                 "--source-emb", chain["src_emb"],
+                 "--target-emb", chain["tgt_emb"], "--lambda", "inf",
+                 "--out", str(tmp_path / "map.txt")]) == 2
+    assert "lam" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    gen_cfg = _write(tmp_path / "gen.cfg", GEN_CFG)
+    run_cfg = _write(tmp_path / "r.cfg",
+                     GEN_CFG + PIPE_CFG + "method=SSCDR\n")
+    assert main(["gen-synth", "--config", gen_cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "raw")]) == 2
+    assert main(["run", "--config", run_cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "seed" in capsys.readouterr().err

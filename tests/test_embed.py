@@ -17,6 +17,7 @@ from crossrec.embed import (
     project_unit_ball,
     save_embeddings,
     train_embeddings,
+    triplet_loss_and_grads,
 )
 from crossrec.errors import (
     ConfigError,
@@ -162,6 +163,53 @@ def test_bpr_gradients_match_finite_differences():
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
 
 
+@pytest.mark.parametrize("kind, l2", [("metric", 0.0), ("inner", 0.0),
+                                      ("inner", 0.05)])
+def test_batched_kernel_matches_finite_differences(kind, l2):
+    rng = np.random.default_rng(7)
+    n, k, margin = 6, 4, 1.0
+    U, Vp, Vn = rng.uniform(-0.6, 0.6, size=(3, n, k))
+    # row 0 sits exactly on the hinge: d_pos = 0, d_neg = margin
+    U[0], Vp[0], Vn[0] = 0.0, 0.0, [1.0, 0.0, 0.0, 0.0]
+    loss, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, margin, l2)
+    if kind == "metric":
+        for g in grads:
+            assert not g[0].any()
+        arg = (margin + np.sum((U - Vp) ** 2, axis=1)
+               - np.sum((U - Vn) ** 2, axis=1))
+        # the other rows are off the kink, some active and some not
+        assert np.all(np.abs(arg[1:]) > 1e-3)
+        assert np.any(arg[1:] > 0) and np.any(arg[1:] < 0)
+        rows = slice(1, n)
+    else:
+        rows = slice(0, n)
+    mats = (U, Vp, Vn)
+    for which, g in enumerate(grads):
+        def f(x, which=which):
+            batch = list(mats)
+            batch[which] = batch[which].copy()
+            batch[which][rows] = x.reshape(-1, k)
+            return triplet_loss_and_grads(kind, *batch, margin, l2)[0]
+        fd = _central_diff(f, mats[which][rows].ravel())
+        np.testing.assert_allclose(g[rows].ravel(), fd, rtol=1e-4,
+                                   atol=1e-7)
+
+
+def test_scalar_triplet_functions_wrap_the_batched_kernel():
+    rng = np.random.default_rng(3)
+    U, Vp, Vn = rng.normal(size=(3, 5, 4))
+    for kind, loss_fn, grad_fn, extra in (
+            ("metric", cml_triplet_loss, cml_triplet_grad, (1.0,)),
+            ("inner", bpr_triplet_loss, bpr_triplet_grad, ())):
+        _, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, 1.0)
+        for r in range(5):
+            row_loss = triplet_loss_and_grads(
+                kind, U[r:r + 1], Vp[r:r + 1], Vn[r:r + 1], 1.0)[0]
+            assert loss_fn(U[r], Vp[r], Vn[r], *extra) == row_loss
+            for a, b in zip(grad_fn(U[r], Vp[r], Vn[r], *extra), grads):
+                np.testing.assert_array_equal(a, b[r])
+
+
 def test_hinge_subgradient_is_zero_at_the_boundary():
     # arrange an exactly-zero hinge argument: d_pos = 0, d_neg = margin
     u = np.zeros(2)
@@ -182,6 +230,10 @@ def test_embed_config_validation():
         EmbedTrainConfig(learning_rate=-0.1)
     with pytest.raises(ConfigError):
         EmbedTrainConfig(l2_reg=-1e-9)
+    for bad in (np.nan, np.inf):
+        for field in ("margin", "learning_rate", "l2_reg"):
+            with pytest.raises(ConfigError):
+                EmbedTrainConfig(**{field: bad})
 
 
 def test_metric_space_rejects_rows_outside_the_ball():
@@ -259,25 +311,6 @@ def test_negative_sampling_never_hits_observed_pairs():
     assert space.U.shape == (4, 3)
 
 
-def test_early_stopping_with_validation_hook():
-    data = _toy_interactions()
-    calls = []
-
-    def hook(space):
-        calls.append(1)
-        return float(-len(calls))  # strictly decreasing: never improves
-
-    cfg = EmbedTrainConfig(dim=4, learning_rate=0.02, epochs=200,
-                           batch_size=8, patience=5, seed=1)
-    space = train_embeddings(data, cfg, validation_hook=hook)
-    # first epoch is best, then patience runs out
-    assert len(calls) == 6
-    # the returned space is the best snapshot, not the last state
-    again = train_embeddings(data, EmbedTrainConfig(
-        dim=4, learning_rate=0.02, epochs=1, batch_size=8, seed=1))
-    np.testing.assert_array_equal(space.U, again.U)
-
-
 # -- file format ---------------------------------------------------------
 
 def test_embedding_save_load_round_trip(tmp_path):
@@ -308,3 +341,15 @@ def test_load_embeddings_rejects_bad_header(tmp_path):
     p.write_text("not a header\n")
     with pytest.raises(ValueError):
         load_embeddings(p)
+
+
+def test_load_embeddings_rejects_rows_beyond_the_header(tmp_path):
+    space = EmbeddingSpace(("u",), ("i",), np.zeros((1, 2)),
+                           np.zeros((1, 2)), "inner")
+    path = tmp_path / "emb.txt"
+    save_embeddings(space, path)
+    for extra in ("U u2 0 0\n", "V i2 0 0\n"):
+        bad = tmp_path / "extra.txt"
+        bad.write_text(path.read_text() + extra)
+        with pytest.raises(ValueError, match="more"):
+            load_embeddings(bad)

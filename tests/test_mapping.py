@@ -320,6 +320,10 @@ def test_map_config_validation():
         MapTrainConfig(lam=-0.5)
     with pytest.raises(ConfigError):
         MapTrainConfig(margin=0.0)
+    for bad in (np.nan, np.inf):
+        for field in ("lam", "margin", "learning_rate"):
+            with pytest.raises(ConfigError):
+                MapTrainConfig(**{field: bad})
 
 
 # -- file format -----------------------------------------------------------
