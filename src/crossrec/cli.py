@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import coldstart, data, embed, evaluation, experiment, mapping
+from . import coldstart, data, embed, experiment, mapping
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -135,20 +135,17 @@ def _cmd_eval(args):
                and getattr(art, name) is None]
     if missing:
         raise ConfigError(f"{cfg.method} needs {', '.join(missing)}")
-    scorer = experiment.make_scorer(scenario, cfg, art)
-    report = evaluation.evaluate(scorer, scenario,
-                                 experiment.eval_config(cfg),
-                                 positive=cfg.eval_positive)
+    report, text = experiment.evaluate_method(scenario, cfg, art)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_tsv(cfg.method, scenario.phi))
-    print(report.format_table(title=f"{cfg.method} phi={scenario.phi:g}"))
+        fh.write(text)
+    print(report.format_table(title=f"{cfg.method} phi={report.phi:g}"))
     return 0
 
 
 def _cmd_run(args):
     cfg = _resolve_config(args)
     report = experiment.run_experiment(cfg)
-    print(report.format_table(title=f"{cfg.method} phi={cfg.phi:g}"))
+    print(report.format_table(title=f"{cfg.method} phi={report.phi:g}"))
     print(f"artifacts in {cfg.out_dir}")
     return 0
 
@@ -158,21 +155,15 @@ def _cmd_export_vectors(args):
     scenario = data.load_scenario(args.scenario)
     source_space = embed.load_embeddings(args.source_emb)
     net = mapping.load_mapping(args.mapping)
-    hops = cfg.hops if args.hops is not None else 0
-    if hops > 0:
-        agg = coldstart.aggregate_hops(source_space, scenario.source, hops)
-        rows = agg.user_vectors
-    else:
-        rows = source_space.U
     users = [u for u in scenario.test_users if source_space.has_user(u)]
-    inferred = np.stack([
-        coldstart.infer_cold_start(net, rows[source_space.user_index(u)])
-        for u in users])
+    inferred = coldstart.cold_start_queries(
+        source_space, scenario.source, net, cfg.hops,
+        [source_space.user_index(u) for u in users])
     space = embed.EmbeddingSpace(users, (), inferred,
                                  np.zeros((0, net.dim)),
                                  embed.KIND_INFERRED)
     embed.save_embeddings(space, args.out)
-    print(f"exported {len(users)} inferred vectors (hops={hops})")
+    print(f"exported {len(users)} inferred vectors (hops={cfg.hops})")
     return 0
 
 

@@ -79,38 +79,41 @@ def infer_cold_start(net, source_user_vec):
     return mlp_forward(net, source_user_vec)
 
 
+def cold_start_queries(source_space, interactions, net, hops, rows):
+    """Target-space query vectors of the source user rows ``rows``: each
+    row after ``hops`` aggregation steps, translated by ``net``."""
+    U = (aggregate_hops(source_space, interactions, hops).user_vectors
+         if hops > 0 else source_space.U)
+    return np.stack([infer_cold_start(net, U[r]) for r in rows])
+
+
+def _top_n(candidates, n, score):
+    """The ``n`` candidates with the highest ``score(candidates)``; ties
+    break toward the smaller item id."""
+    if not candidates:
+        raise EmptyCandidates("no candidate items")
+    if n > len(candidates):
+        raise ValueError(f"asked for top {n} of {len(candidates)}")
+    s = score(candidates)
+    order = sorted(range(len(candidates)),
+                   key=lambda k: (-s[k], candidates[k]))
+    return [candidates[k] for k in order[:n]]
+
+
 def recommend_topn(space, query_vec, candidates, n):
     """Top ``n`` candidate item ids for a query vector.
 
     Metric spaces rank by ascending squared distance, inner-product spaces
     by descending dot product.  Ties break toward the smaller item id.
     """
-    if not candidates:
-        raise EmptyCandidates("no candidate items")
-    if n > len(candidates):
-        raise ValueError(f"asked for top {n} of {len(candidates)}")
     q = np.asarray(query_vec, dtype=float)
-    mat = np.stack([space.item_vec(i) for i in candidates])
-    if space.kind == "inner":
-        keys = -(mat @ q)
-    else:
-        diff = mat - q
-        keys = np.einsum("ij,ij->i", diff, diff)
-    order = sorted(range(len(candidates)),
-                   key=lambda k: (keys[k], candidates[k]))
-    return [candidates[k] for k in order[:n]]
+    return _top_n(candidates, n, lambda c: space.scores(
+        [space.item_index(i) for i in c], q))
 
 
 def itempop_rank(interactions, candidates, n):
     """Most popular candidates first; ties toward the smaller item id."""
-    if not candidates:
-        raise EmptyCandidates("no candidate items")
-    if n > len(candidates):
-        raise ValueError(f"asked for top {n} of {len(candidates)}")
     counts = interactions.item_degrees()
-    def count_of(item):
-        if interactions.has_item(item):
-            return int(counts[interactions.item_index(item)])
-        return 0
-    order = sorted(candidates, key=lambda i: (-count_of(i), i))
-    return order[:n]
+    return _top_n(candidates, n, lambda c: [
+        counts[interactions.item_index(i)] if interactions.has_item(i)
+        else 0 for i in c])

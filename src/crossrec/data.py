@@ -37,12 +37,23 @@ DEFAULT_TEST_FRACTION = 0.5
 
 def _check_id(token):
     # ids are embedded in whitespace-delimited text formats downstream
-    return token and not any(c.isspace() for c in token)
+    return [token] == token.split()
 
 
 def _round_half_up(x):
     # round() would use banker's rounding; half-up keeps split sizes intuitive
     return int(np.floor(x + 0.5))
+
+
+def _id_index(ids, kind):
+    """First-appearance index of ``ids``, each checked once."""
+    index = {}
+    for x in ids:
+        if x not in index:
+            if not _check_id(x):
+                raise ValueError(f"bad {kind} id {x!r}")
+            index[x] = len(index)
+    return index
 
 
 class InteractionSet:
@@ -51,72 +62,43 @@ class InteractionSet:
     Users and items keep their first-appearance order, which makes every
     derived array deterministic for a given input sequence.  Duplicate pairs
     collapse.  Items with zero interactions are representable: pass an
-    explicit ``items`` universe.
+    explicit ``items`` universe.  The pairs are stored sorted by (user,
+    item) index, with per-user offsets into them (compressed sparse rows).
     """
 
     __slots__ = ("user_ids", "item_ids", "_uindex", "_iindex",
-                 "_pair_u", "_pair_i", "_codes", "_user_adj", "_item_adj")
+                 "_pair_u", "_pair_i", "_indptr")
 
     def __init__(self, pairs, users=None, items=None):
-        pair_list = []
-        seen_u = {}
-        seen_i = {}
-        if users is not None:
-            for u in users:
-                if not _check_id(u):
-                    raise ValueError(f"bad user id {u!r}")
-                if u not in seen_u:
-                    seen_u[u] = len(seen_u)
-        if items is not None:
-            for i in items:
-                if not _check_id(i):
-                    raise ValueError(f"bad item id {i!r}")
-                if i not in seen_i:
-                    seen_i[i] = len(seen_i)
-        for u, i in pairs:
-            if users is None and u not in seen_u:
-                if not _check_id(u):
-                    raise ValueError(f"bad user id {u!r}")
-                seen_u[u] = len(seen_u)
-            if items is None and i not in seen_i:
-                if not _check_id(i):
-                    raise ValueError(f"bad item id {i!r}")
-                seen_i[i] = len(seen_i)
-            pair_list.append((seen_u[u], seen_i[i]))
+        pairs = list(pairs)
+        pair_users, pair_items = zip(*pairs) if pairs else ((), ())
+        uindex = _id_index(pair_users if users is None else users, "user")
+        iindex = _id_index(pair_items if items is None else items, "item")
+        self._init(tuple(uindex), tuple(iindex),
+                   [uindex[u] for u in pair_users],
+                   [iindex[i] for i in pair_items])
 
-        self.user_ids = tuple(seen_u)
-        self.item_ids = tuple(seen_i)
-        self._uindex = seen_u
-        self._iindex = seen_i
+    @classmethod
+    def _from_indices(cls, user_ids, item_ids, pair_u, pair_i):
+        """The set over ``user_ids`` x ``item_ids`` holding the index pairs
+        ``(pair_u[k], pair_i[k])``; ids must be distinct and valid."""
+        obj = cls.__new__(cls)
+        obj._init(tuple(user_ids), tuple(item_ids), pair_u, pair_i)
+        return obj
 
-        n_items = max(len(self.item_ids), 1)
-        if pair_list:
-            raw = np.asarray(pair_list, dtype=np.int64)
-            codes = np.unique(raw[:, 0] * n_items + raw[:, 1])
-        else:
-            codes = np.empty(0, dtype=np.int64)
-        self._codes = codes
-        self._pair_u = codes // n_items
-        self._pair_i = codes % n_items
-        for a in (self._codes, self._pair_u, self._pair_i):
+    def _init(self, user_ids, item_ids, pair_u, pair_i):
+        self.user_ids = user_ids
+        self.item_ids = item_ids
+        self._uindex = {u: k for k, u in enumerate(user_ids)}
+        self._iindex = {i: k for k, i in enumerate(item_ids)}
+        n_items = max(len(item_ids), 1)
+        codes = np.unique(np.asarray(pair_u, dtype=np.int64) * n_items
+                          + np.asarray(pair_i, dtype=np.int64))
+        self._pair_u, self._pair_i = np.divmod(codes, n_items)
+        self._indptr = np.searchsorted(self._pair_u,
+                                       np.arange(len(user_ids) + 1))
+        for a in (self._pair_u, self._pair_i, self._indptr):
             a.setflags(write=False)
-
-        self._user_adj = self._split_by(self._pair_u, self._pair_i,
-                                        len(self.user_ids))
-        order = np.lexsort((self._pair_u, self._pair_i))
-        self._item_adj = self._split_by(self._pair_i[order],
-                                        self._pair_u[order],
-                                        len(self.item_ids))
-
-    @staticmethod
-    def _split_by(keys, values, n):
-        out = []
-        bounds = np.searchsorted(keys, np.arange(n + 1))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            seg = values[a:b].copy()
-            seg.setflags(write=False)
-            out.append(seg)
-        return out
 
     # -- sizes ---------------------------------------------------------
 
@@ -130,7 +112,7 @@ class InteractionSet:
 
     @property
     def n_interactions(self):
-        return int(self._codes.shape[0])
+        return int(self._pair_i.shape[0])
 
     # -- id-level access -----------------------------------------------
 
@@ -151,22 +133,22 @@ class InteractionSet:
         i = self._iindex.get(item)
         if u is None or i is None:
             return False
-        code = u * max(self.n_items, 1) + i
-        k = np.searchsorted(self._codes, code)
-        return k < self._codes.shape[0] and self._codes[k] == code
+        items = self.item_neighbors(u)
+        k = np.searchsorted(items, i)
+        return k < items.shape[0] and items[k] == i
 
     def items_of(self, user):
         """Item ids interacted with by ``user`` (empty for unknown users)."""
         u = self._uindex.get(user)
         if u is None:
             return ()
-        return tuple(self.item_ids[i] for i in self._user_adj[u])
+        return tuple(self.item_ids[i] for i in self.item_neighbors(u))
 
     def users_of(self, item):
         i = self._iindex.get(item)
         if i is None:
             return ()
-        return tuple(self.user_ids[u] for u in self._item_adj[i])
+        return tuple(self.user_ids[u] for u in self.user_neighbors(i))
 
     # -- index-level access (for the numeric code) ----------------------
 
@@ -175,21 +157,31 @@ class InteractionSet:
         return self._pair_u, self._pair_i
 
     def item_neighbors(self, u_idx):
-        return self._user_adj[u_idx]
+        return self._pair_i[self._indptr[u_idx]:self._indptr[u_idx + 1]]
 
     def user_neighbors(self, i_idx):
-        return self._item_adj[i_idx]
+        return self._pair_u[self._pair_i == i_idx]
 
     def user_degrees(self):
-        return np.array([a.shape[0] for a in self._user_adj], dtype=np.int64)
+        return np.diff(self._indptr)
 
     def item_degrees(self):
-        return np.array([a.shape[0] for a in self._item_adj], dtype=np.int64)
+        return np.bincount(self._pair_i, minlength=self.n_items)
 
     def pairs(self):
         """All (user_id, item_id) pairs sorted by (user, item) index."""
         return [(self.user_ids[u], self.item_ids[i])
                 for u, i in zip(self._pair_u, self._pair_i)]
+
+    def _subset(self, user_mask, pair_mask, item_mask):
+        """The users, items and pairs the boolean masks keep, in their
+        original order; kept pairs must join kept users and items."""
+        def pick(ids, mask):
+            return [ids[k] for k in np.flatnonzero(mask)]
+        return InteractionSet._from_indices(
+            pick(self.user_ids, user_mask), pick(self.item_ids, item_mask),
+            (np.cumsum(user_mask) - 1)[self._pair_u[pair_mask]],
+            (np.cumsum(item_mask) - 1)[self._pair_i[pair_mask]])
 
 
 @dataclass(frozen=True)
@@ -265,54 +257,48 @@ def _filter_domains(source, target, min_overlap, min_other):
     Overlapping users need at least ``min_overlap`` interactions in each
     domain; failing that they are dropped from both.  Everyone else (users
     appearing in one domain, and all items) needs ``min_other``.  Removals
-    are monotone, so the fixed point is unique.
+    are monotone, so the fixed point is unique.  Returns the source and
+    target masks of surviving users and of surviving pairs, and the target
+    indices of the users that survive in both domains.
     """
-    src = {u: set(source.items_of(u)) for u in source.user_ids}
-    tgt = {u: set(target.items_of(u)) for u in target.user_ids}
-
-    def item_counts(adj):
-        counts = {}
-        for items in adj.values():
-            for i in items:
-                counts[i] = counts.get(i, 0) + 1
-        return counts
+    # the users in both domains, as aligned target and source indices
+    sh_t = np.array([k for k, u in enumerate(target.user_ids)
+                     if source.has_user(u)], dtype=np.int64)
+    sh_s = np.array([source.user_index(target.user_ids[k]) for k in sh_t],
+                    dtype=np.int64)
+    src_alive = np.ones(source.n_users, bool)
+    tgt_alive = np.ones(target.n_users, bool)
+    domains = ((source, src_alive, np.ones(source.n_interactions, bool)),
+               (target, tgt_alive, np.ones(target.n_interactions, bool)))
 
     changed = True
     while changed:
-        changed = False
-        overlap = set(src) & set(tgt)
-        for u in list(src):
-            if u in overlap:
-                if len(src[u]) < min_overlap or len(tgt[u]) < min_overlap:
-                    del src[u]
-                    del tgt[u]
-                    changed = True
-            elif len(src[u]) < min_other:
-                del src[u]
+        src_deg, tgt_deg = (np.bincount(d._pair_u[keep], minlength=d.n_users)
+                            for d, _, keep in domains)
+        both = tgt_alive[sh_t] & src_alive[sh_s]
+        thin = ((tgt_deg[sh_t] < min_overlap)
+                | (src_deg[sh_s] < min_overlap))[both]
+        drop_s = src_alive & (src_deg < min_other)
+        drop_s[sh_s[both]] = thin
+        drop_t = tgt_alive & (tgt_deg < min_other)
+        drop_t[sh_t[both]] = thin
+        changed = bool(drop_s.any() or drop_t.any())
+        src_alive &= ~drop_s
+        tgt_alive &= ~drop_t
+        for d, alive, keep in domains:
+            keep &= alive[d._pair_u]
+            counts = np.bincount(d._pair_i[keep], minlength=d.n_items)
+            bad = (counts > 0) & (counts < min_other)
+            if bad.any():
+                keep &= ~bad[d._pair_i]
                 changed = True
-        for u in list(tgt):
-            if u not in src and len(tgt[u]) < min_other:
-                del tgt[u]
-                changed = True
-        for adj in (src, tgt):
-            counts = item_counts(adj)
-            bad = {i for i, c in counts.items() if c < min_other}
-            if bad:
-                for u in adj:
-                    if adj[u] & bad:
-                        adj[u] -= bad
-                        changed = True
-    return src, tgt
+    (_, _, src_keep), (_, _, tgt_keep) = domains
+    return src_alive, src_keep, tgt_alive, tgt_keep, sh_t[both]
 
 
-def _rebuild(original, adj):
-    users = [u for u in original.user_ids if u in adj]
-    kept_items = set()
-    for items in adj.values():
-        kept_items |= items
-    items = [i for i in original.item_ids if i in kept_items]
-    pairs = [(u, i) for u in users for i in sorted(adj[u])]
-    return InteractionSet(pairs, users=users, items=items)
+def _used_items(interactions, pair_mask):
+    return np.bincount(interactions._pair_i[pair_mask],
+                       minlength=interactions.n_items) > 0
 
 
 def build_scenario(source, target,
@@ -332,12 +318,12 @@ def build_scenario(source, target,
     if min_overlap_interactions < 1 or min_other_interactions < 1:
         raise ConfigError("filter thresholds must be >= 1")
 
-    src_adj, tgt_adj = _filter_domains(
+    src_alive, src_keep, tgt_alive, tgt_keep, shared = _filter_domains(
         source, target, min_overlap_interactions, min_other_interactions)
-    overlap = sorted(set(src_adj) & set(tgt_adj))
+    overlap = sorted(target.user_ids[k] for k in shared)
     if not overlap:
         raise NoOverlap("no shared users survive filtering")
-    if not src_adj or not tgt_adj:
+    if not src_alive.any() or not tgt_alive.any():
         raise EmptyDataset("a domain is empty after filtering")
 
     rng = np.random.default_rng(cfg.seed)
@@ -345,37 +331,39 @@ def build_scenario(source, target,
     perm = rng.permutation(len(overlap))
     candidates = [overlap[k] for k in perm[:n_test]]
 
-    test_users = []
+    test_mask = np.zeros(target.n_users, bool)
     heldout = {}
     for u in candidates:
-        items = sorted(tgt_adj[u])
+        t = target.user_index(u)
+        lo, hi = target._indptr[t:t + 2]
+        items = sorted(target.item_ids[i] for i in
+                       target._pair_i[lo:hi][tgt_keep[lo:hi]])
         if len(items) < 2:
             continue  # not enough target history to hold two items out
         pick = rng.choice(len(items), size=2, replace=False)
         heldout[u] = (items[pick[0]], items[pick[1]])
-        test_users.append(u)
-    if not test_users:
+        test_mask[t] = True
+    if not heldout:
         raise DegenerateScenario(
             "no candidate test user has two target interactions")
-    test_set = set(test_users)
 
-    non_test = [u for u in overlap if u not in test_set]
+    non_test = [u for u in overlap if u not in heldout]
     n_train = _round_half_up(cfg.phi * len(non_test))
     perm2 = rng.permutation(len(non_test))
     train_overlap = [non_test[k] for k in perm2[:n_train]]
 
-    filtered_source = _rebuild(source, src_adj)
-    full_target = _rebuild(target, tgt_adj)
-    train_users = [u for u in full_target.user_ids if u not in test_set]
-    train_pairs = [(u, i) for u in train_users for i in sorted(tgt_adj[u])]
-    target_train = InteractionSet(train_pairs, users=train_users,
-                                  items=full_target.item_ids)
+    filtered_source = source._subset(src_alive, src_keep,
+                                     _used_items(source, src_keep))
+    # the training view drops the test users but keeps every filtered item
+    target_train = target._subset(
+        tgt_alive & ~test_mask, tgt_keep & ~test_mask[target._pair_u],
+        _used_items(target, tgt_keep))
 
     return CrossDomainScenario(
         source=filtered_source,
         target=target_train,
-        overlap_users=tuple(sorted(overlap)),
-        test_users=tuple(sorted(test_users)),
+        overlap_users=tuple(overlap),
+        test_users=tuple(sorted(heldout)),
         train_overlap_users=tuple(sorted(train_overlap)),
         heldout=heldout,
         phi=cfg.phi,
@@ -397,17 +385,18 @@ def build_unified(scenario):
     stay disjoint.  Held-out target interactions are absent by construction
     because ``scenario.target`` is already the training view.
     """
-    users = list(scenario.source.user_ids)
-    seen = set(users)
-    for u in scenario.target.user_ids:
-        if u not in seen:
-            users.append(u)
-            seen.add(u)
-    items = [SOURCE_PREFIX + i for i in scenario.source.item_ids]
-    items += [TARGET_PREFIX + i for i in scenario.target.item_ids]
-    pairs = [(u, SOURCE_PREFIX + i) for u, i in scenario.source.pairs()]
-    pairs += [(u, TARGET_PREFIX + i) for u, i in scenario.target.pairs()]
-    return InteractionSet(pairs, users=users, items=items)
+    source, target = scenario.source, scenario.target
+    users = source.user_ids + tuple(u for u in target.user_ids
+                                    if not source.has_user(u))
+    unified = {u: k for k, u in enumerate(users)}
+    t2unified = np.array([unified[u] for u in target.user_ids],
+                         dtype=np.int64)
+    items = [SOURCE_PREFIX + i for i in source.item_ids]
+    items += [TARGET_PREFIX + i for i in target.item_ids]
+    return InteractionSet._from_indices(
+        users, items,
+        np.concatenate([source._pair_u, t2unified[target._pair_u]]),
+        np.concatenate([source._pair_i, source.n_items + target._pair_i]))
 
 
 def sample_negatives(interactions, user, exclude, n, rng):
@@ -418,13 +407,17 @@ def sample_negatives(interactions, user, exclude, n, rng):
     test users) simply have no training items.  Raises
     :class:`InsufficientCandidates` when the pool is too small.
     """
-    blocked = set(exclude)
-    blocked.update(interactions.items_of(user))
-    pool = [i for i in interactions.item_ids if i not in blocked]
-    if len(pool) < n:
-        raise InsufficientCandidates(len(pool), n)
-    pick = rng.choice(len(pool), size=n, replace=False)
-    return [pool[k] for k in pick]
+    pool = np.ones(interactions.n_items, bool)
+    if interactions.has_user(user):
+        pool[interactions.item_neighbors(interactions.user_index(user))] = \
+            False
+    pool[[interactions.item_index(i) for i in exclude
+          if interactions.has_item(i)]] = False
+    pool = np.flatnonzero(pool)
+    if pool.shape[0] < n:
+        raise InsufficientCandidates(pool.shape[0], n)
+    pick = rng.choice(pool.shape[0], size=n, replace=False)
+    return [interactions.item_ids[k] for k in pool[pick]]
 
 
 # -- scenario serialization ---------------------------------------------
@@ -495,14 +488,12 @@ def load_scenario(in_dir):
             heldout[fields[0]] = (fields[1], fields[2])
 
     train = load_interactions(os.path.join(in_dir, _TARGET_FILE))
-    extra = [i for pair in heldout.values() for i in pair]
-    items = list(train.item_ids)
-    seen = set(items)
-    for i in sorted(set(extra)):
-        if i not in seen:
-            items.append(i)
-            seen.add(i)
-    target = InteractionSet(train.pairs(), users=train.user_ids, items=items)
+    # held-out items the training pairs never touch join the universe
+    extra = {i for pair in heldout.values() for i in pair
+             if not train.has_item(i)}
+    target = InteractionSet._from_indices(
+        train.user_ids, train.item_ids + tuple(sorted(extra)),
+        *train.pair_arrays())
 
     tou = meta.get("train_overlap_users", "")
     return CrossDomainScenario(

@@ -155,6 +155,16 @@ class EmbedTrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
 
 
+def check_objective(objective, cfg):
+    """Reject an unknown objective, and ``l2_reg`` (``embed.l2``) on a
+    metric one: only ``inner`` spaces are regularized."""
+    if objective not in (KIND_METRIC, KIND_INNER):
+        raise ConfigError(f"unknown objective {objective!r}")
+    if objective == KIND_METRIC and cfg.l2_reg > 0:
+        raise ConfigError(f"embed.l2 = {cfg.l2_reg}, but metric spaces "
+                          f"are not regularized")
+
+
 class EmbeddingSpace:
     """Learned user and item vectors plus the id bookkeeping.
 
@@ -211,6 +221,16 @@ class EmbeddingSpace:
     def item_index(self, item):
         return self._iindex[item]
 
+    def scores(self, rows, q):
+        """Scores of the item rows ``rows`` for query ``q``, higher is
+        better: the dot product in inner spaces, the negated squared
+        distance otherwise."""
+        mat = self.V[rows]
+        if self.kind == KIND_INNER:
+            return mat @ q
+        diff = mat - q
+        return -np.einsum("ij,ij->i", diff, diff)
+
 
 def _sample_negatives_array(rng, pos_u, codes, n_items):
     """One negative item index per positive pair, rejecting seen pairs."""
@@ -232,8 +252,7 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
     ``loss_history``, when given, receives the mean triplet loss of each
     epoch.
     """
-    if objective not in (KIND_METRIC, KIND_INNER):
-        raise ConfigError(f"unknown objective {objective!r}")
+    check_objective(objective, cfg)
     if interactions.n_interactions == 0:
         raise EmptyDataset("cannot train on zero interactions")
 

@@ -10,9 +10,6 @@ Metrics at a cutoff ``N`` for a positive ranked at position ``p``:
 * ndcg: ``log 2 / log(p + 1)`` if ``p <= N`` else 0
 * reciprocal rank: ``1 / p`` if ``p <= N`` else 0
 
-The cutoff on ndcg and reciprocal rank can be disabled, in which case the
-raw value is used at every position.
-
 Randomness is fully reproducible: repeat ``r`` derives every user's
 negative stream from ``(seed + r, user position)``, so streams never
 collide across users or repeats and a report depends only on the
@@ -77,7 +74,6 @@ class EvalConfig:
     repeats: int = 5
     negatives: int = 999
     seed: int = 0
-    apply_cutoff: bool = True
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -91,24 +87,24 @@ class EvalConfig:
 _METRICS = ("HR", "NDCG", "MRR")
 
 
-def metrics_from_ranks(ranks, cutoffs, apply_cutoff=True):
+def metrics_from_ranks(ranks, cutoffs):
     """Mean hit rate, ndcg, and reciprocal rank at each cutoff."""
     out = {}
     ranks = list(ranks)
     for n in cutoffs:
         out[("HR", n)] = float(np.mean([hit_at(r, n) for r in ranks]))
-        out[("NDCG", n)] = float(np.mean(
-            [ndcg_at(r, n, apply_cutoff) for r in ranks]))
-        out[("MRR", n)] = float(np.mean(
-            [mrr_at(r, n, apply_cutoff) for r in ranks]))
+        out[("NDCG", n)] = float(np.mean([ndcg_at(r, n) for r in ranks]))
+        out[("MRR", n)] = float(np.mean([mrr_at(r, n) for r in ranks]))
     return out
 
 
 @dataclass
 class EvalReport:
-    """Per-repeat metric tables, their average, and the raw ranks."""
+    """Per-repeat metric tables, their average, and the raw ranks, for a
+    scenario whose train-overlap fraction is ``phi``."""
 
     cutoffs: tuple
+    phi: float
     per_repeat: list = field(default_factory=list)
     ranks: list = field(default_factory=list)  # one array per repeat
 
@@ -126,17 +122,12 @@ class EvalReport:
         """Machine-readable block: method, phi, repeat, metric, N, value."""
         lines = ["method\tphi\trepeat\tmetric\tN\tvalue\n"]
         phi_s = format(phi, "g")
-        for r, rep in enumerate(self.per_repeat, start=1):
+        tables = list(enumerate(self.per_repeat, start=1))
+        for r, rep in tables + [("avg", self.averaged())]:
             for metric in _METRICS:
                 for n in self.cutoffs:
-                    v = rep[(metric, n)]
                     lines.append(f"{method}\t{phi_s}\t{r}\t{metric}\t{n}\t"
-                                 f"{v:.9f}\n")
-        avg = self.averaged()
-        for metric in _METRICS:
-            for n in self.cutoffs:
-                lines.append(f"{method}\t{phi_s}\tavg\t{metric}\t{n}\t"
-                             f"{avg[(metric, n)]:.9f}\n")
+                                 f"{rep[(metric, n)]:.9f}\n")
         return "".join(lines)
 
     def format_table(self, title=""):
@@ -156,7 +147,7 @@ class EvalReport:
         return "\n".join(out)
 
 
-def evaluate(scorer, scenario, cfg, positive="test", higher_is_better=True):
+def evaluate(scorer, scenario, cfg, positive="test"):
     """Rank every held-out user's positive against sampled negatives.
 
     ``scorer(user_id, candidate_items) -> array of scores`` is called once
@@ -167,7 +158,7 @@ def evaluate(scorer, scenario, cfg, positive="test", higher_is_better=True):
     if positive not in ("test", "valid"):
         raise ConfigError(f"positive must be 'test' or 'valid'")
     users = list(scenario.test_users)
-    report = EvalReport(cutoffs=tuple(cfg.cutoffs))
+    report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.phi)
     for r in range(cfg.repeats):
         ranks = np.empty(len(users), dtype=np.int64)
         for k, user in enumerate(users):
@@ -190,9 +181,7 @@ def evaluate(scorer, scenario, cfg, positive="test", higher_is_better=True):
                     f"{user}, expected ({len(candidates)},)")
             if not np.all(np.isfinite(scores)):
                 raise ScorerFailure(f"non-finite score for user {user}")
-            ranks[k] = rank_of_test_item(
-                dict(zip(candidates, scores)), pos, higher_is_better)
+            ranks[k] = rank_of_test_item(dict(zip(candidates, scores)), pos)
         report.ranks.append(ranks)
-        report.per_repeat.append(
-            metrics_from_ranks(ranks, cfg.cutoffs, cfg.apply_cutoff))
+        report.per_repeat.append(metrics_from_ranks(ranks, cfg.cutoffs))
     return report

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import coldstart, data, embed, evaluation, mapping, synth
-from .errors import ConfigError
+from .errors import ConfigError, IndexMismatch
 
 METHOD_ITEMPOP = "ITEMPOP"
 METHOD_BPR = "BPR"
@@ -118,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError("SSCDR needs hops >= 1")
         if self.hops < 0:
             raise ConfigError("hops must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         sources = [bool(self.scenario_dir),
                    bool(self.source_path or self.target_path),
                    self.synth_users > 0]
@@ -131,7 +133,7 @@ class ExperimentConfig:
         # the method's train configs check their values before any work
         objective, mode = _PLAN[self.method]
         if objective is not None:
-            embed_config(self, "source")
+            embed.check_objective(objective, embed_config(self, "source"))
         if mode is not None:
             map_config(self, mode)
 
@@ -323,54 +325,55 @@ def train_method(scenario, cfg, stage=None):
     return art
 
 
+def _rows(index, ids, prefix=""):
+    """``index(prefix + id)`` of every id, or :class:`IndexMismatch`."""
+    try:
+        return [index(prefix + x) for x in ids]
+    except KeyError as exc:
+        raise IndexMismatch(f"embedding space has no row for "
+                            f"{exc.args[0]!r}") from None
+
+
 def make_scorer(scenario, cfg, art):
-    """Build ``scorer(user, candidates) -> scores`` (higher is better)."""
+    """Build ``scorer(user, candidates) -> scores`` (higher is better).
+
+    The spaces scored with must hold every target item (``t:``-prefixed
+    in a unified space) and every test user; a missing one raises
+    :class:`IndexMismatch` before anything is scored.
+    """
     objective, mode = _PLAN[cfg.method]
+    target = scenario.target
     if objective is None:  # popularity
-        target = scenario.target
-        degrees = target.item_degrees()
+        degrees = target.item_degrees().astype(float)
 
         def scorer(user, candidates):
-            return np.array([float(degrees[target.item_index(i)])
-                             for i in candidates])
+            return degrees[[target.item_index(i) for i in candidates]]
         return scorer
 
+    users = scenario.test_users
     if mode is None:  # one space over both domains
-        space = art.unified_space
-        inner = space.kind == embed.KIND_INNER
-
-        def scorer(user, candidates):
-            q = space.user_vec(user)
-            idx = [space.item_index(data.TARGET_PREFIX + i)
-                   for i in candidates]
-            mat = space.V[idx]
-            if inner:
-                return mat @ q
-            diff = mat - q
-            return -np.einsum("ij,ij->i", diff, diff)
-        return scorer
-
-    # mapping-based methods: translate the (aggregated) source user vector
-    if art.hops > 0:
-        agg = coldstart.aggregate_hops(art.source_space, scenario.source,
-                                       art.hops)
-        user_rows = agg.user_vectors
-    else:
-        user_rows = art.source_space.U
-    src = art.source_space
-    tgt = art.target_space
-    inner = tgt.kind == embed.KIND_INNER
+        space, prefix = art.unified_space, data.TARGET_PREFIX
+        queries = space.U[_rows(space.user_index, users)]
+    else:  # translate the (aggregated) source user vectors
+        space, prefix = art.target_space, ""
+        queries = coldstart.cold_start_queries(
+            art.source_space, scenario.source, art.net, art.hops,
+            _rows(art.source_space.user_index, users))
+    query = dict(zip(users, queries))
+    row = dict(zip(target.item_ids,
+                   _rows(space.item_index, target.item_ids, prefix)))
 
     def scorer(user, candidates):
-        mapped = coldstart.infer_cold_start(
-            art.net, user_rows[src.user_index(user)])
-        idx = [tgt.item_index(i) for i in candidates]
-        mat = tgt.V[idx]
-        if inner:
-            return mat @ mapped
-        diff = mat - mapped
-        return -np.einsum("ij,ij->i", diff, diff)
+        return space.scores([row[i] for i in candidates], query[user])
     return scorer
+
+
+def evaluate_method(scenario, cfg, art):
+    """The report of ``cfg.method`` scored with ``art`` on ``scenario``,
+    and its ``report.tsv`` text, labelled with the scenario's phi."""
+    report = evaluation.evaluate(make_scorer(scenario, cfg, art), scenario,
+                                 eval_config(cfg), positive=cfg.eval_positive)
+    return report, report.to_tsv(cfg.method, scenario.phi)
 
 
 def _sha256(path):
@@ -381,8 +384,10 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(cfg, out_dir, status, artifacts):
+def _write_manifest(cfg, out_dir, status, artifacts, error=None):
     lines = [f"status={status}\n"]
+    if error is not None:
+        lines.append(f"error={error}\n")
     for f in sorted(fields(cfg), key=lambda f: f.name):
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
@@ -396,43 +401,46 @@ def _write_manifest(cfg, out_dir, status, artifacts):
 
 
 def run_experiment(cfg):
-    """Train, evaluate, and persist one method; returns the report."""
+    """Train, evaluate, and persist one method; returns the report.
+
+    A failure after the first manifest write leaves ``status=failed`` and
+    the error class in the manifest, then propagates.
+    """
     cfg.validate()
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     _write_manifest(cfg, out, "running", {})
-    artifacts = {}
+    artifacts = {}  # each file, once it is complete
+    try:
+        scenario = prepare_scenario(cfg)
+        scen_dir = os.path.join(out, "scenario")
+        data.save_scenario(scenario, scen_dir)
+        # the disk copy is canonical: continue from exactly what a
+        # separate process would load
+        scenario = data.load_scenario(scen_dir)
+        for name in os.listdir(scen_dir):
+            artifacts[f"scenario/{name}"] = os.path.join(scen_dir, name)
 
-    scenario = prepare_scenario(cfg)
-    scen_dir = os.path.join(out, "scenario")
-    data.save_scenario(scenario, scen_dir)
-    # the disk copy is canonical: continue from exactly what a separate
-    # process would load
-    scenario = data.load_scenario(scen_dir)
-    for name in os.listdir(scen_dir):
-        artifacts[f"scenario/{name}"] = os.path.join(scen_dir, name)
+        def stage(name, artifact):
+            path = os.path.join(out, name + ".txt")
+            if name == "mapping":
+                mapping.save_mapping(artifact, path)
+                artifact = mapping.load_mapping(path)
+            else:
+                embed.save_embeddings(artifact, path)
+                artifact = embed.load_embeddings(path)
+            artifacts[name + ".txt"] = path
+            return artifact
 
-    def stage(name, artifact):
-        path = os.path.join(out, name + ".txt")
-        if name == "mapping":
-            mapping.save_mapping(artifact, path)
-            artifact = mapping.load_mapping(path)
-        else:
-            embed.save_embeddings(artifact, path)
-            artifact = embed.load_embeddings(path)
-        artifacts[name + ".txt"] = path
-        return artifact
-
-    art = train_method(scenario, cfg, stage=stage)
-
-    scorer = make_scorer(scenario, cfg, art)
-    report = evaluation.evaluate(scorer, scenario, eval_config(cfg),
-                                 positive=cfg.eval_positive)
-
-    report_path = os.path.join(out, "report.tsv")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_tsv(cfg.method, cfg.phi))
-    artifacts["report.tsv"] = report_path
-
+        art = train_method(scenario, cfg, stage=stage)
+        report, text = evaluate_method(scenario, cfg, art)
+        report_path = os.path.join(out, "report.tsv")
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        artifacts["report.tsv"] = report_path
+    except BaseException as exc:
+        _write_manifest(cfg, out, "failed", artifacts,
+                        error=type(exc).__name__)
+        raise
     _write_manifest(cfg, out, "complete", artifacts)
     return report

@@ -55,18 +55,16 @@ def generate_synthetic(n_users, n_source_items, n_target_items, k_true,
     target_ids = [f"t{k:05d}" for k in range(n_target_items)]
 
     def build(users, item_vecs, item_ids, c):
-        pairs = []
-        for u in np.sort(users):
-            sims = item_vecs @ taste[u]
-            top = np.argpartition(-sims, c - 1)[:c]
-            for j in np.sort(top):
-                pairs.append((user_ids[u], item_ids[j]))
-        return pairs
+        users = np.sort(users)
+        top = [np.sort(np.argpartition(-(item_vecs @ taste[u]), c - 1)[:c])
+               for u in users]
+        return InteractionSet._from_indices(
+            [user_ids[u] for u in users], item_ids,
+            np.repeat(np.arange(users.shape[0]), c),
+            np.array(top, dtype=np.int64).reshape(-1))
 
-    src_users = np.concatenate([overlap, source_only])
-    tgt_users = np.concatenate([overlap, target_only])
-    source = InteractionSet(build(src_users, source_items, source_ids,
-                                  c_source), items=source_ids)
-    target = InteractionSet(build(tgt_users, target_items, target_ids,
-                                  c_target), items=target_ids)
+    source = build(np.concatenate([overlap, source_only]), source_items,
+                   source_ids, c_source)
+    target = build(np.concatenate([overlap, target_only]), target_items,
+                   target_ids, c_target)
     return source, target

@@ -248,3 +248,95 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert main(["run", "--config", run_cfg, "--seed", "-1",
                  "--out", str(tmp_path / "o")]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_run_over_saved_scenario_reports_its_phi(chain, tmp_path):
+    raw = chain["root"] / "raw"
+    scen = tmp_path / "scen03"
+    assert main(["build-scenario", "--config", chain["pipe_cfg"],
+                 "--source", str(raw / "source.tsv"),
+                 "--target", str(raw / "target.tsv"), "--phi", "0.3",
+                 "--out", str(scen)]) == 0
+    run_cfg = _write(tmp_path / "r.cfg",
+                     PIPE_CFG + f"scenario={scen}\nmethod=ITEMPOP\n")
+    assert main(["run", "--config", run_cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    report = str(tmp_path / "eval.tsv")
+    assert main(["eval", "--config", chain["pipe_cfg"],
+                 "--scenario", str(scen), "--method", "ITEMPOP",
+                 "--out", report]) == 0
+    run_report = (tmp_path / "o" / "report.tsv").read_bytes()
+    assert run_report == open(report, "rb").read()
+    assert run_report.splitlines()[1].startswith(b"ITEMPOP\t0.3\t")
+
+
+def test_export_vectors_takes_hops_from_the_config(chain, tmp_path,
+                                                    capsys):
+    # PIPE_CFG sets hops=1
+    paths = [str(tmp_path / "flag.txt"), str(tmp_path / "config.txt")]
+    for path, flag in zip(paths, (["--hops", "1"], [])):
+        assert main(["export-vectors", "--config", chain["pipe_cfg"],
+                     "--scenario", str(chain["scen"]),
+                     "--source-emb", chain["src_emb"],
+                     "--mapping", chain["net"], "--out", path, *flag]) == 0
+        assert "(hops=1)" in capsys.readouterr().out
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+def test_failed_run_marks_its_manifest(tmp_path, capsys):
+    src = tmp_path / "src.tsv"
+    src.write_text("u1\ti1\nnot_a_pair\n", encoding="utf-8")
+    tgt = tmp_path / "tgt.tsv"
+    tgt.write_text("u1\tj1\n", encoding="utf-8")
+    cfg = _write(tmp_path / "r.cfg", f"source={src}\ntarget={tgt}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--method", "ITEMPOP",
+                 "--out", str(out)]) == 3
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest.startswith("status=failed\nerror=MalformedLine\n")
+    capsys.readouterr()
+
+
+def test_negative_seed_is_rejected_before_any_file(tmp_path, capsys):
+    cfg = _write(tmp_path / "r.cfg", GEN_CFG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--method", "ITEMPOP",
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "seed" in capsys.readouterr().err
+
+
+def test_l2_on_a_metric_objective_exits_2(chain, tmp_path, capsys):
+    l2 = "embed.l2=0.5\n"
+    run_cfg = _write(tmp_path / "r.cfg", GEN_CFG + PIPE_CFG + l2)
+    assert main(["run", "--config", run_cfg, "--method", "CML",
+                 "--out", str(tmp_path / "cml")]) == 2
+    assert not (tmp_path / "cml").exists()
+    assert main(["train-embed", "--config", run_cfg,
+                 "--scenario", str(chain["scen"]), "--domain", "source",
+                 "--objective", "metric",
+                 "--out", str(tmp_path / "src.txt")]) == 2
+    assert "embed.l2" in capsys.readouterr().err
+    assert main(["run", "--config", run_cfg, "--method", "BPR",
+                 "--out", str(tmp_path / "bpr")]) == 0
+    assert (tmp_path / "bpr" / "report.tsv").exists()
+
+
+def test_space_missing_a_target_item_exits_3(chain, tmp_path, capsys):
+    lines = open(chain["tgt_emb"], encoding="utf-8").read().splitlines(True)
+    header = lines[0].split()
+    header[5] = str(int(header[5]) - 1)
+    first_v = next(k for k, line in enumerate(lines)
+                   if line.startswith("V "))
+    missing = lines[first_v].split()[1]
+    short = tmp_path / "short.txt"
+    short.write_text(" ".join(header) + "\n" + "".join(
+        line for k, line in enumerate(lines[1:], 1) if k != first_v),
+        encoding="utf-8")
+    code = main(["eval", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]),
+                 "--method", "SSCDR", "--source-emb", chain["src_emb"],
+                 "--target-emb", str(short), "--mapping", chain["net"],
+                 "--out", str(tmp_path / "r.tsv")])
+    assert code == 3
+    assert repr(missing) in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossrec import data
 from crossrec.data import (
     CrossDomainScenario,
     InteractionSet,
@@ -51,6 +52,10 @@ def test_interaction_set_rejects_whitespace_ids():
         InteractionSet([("a b", "x")])
     with pytest.raises(ValueError):
         InteractionSet([("a", "x\ty")])
+    with pytest.raises(ValueError):
+        InteractionSet([("a\u2003b", "x")])  # em space
+    with pytest.raises(ValueError):
+        InteractionSet([("a", "x\x1cy")])  # file separator
 
 
 @settings(max_examples=60)
@@ -94,6 +99,9 @@ def test_load_interactions_malformed_line(tmp_path):
 def test_load_interactions_rejects_id_with_space(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("user one\ti1\n")
+    with pytest.raises(MalformedLine):
+        load_interactions(p)
+    p.write_text("u1\ti\u00a01\n", encoding="utf-8")  # no-break space
     with pytest.raises(MalformedLine):
         load_interactions(p)
 
@@ -147,6 +155,67 @@ def test_filtering_drops_thin_users():
     # filtering reached a fixed point
     assert min(scen.source.user_degrees()) >= 1
     assert min(scen.source.item_degrees()) >= 20
+
+
+def _reference_filter(source, target, min_overlap, min_other):
+    """The dict-of-sets fixed point the index-level filter must reach."""
+    src = {u: set(source.items_of(u)) for u in source.user_ids}
+    tgt = {u: set(target.items_of(u)) for u in target.user_ids}
+    changed = True
+    while changed:
+        changed = False
+        overlap = set(src) & set(tgt)
+        for u in list(src):
+            if u in overlap:
+                if len(src[u]) < min_overlap or len(tgt[u]) < min_overlap:
+                    del src[u]
+                    del tgt[u]
+                    changed = True
+            elif len(src[u]) < min_other:
+                del src[u]
+                changed = True
+        for u in list(tgt):
+            if u not in src and len(tgt[u]) < min_other:
+                del tgt[u]
+                changed = True
+        for adj in (src, tgt):
+            counts = {}
+            for items in adj.values():
+                for i in items:
+                    counts[i] = counts.get(i, 0) + 1
+            bad = {i for i, c in counts.items() if c < min_other}
+            for u in adj:
+                if adj[u] & bad:
+                    adj[u] -= bad
+                    changed = True
+    return src, tgt
+
+
+_pairs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 7)),
+                  max_size=70)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs, _pairs, st.integers(1, 4), st.integers(1, 4))
+def test_filter_matches_set_reference(raw_s, raw_t, min_overlap, min_other):
+    # users 0-11 in both id spaces, so some of them overlap
+    source = InteractionSet([(f"u{a}", f"s{b}") for a, b in raw_s])
+    target = InteractionSet([(f"u{a}", f"t{b}") for a, b in raw_t])
+    src_alive, src_keep, tgt_alive, tgt_keep, overlap = \
+        data._filter_domains(source, target, min_overlap, min_other)
+
+    def as_sets(inter, alive, keep):
+        pu, pi = inter.pair_arrays()
+        return {inter.user_ids[u]: {inter.item_ids[i]
+                                    for i in pi[keep & (pu == u)]}
+                for u in np.flatnonzero(alive)}
+
+    want_src, want_tgt = _reference_filter(source, target, min_overlap,
+                                           min_other)
+    assert as_sets(source, src_alive, src_keep) == want_src
+    assert as_sets(target, tgt_alive, tgt_keep) == want_tgt
+    assert {target.user_ids[k] for k in overlap} == \
+        set(want_src) & set(want_tgt)
 
 
 def test_split_sizes_with_two_hundred_overlap_users():
@@ -273,6 +342,21 @@ def test_sample_negatives_insufficient_pool():
     rng = np.random.default_rng(2)
     with pytest.raises(InsufficientCandidates):
         sample_negatives(s, "u", {"i5"}, 6, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 2 ** 32 - 1))
+def test_sample_negatives_matches_the_list_pool(n_seen, seed):
+    items = [f"i{k:02d}" for k in range(40)]
+    s = InteractionSet([("u", i) for i in items[:n_seen:2]], items=items)
+    exclude = {"i05", "i33", "absent"}
+    blocked = exclude | set(s.items_of("u"))
+    pool = [i for i in items if i not in blocked]
+    pick = np.random.default_rng(seed).choice(len(pool), size=5,
+                                              replace=False)
+    assert sample_negatives(s, "u", exclude, 5,
+                            np.random.default_rng(seed)) == \
+        [pool[k] for k in pick]
 
 
 def test_sample_negatives_deterministic_per_stream():
