@@ -48,6 +48,14 @@ def _resolve_config(args):
     return cfg
 
 
+def _check_hops_flag(args, cfg):
+    # hops in a config file may serve several methods, so only the flag
+    # is checked
+    if args.hops is not None and cfg.method != experiment.METHOD_SSCDR:
+        raise ConfigError(f"--hops applies to {experiment.METHOD_SSCDR} "
+                          f"only, not {cfg.method}")
+
+
 def _add_common(p, out_required=False):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="experiment seed")
@@ -121,6 +129,7 @@ _ARTIFACT_FLAGS = {"unified_space": "--unified-emb",
 
 def _cmd_eval(args):
     cfg = _resolve_config(args)
+    _check_hops_flag(args, cfg)
     cfg.validate()
     scenario = data.load_scenario(args.scenario)
     art = experiment.MethodArtifacts.for_method(cfg)
@@ -144,6 +153,7 @@ def _cmd_eval(args):
 
 def _cmd_run(args):
     cfg = _resolve_config(args)
+    _check_hops_flag(args, cfg)
     report = experiment.run_experiment(cfg)
     print(report.format_table(title=f"{cfg.method} phi={report.phi:g}"))
     print(f"artifacts in {cfg.out_dir}")
@@ -155,10 +165,9 @@ def _cmd_export_vectors(args):
     scenario = data.load_scenario(args.scenario)
     source_space = embed.load_embeddings(args.source_emb)
     net = mapping.load_mapping(args.mapping)
-    users = [u for u in scenario.test_users if source_space.has_user(u)]
+    users = scenario.test_users
     inferred = coldstart.cold_start_queries(
-        source_space, scenario.source, net, cfg.hops,
-        [source_space.user_index(u) for u in users])
+        source_space, scenario.source, net, cfg.hops, users)
     space = embed.EmbeddingSpace(users, (), inferred,
                                  np.zeros((0, net.dim)),
                                  embed.KIND_INFERRED)

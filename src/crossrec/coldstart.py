@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import id_rows
 from .errors import EmptyCandidates, IndexMismatch, UnknownUser
 from .mapping import mlp_forward
 
@@ -56,11 +57,11 @@ def aggregate_step(prev, interactions):
 
 
 def aggregate_hops(space, interactions, hops):
-    """Run ``hops`` averaging steps starting from a trained space."""
-    if tuple(space.user_ids) != tuple(interactions.user_ids) \
-            or tuple(space.item_ids) != tuple(interactions.item_ids):
-        raise IndexMismatch("space ids do not match interaction ids")
-    agg = AggregatedVectors(0, space.U.copy(), space.V.copy())
+    """Run ``hops`` averaging steps from a space holding a row for every
+    user and item of ``interactions``; the result follows their order."""
+    agg = AggregatedVectors(
+        0, space.U[id_rows(space.user_index, interactions.user_ids)],
+        space.V[id_rows(space.item_index, interactions.item_ids)])
     for _ in range(hops):
         agg = aggregate_step(agg, interactions)
     return agg
@@ -68,10 +69,10 @@ def aggregate_hops(space, interactions, hops):
 
 def multi_hop_user(space, interactions, user, hops):
     """The ``user`` row after ``hops`` aggregation steps."""
-    if not space.has_user(user):
+    if not interactions.has_user(user):
         raise UnknownUser(user)
     agg = aggregate_hops(space, interactions, hops)
-    return agg.user_vectors[space.user_index(user)]
+    return agg.user_vectors[interactions.user_index(user)]
 
 
 def infer_cold_start(net, source_user_vec):
@@ -79,12 +80,15 @@ def infer_cold_start(net, source_user_vec):
     return mlp_forward(net, source_user_vec)
 
 
-def cold_start_queries(source_space, interactions, net, hops, rows):
-    """Target-space query vectors of the source user rows ``rows``: each
-    row after ``hops`` aggregation steps, translated by ``net``."""
-    U = (aggregate_hops(source_space, interactions, hops).user_vectors
-         if hops > 0 else source_space.U)
-    return np.stack([infer_cold_start(net, U[r]) for r in rows])
+def cold_start_queries(source_space, interactions, net, hops, users):
+    """Target-space query vectors of the source users ``users``: each
+    user's row after ``hops`` aggregation steps, translated by ``net``."""
+    U, index = source_space.U, source_space.user_index
+    if hops > 0:  # aggregated rows follow the interactions' order
+        U = aggregate_hops(source_space, interactions, hops).user_vectors
+        index = interactions.user_index
+    return np.stack([infer_cold_start(net, U[r])
+                     for r in id_rows(index, users)])
 
 
 def _top_n(candidates, n, score):

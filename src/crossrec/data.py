@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     DegenerateScenario,
     EmptyDataset,
+    IndexMismatch,
     InsufficientCandidates,
     MalformedLine,
     NoOverlap,
@@ -54,6 +55,16 @@ def _id_index(ids, kind):
                 raise ValueError(f"bad {kind} id {x!r}")
             index[x] = len(index)
     return index
+
+
+def id_rows(index, ids, prefix=""):
+    """``index(prefix + id)`` of every id as an int64 array: how a saved
+    space lines up with scenario ids, whatever its row order.  The first
+    id ``index`` lacks raises :class:`IndexMismatch`."""
+    try:
+        return np.array([index(prefix + x) for x in ids], dtype=np.int64)
+    except KeyError as exc:
+        raise IndexMismatch(f"no row for id {exc.args[0]!r}") from None
 
 
 class InteractionSet:

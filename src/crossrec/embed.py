@@ -165,6 +165,15 @@ def check_objective(objective, cfg):
                           f"are not regularized")
 
 
+def _unique_index(ids, kind):
+    """Row of each id; ``ValueError`` naming a repeated one."""
+    index = {x: k for k, x in enumerate(ids)}
+    if len(index) < len(ids):
+        dup = next(x for k, x in enumerate(ids) if index[x] != k)
+        raise ValueError(f"repeated {kind} id {dup!r}")
+    return index
+
+
 class EmbeddingSpace:
     """Learned user and item vectors plus the id bookkeeping.
 
@@ -197,8 +206,8 @@ class EmbeddingSpace:
         self.U = U
         self.V = V
         self.kind = kind
-        self._uindex = {u: k for k, u in enumerate(self.user_ids)}
-        self._iindex = {i: k for k, i in enumerate(self.item_ids)}
+        self._uindex = _unique_index(self.user_ids, "user")
+        self._iindex = _unique_index(self.item_ids, "item")
         self.U.setflags(write=False)
         self.V.setflags(write=False)
 

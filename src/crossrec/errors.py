@@ -77,7 +77,7 @@ class DimensionMismatch(DataError):
 
 
 class IndexMismatch(DataError):
-    """Aggregation input does not line up with the interaction data."""
+    """A space or vector array lacks a row the scenario's ids ask for."""
 
 
 class NumericError(CrossRecError):

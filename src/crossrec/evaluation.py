@@ -27,6 +27,8 @@ from .data import sample_negatives
 from .errors import ConfigError, MissingTestItem, ScorerFailure
 
 _DEFAULT_CUTOFFS = (10, 20)
+# which held-out item :func:`evaluate` ranks
+POSITIVES = ("test", "valid")
 
 
 def rank_of_test_item(scores, test_item, higher_is_better=True):
@@ -155,8 +157,8 @@ def evaluate(scorer, scenario, cfg, positive="test"):
     the validation item; both held-out items are always excluded from the
     negative pool so the two modes share one code path.
     """
-    if positive not in ("test", "valid"):
-        raise ConfigError(f"positive must be 'test' or 'valid'")
+    if positive not in POSITIVES:
+        raise ConfigError(f"positive must be one of {', '.join(POSITIVES)}")
     users = list(scenario.test_users)
     report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.phi)
     for r in range(cfg.repeats):

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import coldstart, data, embed, evaluation, mapping, synth
-from .errors import ConfigError, IndexMismatch
+from .errors import ConfigError
 
 METHOD_ITEMPOP = "ITEMPOP"
 METHOD_BPR = "BPR"
@@ -136,6 +136,11 @@ class ExperimentConfig:
             embed.check_objective(objective, embed_config(self, "source"))
         if mode is not None:
             map_config(self, mode)
+        eval_config(self)
+        if self.eval_positive not in evaluation.POSITIVES:
+            raise ConfigError(f"eval.positive must be one of "
+                              f"{', '.join(evaluation.POSITIVES)}, got "
+                              f"{self.eval_positive!r}")
 
 
 # config-file key -> (attribute, parser)
@@ -325,21 +330,12 @@ def train_method(scenario, cfg, stage=None):
     return art
 
 
-def _rows(index, ids, prefix=""):
-    """``index(prefix + id)`` of every id, or :class:`IndexMismatch`."""
-    try:
-        return [index(prefix + x) for x in ids]
-    except KeyError as exc:
-        raise IndexMismatch(f"embedding space has no row for "
-                            f"{exc.args[0]!r}") from None
-
-
 def make_scorer(scenario, cfg, art):
     """Build ``scorer(user, candidates) -> scores`` (higher is better).
 
-    The spaces scored with must hold every target item (``t:``-prefixed
-    in a unified space) and every test user; a missing one raises
-    :class:`IndexMismatch` before anything is scored.
+    Every target item (``t:``-prefixed in a unified space), test user and,
+    with hops, source user and item needs a row, found by id; a missing
+    one raises :class:`IndexMismatch` before anything is scored.
     """
     objective, mode = _PLAN[cfg.method]
     target = scenario.target
@@ -353,15 +349,14 @@ def make_scorer(scenario, cfg, art):
     users = scenario.test_users
     if mode is None:  # one space over both domains
         space, prefix = art.unified_space, data.TARGET_PREFIX
-        queries = space.U[_rows(space.user_index, users)]
+        queries = space.U[data.id_rows(space.user_index, users)]
     else:  # translate the (aggregated) source user vectors
         space, prefix = art.target_space, ""
         queries = coldstart.cold_start_queries(
-            art.source_space, scenario.source, art.net, art.hops,
-            _rows(art.source_space.user_index, users))
+            art.source_space, scenario.source, art.net, art.hops, users)
     query = dict(zip(users, queries))
-    row = dict(zip(target.item_ids,
-                   _rows(space.item_index, target.item_ids, prefix)))
+    row = dict(zip(target.item_ids, data.id_rows(
+        space.item_index, target.item_ids, prefix).tolist()))
 
     def scorer(user, candidates):
         return space.scores([row[i] for i in candidates], query[user])
@@ -418,6 +413,8 @@ def run_experiment(cfg):
         # the disk copy is canonical: continue from exactly what a
         # separate process would load
         scenario = data.load_scenario(scen_dir)
+        # a saved scenario brings its own phi
+        cfg = replace(cfg, phi=scenario.phi)
         for name in os.listdir(scen_dir):
             artifacts[f"scenario/{name}"] = os.path.join(scen_dir, name)
 

@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteLoss,
     NoOverlapUsers,
 )
+from .data import id_rows
 from .embed import _fmt
 from .optim import Adam
 
@@ -247,15 +248,15 @@ def train_mapping(source_space, target_space, scenario, cfg,
     out test users cannot leak into the mapping.  In semi-supervised mode
     each batch user also contributes one (positive item, negative item)
     triplet, resampled every epoch, anchored at the user's target vector.
+    Rows of both spaces are found by id, so their order does not matter.
     """
     if source_space.dim != target_space.dim:
         raise DimensionMismatch(
             f"source dim {source_space.dim} != target dim "
             f"{target_space.dim}")
-    linked = [u for u in scenario.train_overlap_users
-              if source_space.has_user(u) and target_space.has_user(u)]
+    linked = scenario.train_overlap_users
     if not linked:
-        raise NoOverlapUsers("no usable train-overlap users")
+        raise NoOverlapUsers("no train-overlap users")
 
     semi = cfg.mode == MODE_SEMI and cfg.lam > 0.0
     dim = source_space.dim
@@ -269,19 +270,19 @@ def train_mapping(source_space, target_space, scenario, cfg,
             for p in (net.w1, net.b1, net.w2, net.b2)]
 
     n = len(linked)
-    S = np.stack([source_space.user_vec(u) for u in linked])
-    T = np.stack([target_space.user_vec(u) for u in linked])
+    S = source_space.U[id_rows(source_space.user_index, linked)]
+    T = target_space.U[id_rows(target_space.user_index, linked)]
 
     if semi:
         src = scenario.source
-        u_rows = [src.user_index(u) for u in linked]
+        u_rows = id_rows(src.user_index, linked)
         pos_lists = [src.item_neighbors(r) for r in u_rows]
         eligible = np.flatnonzero(src.item_degrees() > 0)
         # positions of each user's items inside the eligible pool; the
         # neighbor arrays are ascending so the result stays sorted
         blocked_pos = [np.searchsorted(eligible, plist)
                        for plist in pos_lists]
-        Vsrc = np.stack([source_space.item_vec(i) for i in src.item_ids])
+        Vsrc = source_space.V[id_rows(source_space.item_index, src.item_ids)]
         for r, plist in zip(u_rows, pos_lists):
             if plist.shape[0] == 0:
                 raise EmptyBatch(

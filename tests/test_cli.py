@@ -6,9 +6,13 @@ invocation with the same seed, then the tests compare artifacts byte for
 byte.  Exit-code tests poke each error path.
 """
 
+import pathlib
+import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrec import embed
 from crossrec.cli import main
@@ -268,6 +272,8 @@ def test_run_over_saved_scenario_reports_its_phi(chain, tmp_path):
     run_report = (tmp_path / "o" / "report.tsv").read_bytes()
     assert run_report == open(report, "rb").read()
     assert run_report.splitlines()[1].startswith(b"ITEMPOP\t0.3\t")
+    manifest = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "\nconfig.phi=0.3\n" in manifest
 
 
 def test_export_vectors_takes_hops_from_the_config(chain, tmp_path,
@@ -306,6 +312,38 @@ def test_negative_seed_is_rejected_before_any_file(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["eval.positive=x", "eval.repeats=0",
+                                     "eval.cutoffs=0"])
+def test_bad_eval_setting_is_rejected_before_any_file(tmp_path, capsys,
+                                                      setting):
+    cfg = _write(tmp_path / "r.cfg", GEN_CFG + PIPE_CFG + setting + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--method", "BPR",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hops_flag_needs_sscdr(chain, tmp_path, capsys):
+    run_cfg = _write(tmp_path / "r.cfg", GEN_CFG + PIPE_CFG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", run_cfg, "--method", "ITEMPOP",
+                 "--hops", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["eval", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]), "--method", "EMCDR-CML",
+                 "--source-emb", chain["src_emb"],
+                 "--target-emb", chain["tgt_emb"], "--mapping", chain["net"],
+                 "--hops", "3", "--out", str(tmp_path / "r.tsv")]) == 2
+    assert "--hops" in capsys.readouterr().err
+    # hops in a config file is shared by every method (PIPE_CFG has it)
+    assert main(["eval", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]), "--method", "EMCDR-CML",
+                 "--source-emb", chain["src_emb"],
+                 "--target-emb", chain["tgt_emb"], "--mapping", chain["net"],
+                 "--out", str(tmp_path / "r.tsv")]) == 0
+
+
 def test_l2_on_a_metric_objective_exits_2(chain, tmp_path, capsys):
     l2 = "embed.l2=0.5\n"
     run_cfg = _write(tmp_path / "r.cfg", GEN_CFG + PIPE_CFG + l2)
@@ -322,21 +360,120 @@ def test_l2_on_a_metric_objective_exits_2(chain, tmp_path, capsys):
     assert (tmp_path / "bpr" / "report.tsv").exists()
 
 
-def test_space_missing_a_target_item_exits_3(chain, tmp_path, capsys):
-    lines = open(chain["tgt_emb"], encoding="utf-8").read().splitlines(True)
-    header = lines[0].split()
-    header[5] = str(int(header[5]) - 1)
-    first_v = next(k for k, line in enumerate(lines)
-                   if line.startswith("V "))
-    missing = lines[first_v].split()[1]
-    short = tmp_path / "short.txt"
-    short.write_text(" ".join(header) + "\n" + "".join(
-        line for k, line in enumerate(lines[1:], 1) if k != first_v),
-        encoding="utf-8")
+def _space_rows(path):
+    lines = open(path, encoding="utf-8").read().splitlines(True)
+    return lines[0].split(), lines[1:]
+
+
+def _write_space(path, header, rows):
+    path.write_text(" ".join(header) + "\n" + "".join(rows),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _drop_row(src, dst, tag, row_id):
+    """Copy of the space at ``src`` without the ``tag`` row of ``row_id``."""
+    header, rows = _space_rows(src)
+    count = 3 if tag == "U" else 5
+    header[count] = str(int(header[count]) - 1)
+    kept = [r for r in rows if not r.startswith(f"{tag} {row_id} ")]
+    assert len(kept) == len(rows) - 1
+    return _write_space(dst, header, kept)
+
+
+def _step(chain, command, src_emb, tgt_emb, out):
+    """argv of one artifact-reading step over the chain's scenario."""
+    common = ["--config", chain["pipe_cfg"], "--scenario",
+              str(chain["scen"]), "--source-emb", src_emb]
+    if command == "train-map":
+        return ["train-map", *common, "--target-emb", tgt_emb,
+                "--out", out]
+    if command == "eval":
+        return ["eval", *common, "--target-emb", tgt_emb, "--method",
+                "SSCDR", "--mapping", chain["net"], "--out", out]
+    hops = command.split("-hops")[1]  # export-hops<N>
+    return ["export-vectors", *common, "--mapping", chain["net"],
+            "--hops", hops, "--out", out]
+
+
+# (step, space with the missing row, row tag, which id it lacks)
+_MISALIGNED = {
+    "eval-target-item": (
+        "eval", "tgt_emb", "V", lambda s: s.target.item_ids[0]),
+    "train-map-source-item": (
+        "train-map", "src_emb", "V", lambda s: s.source.item_ids[0]),
+    "train-map-target-user": (
+        "train-map", "tgt_emb", "U", lambda s: s.train_overlap_users[0]),
+    "export-hops0-test-user": (
+        "export-hops0", "src_emb", "U", lambda s: s.test_users[0]),
+    "export-hops2-test-user": (
+        "export-hops2", "src_emb", "U", lambda s: s.test_users[0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISALIGNED))
+def test_misaligned_space_exits_3(chain, tmp_path, capsys, case):
+    command, space, tag, pick = _MISALIGNED[case]
+    missing = pick(load_scenario(str(chain["scen"])))
+    paths = {"src_emb": chain["src_emb"], "tgt_emb": chain["tgt_emb"]}
+    paths[space] = _drop_row(chain[space], tmp_path / "short.txt", tag,
+                             missing)
+    code = main(_step(chain, command, paths["src_emb"], paths["tgt_emb"],
+                      str(tmp_path / "out")))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(missing) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_space_with_a_repeated_id_exits_3(chain, tmp_path, capsys):
+    user = load_scenario(str(chain["scen"])).test_users[0]
+    header, rows = _space_rows(chain["src_emb"])
+    header[3] = str(int(header[3]) + 1)
+    row = next(r for r in rows if r.startswith(f"U {user} "))
+    doubled = _write_space(tmp_path / "doubled.txt", header, rows + [row])
     code = main(["eval", "--config", chain["pipe_cfg"],
-                 "--scenario", str(chain["scen"]),
-                 "--method", "SSCDR", "--source-emb", chain["src_emb"],
-                 "--target-emb", str(short), "--mapping", chain["net"],
+                 "--scenario", str(chain["scen"]), "--method", "EMCDR-CML",
+                 "--source-emb", doubled, "--target-emb", chain["tgt_emb"],
+                 "--mapping", chain["net"],
                  "--out", str(tmp_path / "r.tsv")])
     assert code == 3
-    assert repr(missing) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(user) in err
+
+
+@pytest.fixture(scope="module")
+def exported(chain):
+    """export-vectors of the chain's own spaces at hops 0 and 2."""
+    out = {}
+    for hops in ("0", "2"):
+        path = chain["root"] / f"exported{hops}.txt"
+        assert main(_step(chain, f"export-hops{hops}", chain["src_emb"],
+                          chain["tgt_emb"], str(path))) == 0
+        out[hops] = path.read_bytes()
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_row_order_of_saved_spaces_does_not_matter(chain, exported, data):
+    """Spaces line up with the scenario by id: shuffling the rows of the
+    source and target spaces changes no output byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        paths = {}
+        for key in ("src_emb", "tgt_emb"):
+            header, rows = _space_rows(chain[key])
+            paths[key] = _write_space(tmp / f"{key}.txt", header,
+                                      data.draw(st.permutations(rows)))
+        want = {"train-map": open(chain["net"], "rb").read(),
+                "eval": open(chain["report"], "rb").read(),
+                "export-hops0": exported["0"],
+                "export-hops2": exported["2"]}
+        for command, expected in want.items():
+            out = tmp / command
+            assert main(_step(chain, command, paths["src_emb"],
+                              paths["tgt_emb"], str(out))) == 0
+            assert out.read_bytes() == expected, command

@@ -128,6 +128,34 @@ def test_multi_hop_user_and_hop_zero_identity():
         multi_hop_user(space, data, "ghost", 1)
 
 
+def test_multi_hop_user_reads_a_permuted_space_by_id():
+    data = InteractionSet([("u0", "i0"), ("u1", "i0"), ("u1", "i1"),
+                           ("u2", "i2")])
+    rng = np.random.default_rng(3)
+    U = rng.uniform(-0.5, 0.5, (3, 2))
+    V = rng.uniform(-0.5, 0.5, (3, 2))
+    space = _space(data, U, V)
+    # rows in another order, plus one user the interactions lack
+    pu, pi = [2, 0, 1], [1, 2, 0]
+    permuted = EmbeddingSpace(
+        [data.user_ids[k] for k in pu] + ["extra"],
+        [data.item_ids[k] for k in pi],
+        np.vstack([U[pu], [[0.9, 0.0]]]), V[pi], "metric")
+    for user in data.user_ids:
+        for hops in range(3):
+            np.testing.assert_array_equal(
+                multi_hop_user(permuted, data, user, hops),
+                multi_hop_user(space, data, user, hops))
+
+
+def test_aggregate_hops_names_a_missing_row():
+    data = InteractionSet([("u0", "i0"), ("u1", "i1")])
+    space = EmbeddingSpace(["u0", "u1"], ["i0"], np.zeros((2, 2)),
+                           np.zeros((1, 2)), "metric")
+    with pytest.raises(IndexMismatch, match="'i1'"):
+        aggregate_hops(space, data, 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
 def test_aggregation_stays_in_unit_ball(seed, hops):

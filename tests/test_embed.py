@@ -353,3 +353,13 @@ def test_load_embeddings_rejects_rows_beyond_the_header(tmp_path):
         bad.write_text(path.read_text() + extra)
         with pytest.raises(ValueError, match="more"):
             load_embeddings(bad)
+
+
+@pytest.mark.parametrize("users, items, repeated", [
+    (("u", "w", "u"), ("i",), "'u'"),
+    (("u",), ("i", "j", "j"), "'j'"),
+])
+def test_space_rejects_repeated_ids(users, items, repeated):
+    with pytest.raises(ValueError, match=f"repeated .* id {repeated}"):
+        EmbeddingSpace(users, items, np.zeros((len(users), 2)),
+                       np.zeros((len(items), 2)), "inner")
