@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import coldstart, data, embed, experiment, mapping
+from . import coldstart, data, embed, evaluation, experiment, mapping
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -132,6 +132,8 @@ def _cmd_eval(args):
     _check_hops_flag(args, cfg)
     cfg.validate()
     scenario = data.load_scenario(args.scenario)
+    # a too-small negative pool fails before any artifact is read
+    evaluation.heldout_rows(scenario, cfg.eval_negatives)
     art = experiment.MethodArtifacts.for_method(cfg)
     for name, flag in _ARTIFACT_FLAGS.items():
         path = getattr(args, flag[2:].replace("-", "_"))

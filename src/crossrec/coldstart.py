@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import id_rows
 from .errors import EmptyCandidates, IndexMismatch, UnknownUser
+from .evaluation import id_keys, ranking
 from .mapping import mlp_forward
 
 
@@ -91,16 +92,14 @@ def cold_start_queries(source_space, interactions, net, hops, users):
                      for r in id_rows(index, users)])
 
 
-def _top_n(candidates, n, score):
-    """The ``n`` candidates with the highest ``score(candidates)``; ties
-    break toward the smaller item id."""
+def _top_n(candidates, n, scores):
+    """The ``n`` candidates with the highest ``scores``, ties toward the
+    smaller item id."""
     if not candidates:
         raise EmptyCandidates("no candidate items")
     if n > len(candidates):
         raise ValueError(f"asked for top {n} of {len(candidates)}")
-    s = score(candidates)
-    order = sorted(range(len(candidates)),
-                   key=lambda k: (-s[k], candidates[k]))
+    order = ranking(scores, id_keys(candidates))
     return [candidates[k] for k in order[:n]]
 
 
@@ -110,14 +109,14 @@ def recommend_topn(space, query_vec, candidates, n):
     Metric spaces rank by ascending squared distance, inner-product spaces
     by descending dot product.  Ties break toward the smaller item id.
     """
-    q = np.asarray(query_vec, dtype=float)
-    return _top_n(candidates, n, lambda c: space.scores(
-        [space.item_index(i) for i in c], q))
+    rows = [space.item_index(i) for i in candidates]
+    return _top_n(candidates, n,
+                  space.scores(rows, np.asarray(query_vec, dtype=float)))
 
 
 def itempop_rank(interactions, candidates, n):
     """Most popular candidates first; ties toward the smaller item id."""
     counts = interactions.item_degrees()
-    return _top_n(candidates, n, lambda c: [
+    return _top_n(candidates, n, [
         counts[interactions.item_index(i)] if interactions.has_item(i)
-        else 0 for i in c])
+        else 0 for i in candidates])

@@ -410,25 +410,16 @@ def build_unified(scenario):
         np.concatenate([source._pair_i, source.n_items + target._pair_i]))
 
 
-def sample_negatives(interactions, user, exclude, n, rng):
-    """Draw ``n`` distinct items the user has not interacted with.
-
-    The pool is the full item universe minus the user's training items and
-    the ``exclude`` set.  Users absent from ``interactions`` (e.g. held-out
-    test users) simply have no training items.  Raises
-    :class:`InsufficientCandidates` when the pool is too small.
-    """
-    pool = np.ones(interactions.n_items, bool)
-    if interactions.has_user(user):
-        pool[interactions.item_neighbors(interactions.user_index(user))] = \
-            False
-    pool[[interactions.item_index(i) for i in exclude
-          if interactions.has_item(i)]] = False
+def sample_negatives(n_items, blocked_rows, n, rng):
+    """Draw ``n`` distinct item rows out of ``range(n_items)`` minus
+    ``blocked_rows``.  Raises :class:`InsufficientCandidates` when that
+    pool is too small."""
+    pool = np.ones(n_items, bool)
+    pool[blocked_rows] = False
     pool = np.flatnonzero(pool)
     if pool.shape[0] < n:
         raise InsufficientCandidates(pool.shape[0], n)
-    pick = rng.choice(pool.shape[0], size=n, replace=False)
-    return [interactions.item_ids[k] for k in pool[pick]]
+    return pool[rng.choice(pool.shape[0], size=n, replace=False)]
 
 
 # -- scenario serialization ---------------------------------------------

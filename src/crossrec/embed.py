@@ -15,6 +15,7 @@ the touched rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,6 +342,15 @@ def save_embeddings(space, path):
                      + "\n")
 
 
+def parse_floats(fields, path, lineno):
+    """``fields`` as floats; a NaN or infinity among them raises
+    :class:`NonFiniteInput` naming ``path:lineno``."""
+    row = [float(x) for x in fields]
+    if not all(map(math.isfinite, row)):
+        raise NonFiniteInput(f"{path}:{lineno}: non-finite value")
+    return row
+
+
 def load_embeddings(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -353,7 +363,7 @@ def load_embeddings(path):
         user_ids, items_ids = [], []
         U = np.empty((n_users, dim))
         V = np.empty((n_items, dim))
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
                 continue
@@ -364,7 +374,7 @@ def load_embeddings(path):
             if len(ids) == mat.shape[0]:
                 raise ValueError(f"{path}: more {fields[0]} rows than the "
                                  f"header declares")
-            mat[len(ids)] = [float(x) for x in fields[2:]]
+            mat[len(ids)] = parse_floats(fields[2:], path, lineno)
             ids.append(fields[1])
     if len(user_ids) != n_users or len(items_ids) != n_items:
         raise ValueError(f"{path}: row counts disagree with header")

@@ -51,10 +51,6 @@ class UnknownUser(DataError):
     """User id not present in the data or embedding space at hand."""
 
 
-class MissingTestItem(DataError):
-    """The held-out item is absent from the scored candidate set."""
-
-
 class EmptyCandidates(DataError):
     """recommend_topn called with an empty candidate list."""
 

@@ -23,51 +23,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import sample_negatives
-from .errors import ConfigError, MissingTestItem, ScorerFailure
+from .data import id_rows, sample_negatives
+from .errors import ConfigError, InsufficientCandidates, ScorerFailure
 
 _DEFAULT_CUTOFFS = (10, 20)
 # which held-out item :func:`evaluate` ranks
 POSITIVES = ("test", "valid")
 
 
-def rank_of_test_item(scores, test_item, higher_is_better=True):
-    """Position of ``test_item`` in the ranking induced by ``scores``.
+def id_keys(ids):
+    """Each id's position in Python's sorted order of ``ids``: integer tie
+    keys that order like the id strings themselves."""
+    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
-    ``scores`` maps item id to a scalar.  The rank is one plus the number
-    of strictly better candidates plus the number of equal-scored
-    candidates with a smaller item id, matching the tie rule of
-    :func:`crossrec.coldstart.recommend_topn`.
-    """
-    if test_item not in scores:
-        raise MissingTestItem(test_item)
-    target = scores[test_item]
-    values = np.fromiter(scores.values(), dtype=float, count=len(scores))
-    if higher_is_better:
-        rank = 1 + int(np.count_nonzero(values > target))
-    else:
-        rank = 1 + int(np.count_nonzero(values < target))
-    # ties are broken toward the smaller item id
-    if np.count_nonzero(values == target) > 1:
-        rank += sum(1 for item, value in scores.items()
-                    if value == target and item < test_item)
-    return rank
+
+def ranking(scores, keys):
+    """Candidate positions best first: higher score, then smaller key."""
+    return np.lexsort((keys, -np.asarray(scores, dtype=float)))
+
+
+def rank_of_test_item(scores, keys):
+    """Position of candidate 0 in the :func:`ranking` of ``scores``: one
+    plus the number of strictly better candidates plus the number of
+    equal-scored candidates with a smaller key."""
+    return 1 + int(np.flatnonzero(ranking(scores, keys) == 0)[0])
 
 
 def hit_at(rank, n):
     return 1.0 if rank <= n else 0.0
 
 
-def ndcg_at(rank, n, cutoff=True):
-    if cutoff and rank > n:
-        return 0.0
-    return math.log(2.0) / math.log(rank + 1.0)
+def ndcg_at(rank, n):
+    return math.log(2.0) / math.log(rank + 1.0) if rank <= n else 0.0
 
 
-def mrr_at(rank, n, cutoff=True):
-    if cutoff and rank > n:
-        return 0.0
-    return 1.0 / rank
+def mrr_at(rank, n):
+    return 1.0 / rank if rank <= n else 0.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,6 @@ _METRICS = ("HR", "NDCG", "MRR")
 def metrics_from_ranks(ranks, cutoffs):
     """Mean hit rate, ndcg, and reciprocal rank at each cutoff."""
     out = {}
-    ranks = list(ranks)
     for n in cutoffs:
         out[("HR", n)] = float(np.mean([hit_at(r, n) for r in ranks]))
         out[("NDCG", n)] = float(np.mean([ndcg_at(r, n) for r in ranks]))
@@ -120,10 +110,10 @@ class EvalReport:
             out[key] = float(np.mean([rep[key] for rep in self.per_repeat]))
         return out
 
-    def to_tsv(self, method, phi):
+    def to_tsv(self, method):
         """Machine-readable block: method, phi, repeat, metric, N, value."""
         lines = ["method\tphi\trepeat\tmetric\tN\tvalue\n"]
-        phi_s = format(phi, "g")
+        phi_s = format(self.phi, "g")
         tables = list(enumerate(self.per_repeat, start=1))
         for r, rep in tables + [("avg", self.averaged())]:
             for metric in _METRICS:
@@ -149,41 +139,61 @@ class EvalReport:
         return "\n".join(out)
 
 
+def heldout_rows(scenario, negatives):
+    """Per test user: the target rows of its (test, valid) items and of
+    everything its negatives must avoid, its training items included.
+    Raises :class:`InsufficientCandidates` as :func:`evaluate` would, for
+    the first user whose pool is smaller than ``negatives``."""
+    target = scenario.target
+    out = []
+    for user in scenario.test_users:
+        held = id_rows(target.item_index, scenario.heldout[user])
+        seen = (target.item_neighbors(target.user_index(user))
+                if target.has_user(user) else held[:0])
+        blocked = np.union1d(seen, held)
+        pool = target.n_items - blocked.shape[0]
+        if pool < negatives:
+            raise InsufficientCandidates(pool, negatives)
+        out.append((held, blocked))
+    return out
+
+
 def evaluate(scorer, scenario, cfg, positive="test"):
     """Rank every held-out user's positive against sampled negatives.
 
-    ``scorer(user_id, candidate_items) -> array of scores`` is called once
-    per user and repeat.  ``positive`` selects the test item (default) or
-    the validation item; both held-out items are always excluded from the
-    negative pool so the two modes share one code path.
+    ``scorer(k, rows) -> scores`` (higher is better) is called once per
+    user and repeat with ``k`` the position in ``scenario.test_users`` and
+    ``rows`` target item rows, the positive first.  ``positive`` selects
+    the test item (default) or the validation item; both held-out items
+    are always excluded from the negative pool.
     """
     if positive not in POSITIVES:
         raise ConfigError(f"positive must be one of {', '.join(POSITIVES)}")
-    users = list(scenario.test_users)
+    held = heldout_rows(scenario, cfg.negatives)
+    keys = id_keys(scenario.target.item_ids)
+    n_items = scenario.target.n_items
+    col = POSITIVES.index(positive)
     report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.phi)
     for r in range(cfg.repeats):
-        ranks = np.empty(len(users), dtype=np.int64)
-        for k, user in enumerate(users):
-            test_item, valid_item = scenario.heldout[user]
-            pos = test_item if positive == "test" else valid_item
+        ranks = np.empty(len(held), dtype=np.int64)
+        for k, (pair, blocked) in enumerate(held):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed + r, k]))
-            negs = sample_negatives(scenario.target, user,
-                                    {test_item, valid_item},
-                                    cfg.negatives, rng)
-            candidates = [pos] + negs
+            rows = np.concatenate((pair[col:col + 1], sample_negatives(
+                n_items, blocked, cfg.negatives, rng)))
+            user = scenario.test_users[k]
             try:
-                scores = np.asarray(scorer(user, candidates), dtype=float)
+                scores = np.asarray(scorer(k, rows), dtype=float)
             except Exception as exc:
                 raise ScorerFailure(f"scorer failed for user {user}: "
                                     f"{exc}") from exc
-            if scores.shape != (len(candidates),):
+            if scores.shape != rows.shape:
                 raise ScorerFailure(
                     f"scorer returned shape {scores.shape} for user "
-                    f"{user}, expected ({len(candidates)},)")
+                    f"{user}, expected {rows.shape}")
             if not np.all(np.isfinite(scores)):
                 raise ScorerFailure(f"non-finite score for user {user}")
-            ranks[k] = rank_of_test_item(dict(zip(candidates, scores)), pos)
+            ranks[k] = rank_of_test_item(scores, keys[rows])
         report.ranks.append(ranks)
         report.per_repeat.append(metrics_from_ranks(ranks, cfg.cutoffs))
     return report

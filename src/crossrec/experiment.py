@@ -331,7 +331,8 @@ def train_method(scenario, cfg, stage=None):
 
 
 def make_scorer(scenario, cfg, art):
-    """Build ``scorer(user, candidates) -> scores`` (higher is better).
+    """Build ``scorer(k, rows) -> scores`` (higher is better) for test user
+    ``scenario.test_users[k]`` and the target item rows ``rows``.
 
     Every target item (``t:``-prefixed in a unified space), test user and,
     with hops, source user and item needs a row, found by id; a missing
@@ -341,10 +342,7 @@ def make_scorer(scenario, cfg, art):
     target = scenario.target
     if objective is None:  # popularity
         degrees = target.item_degrees().astype(float)
-
-        def scorer(user, candidates):
-            return degrees[[target.item_index(i) for i in candidates]]
-        return scorer
+        return lambda k, rows: degrees[rows]
 
     users = scenario.test_users
     if mode is None:  # one space over both domains
@@ -354,13 +352,8 @@ def make_scorer(scenario, cfg, art):
         space, prefix = art.target_space, ""
         queries = coldstart.cold_start_queries(
             art.source_space, scenario.source, art.net, art.hops, users)
-    query = dict(zip(users, queries))
-    row = dict(zip(target.item_ids, data.id_rows(
-        space.item_index, target.item_ids, prefix).tolist()))
-
-    def scorer(user, candidates):
-        return space.scores([row[i] for i in candidates], query[user])
-    return scorer
+    item_rows = data.id_rows(space.item_index, target.item_ids, prefix)
+    return lambda k, rows: space.scores(item_rows[rows], queries[k])
 
 
 def evaluate_method(scenario, cfg, art):
@@ -368,7 +361,7 @@ def evaluate_method(scenario, cfg, art):
     and its ``report.tsv`` text, labelled with the scenario's phi."""
     report = evaluation.evaluate(make_scorer(scenario, cfg, art), scenario,
                                  eval_config(cfg), positive=cfg.eval_positive)
-    return report, report.to_tsv(cfg.method, scenario.phi)
+    return report, report.to_tsv(cfg.method)
 
 
 def _sha256(path):
@@ -383,11 +376,11 @@ def _write_manifest(cfg, out_dir, status, artifacts, error=None):
     lines = [f"status={status}\n"]
     if error is not None:
         lines.append(f"error={error}\n")
-    for f in sorted(fields(cfg), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
+    for name in sorted(f.name for f in fields(cfg)):
+        value = getattr(cfg, name)
         if isinstance(value, tuple):
             value = ",".join(str(x) for x in value)
-        lines.append(f"config.{f.name}={value}\n")
+        lines.append(f"config.{name}={value}\n")
     for name in sorted(artifacts):
         lines.append(f"sha256.{name}={_sha256(artifacts[name])}\n")
     with open(os.path.join(out_dir, "manifest.txt"), "w",
@@ -413,6 +406,8 @@ def run_experiment(cfg):
         # the disk copy is canonical: continue from exactly what a
         # separate process would load
         scenario = data.load_scenario(scen_dir)
+        # fail on a too-small negative pool before any training
+        evaluation.heldout_rows(scenario, cfg.eval_negatives)
         # a saved scenario brings its own phi
         cfg = replace(cfg, phi=scenario.phi)
         for name in os.listdir(scen_dir):

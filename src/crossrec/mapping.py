@@ -33,7 +33,7 @@ from .errors import (
     NoOverlapUsers,
 )
 from .data import id_rows
-from .embed import _fmt
+from .embed import _fmt, parse_floats
 from .optim import Adam
 
 MODE_SUPERVISED = "supervised-only"
@@ -332,13 +332,8 @@ def save_mapping(net, path):
     line at nine significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"K {net.dim}\n")
-        for mat in (net.w1,):
-            for row in mat:
-                fh.write(" ".join(_fmt(x) for x in row) + "\n")
-        fh.write(" ".join(_fmt(x) for x in net.b1) + "\n")
-        for row in net.w2:
+        for row in (*net.w1, net.b1, *net.w2, net.b2):
             fh.write(" ".join(_fmt(x) for x in row) + "\n")
-        fh.write(" ".join(_fmt(x) for x in net.b2) + "\n")
 
 
 def load_mapping(path):
@@ -347,8 +342,8 @@ def load_mapping(path):
         if len(header) != 2 or header[0] != "K":
             raise ValueError(f"{path}: bad mapping header")
         k = int(header[1])
-        rows = [np.array([float(x) for x in line.split()])
-                for line in fh if line.strip()]
+        rows = [np.array(parse_floats(line.split(), path, lineno))
+                for lineno, line in enumerate(fh, start=2) if line.strip()]
     expect = 2 * k + 1 + k + 1
     if len(rows) != expect:
         raise ValueError(f"{path}: expected {expect} rows, got {len(rows)}")

@@ -120,17 +120,22 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     # negative sampling: exclusion, determinism, exhaustion
     inter = data.InteractionSet([("u", "1")],
                                 items=["1", "2", "3", "4", "5"])
+    seen = inter.item_neighbors(inter.user_index("u"))
     rng = np.random.default_rng(3)
-    negs = data.sample_negatives(inter, "u", set(), 3, rng)
+    negs = [inter.item_ids[r] for r in data.sample_negatives(
+        inter.n_items, seen, 3, rng)]
     assert len(set(negs)) == 3 and set(negs) <= {"2", "3", "4", "5"}
-    again = data.sample_negatives(inter, "u", set(),
+    again = data.sample_negatives(inter.n_items, seen,
                                   3, np.random.default_rng(3))
-    assert data.sample_negatives(inter, "u", set(), 3,
-                                 np.random.default_rng(3)) == again
+    assert list(data.sample_negatives(inter.n_items, seen, 3,
+                                      np.random.default_rng(3))) == \
+        list(again)
     big = data.InteractionSet([("u", "0")],
                               items=[str(k) for k in range(501)])
     with pytest.raises(InsufficientCandidates) as err:
-        data.sample_negatives(big, "u", set(), 999, rng)
+        data.sample_negatives(big.n_items,
+                              big.item_neighbors(big.user_index("u")), 999,
+                              rng)
     assert err.value.available == 500
 
     # squared distance
@@ -305,13 +310,13 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
         ["a", "m", "x"]
     assert coldstart.itempop_rank(inter, ["A", "Z", "C"], 3)[-1] == "Z"
 
-    # leave-one-out rank
-    scores = {f"i{k:04d}": -float(k) for k in range(1000)}
-    assert evaluation.rank_of_test_item(scores, "i0000") == 1
-    scores = {f"i{k:04d}": float(k) for k in range(1000)}
-    assert evaluation.rank_of_test_item(scores, "i0000") == 1000
-    scores = {"a": 5.0, "b": 5.0, "z": 1.0}
-    assert evaluation.rank_of_test_item(scores, "b") == 2
+    # leave-one-out rank of candidate 0; keys order the ids
+    keys = np.arange(1000)  # i0000, i0001, ...
+    assert evaluation.rank_of_test_item(-np.arange(1000.0), keys) == 1
+    assert evaluation.rank_of_test_item(np.arange(1000.0), keys) == 1000
+    # b (key 1) against a (key 0) and z (key 2)
+    assert evaluation.rank_of_test_item(np.array([5.0, 5.0, 1.0]),
+                                        np.array([1, 0, 2])) == 2
 
     # metric cutoffs
     assert evaluation.hit_at(1, 10) == 1.0
@@ -327,9 +332,10 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     # end-to-end metrics: always-top scorer, then two users at p=1, p=3
     scen = _toy_scenario(1)
 
-    def top_scorer(user, candidates):
-        pos = scen.heldout[user][0]
-        return np.array([1.0 if c == pos else 0.0 for c in candidates])
+    def top_scorer(k, rows):
+        pos = scen.heldout[scen.test_users[k]][0]
+        return np.array([1.0 if scen.target.item_ids[r] == pos else 0.0
+                         for r in rows])
 
     rep = evaluation.evaluate(
         top_scorer, scen,
@@ -598,11 +604,14 @@ def test_criterion_4_oracle_equivalence():
 
         scores = {i: float(rng.integers(0, 5)) for i in ids}
         test_item = ids[int(rng.integers(0, m))]
+        cand = [test_item] + [i for i in ids if i != test_item]
+        s = np.array([scores[i] for i in cand])
+        keys = np.array([ids.index(i) for i in cand])  # ids sort by index
         for higher in (True, False):
             srt = sorted(ids, key=lambda i:
                          (-scores[i] if higher else scores[i], i))
             assert evaluation.rank_of_test_item(
-                scores, test_item, higher) == srt.index(test_item) + 1
+                s if higher else -s, keys) == srt.index(test_item) + 1
 
     # popularity vs direct counting
     for _ in range(50):
@@ -647,8 +656,8 @@ def test_criterion_5_random_scorer_sanity():
     repeats = 5
     rng = np.random.default_rng(12345)
 
-    def random_scorer(user, candidates):
-        return rng.standard_normal(len(candidates))
+    def random_scorer(k, rows):
+        return rng.standard_normal(len(rows))
 
     rep = evaluation.evaluate(
         random_scorer, scen,

@@ -477,3 +477,77 @@ def test_row_order_of_saved_spaces_does_not_matter(chain, exported, data):
             assert main(_step(chain, command, paths["src_emb"],
                               paths["tgt_emb"], str(out))) == 0
             assert out.read_bytes() == expected, command
+
+
+# (step, the artifact it loads that gets poisoned)
+_ARTIFACT_LOADS = [("train-map", "src_emb"), ("train-map", "tgt_emb"),
+                   ("eval", "src_emb"), ("eval", "tgt_emb"), ("eval", "net"),
+                   ("export-hops2", "src_emb"), ("export-hops2", "net")]
+
+
+def _poison(src, dst, value):
+    """Copy of the artifact at ``src`` whose first value in its first item
+    row (a space's first ``V`` row, a mapping's first weight) is
+    ``value``."""
+    lines = open(src, encoding="utf-8").read().splitlines(True)
+    k = next(k for k, line in enumerate(lines)
+             if k > 0 and not line.startswith("U "))
+    parts = lines[k].split()
+    parts[2 if parts[0] == "V" else 0] = value
+    lines[k] = " ".join(parts) + "\n"
+    dst.write_text("".join(lines), encoding="utf-8")
+    return str(dst)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,artifact", _ARTIFACT_LOADS)
+def test_non_finite_artifact_exits_4_naming_the_file(chain, tmp_path, capsys,
+                                                     command, artifact,
+                                                     value):
+    poisoned = _poison(chain[artifact], tmp_path / "poisoned.txt", value)
+    argv = _step(chain, command, chain["src_emb"], chain["tgt_emb"],
+                 str(tmp_path / "out"))
+    code = main([poisoned if a == chain[artifact] else a for a in argv])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert poisoned in err
+    assert not (tmp_path / "out").exists()
+
+
+# criterion-7-like domains whose target pool is far below 999 negatives
+SMALL_POOL_CFG = """\
+synth.users=200
+synth.source_items=150
+synth.target_items=150
+synth.density=0.05
+min_overlap=3
+min_other=3
+"""
+
+
+def test_oversized_negative_count_fails_before_training(tmp_path, capsys):
+    cfg = _write(tmp_path / "r.cfg", SMALL_POOL_CFG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--method", "SSCDR",
+                 "--out", str(out)]) == 3
+    assert "need 999" in capsys.readouterr().err
+    for name in ("source_embeddings.txt", "target_embeddings.txt",
+                 "mapping.txt", "report.tsv"):
+        assert not (out / name).exists(), name
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest.startswith(
+        "status=failed\nerror=InsufficientCandidates\n")
+
+
+def test_eval_checks_the_negative_pool_before_reading_artifacts(
+        chain, tmp_path, capsys):
+    cfg = _write(tmp_path / "big.cfg", PIPE_CFG + "eval.negatives=999\n")
+    missing = str(tmp_path / "no_such_space.txt")
+    assert main(["eval", "--config", cfg, "--scenario", str(chain["scen"]),
+                 "--method", "SSCDR", "--source-emb", chain["src_emb"],
+                 "--target-emb", missing, "--mapping", chain["net"],
+                 "--out", str(tmp_path / "r.tsv")]) == 3
+    err = capsys.readouterr().err
+    assert "negative pool has" in err and "need 999" in err
+    assert missing not in err

@@ -318,11 +318,17 @@ def test_build_unified_counts_and_prefixes():
 
 # -- sample_negatives ----------------------------------------------------
 
+def _blocked(s, user, exclude):
+    """Rows of ``user``'s training items and of the ``exclude`` ids."""
+    return [s.item_index(i) for i in set(s.items_of(user)) | exclude]
+
+
 def test_sample_negatives_avoids_history_and_exclusions():
     items = [f"i{k:02d}" for k in range(30)]
     s = InteractionSet([("u", i) for i in items[:5]], items=items)
     rng = np.random.default_rng(0)
-    negs = sample_negatives(s, "u", {"i10", "i11"}, 20, rng)
+    negs = [items[r] for r in sample_negatives(
+        s.n_items, _blocked(s, "u", {"i10", "i11"}), 20, rng)]
     assert len(negs) == len(set(negs)) == 20
     assert not set(negs) & set(items[:5])
     assert not set(negs) & {"i10", "i11"}
@@ -332,8 +338,9 @@ def test_sample_negatives_unknown_user_uses_full_pool():
     items = [f"i{k}" for k in range(10)]
     s = InteractionSet([("u", items[0])], items=items)
     rng = np.random.default_rng(1)
-    negs = sample_negatives(s, "ghost", {items[1]}, 9, rng)
-    assert set(negs) == set(items) - {items[1]}
+    negs = sample_negatives(s.n_items, _blocked(s, "ghost", {items[1]}), 9,
+                            rng)
+    assert {items[r] for r in negs} == set(items) - {items[1]}
 
 
 def test_sample_negatives_insufficient_pool():
@@ -341,7 +348,7 @@ def test_sample_negatives_insufficient_pool():
     s = InteractionSet([("u", i) for i in items[:4]], items=items)
     rng = np.random.default_rng(2)
     with pytest.raises(InsufficientCandidates):
-        sample_negatives(s, "u", {"i5"}, 6, rng)
+        sample_negatives(s.n_items, _blocked(s, "u", {"i5"}), 6, rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,22 +356,22 @@ def test_sample_negatives_insufficient_pool():
 def test_sample_negatives_matches_the_list_pool(n_seen, seed):
     items = [f"i{k:02d}" for k in range(40)]
     s = InteractionSet([("u", i) for i in items[:n_seen:2]], items=items)
-    exclude = {"i05", "i33", "absent"}
-    blocked = exclude | set(s.items_of("u"))
+    blocked = {"i05", "i33"} | set(s.items_of("u"))
     pool = [i for i in items if i not in blocked]
     pick = np.random.default_rng(seed).choice(len(pool), size=5,
                                               replace=False)
-    assert sample_negatives(s, "u", exclude, 5,
-                            np.random.default_rng(seed)) == \
-        [pool[k] for k in pick]
+    rows = sample_negatives(s.n_items, _blocked(s, "u", {"i05", "i33"}), 5,
+                            np.random.default_rng(seed))
+    assert [items[r] for r in rows] == [pool[k] for k in pick]
 
 
 def test_sample_negatives_deterministic_per_stream():
     items = [f"i{k:03d}" for k in range(50)]
     s = InteractionSet([("u", items[0])], items=items)
-    a = sample_negatives(s, "u", set(), 30, np.random.default_rng(9))
-    b = sample_negatives(s, "u", set(), 30, np.random.default_rng(9))
-    assert a == b
+    blocked = _blocked(s, "u", set())
+    a = sample_negatives(s.n_items, blocked, 30, np.random.default_rng(9))
+    b = sample_negatives(s.n_items, blocked, 30, np.random.default_rng(9))
+    assert list(a) == list(b)
 
 
 # -- serialization -------------------------------------------------------

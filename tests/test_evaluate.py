@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossrec.data import CrossDomainScenario, InteractionSet
-from crossrec.errors import ConfigError, MissingTestItem, ScorerFailure
+from crossrec.errors import ConfigError, ScorerFailure
 from crossrec.evaluation import (
     EvalConfig,
     evaluate,
@@ -22,29 +22,34 @@ NDCG_RANK_10 = 0.28906482631788785927
 
 # -- rank ------------------------------------------------------------------
 
+def _rank(scores, item):
+    """``rank_of_test_item`` over an ``{id: score}`` dict: ``item`` is
+    candidate 0 and each id's key is its position in sorted id order."""
+    cand = [item] + [i for i in scores if i != item]
+    return rank_of_test_item(np.array([scores[i] for i in cand]),
+                             np.array([sorted(cand).index(i) for i in cand]))
+
+
 def test_rank_of_test_item_basic():
     scores = {"a": 0.9, "b": 0.5, "c": 0.1}
-    assert rank_of_test_item(scores, "a") == 1
-    assert rank_of_test_item(scores, "b") == 2
-    assert rank_of_test_item(scores, "c") == 3
+    assert _rank(scores, "a") == 1
+    assert _rank(scores, "b") == 2
+    assert _rank(scores, "c") == 3
 
 
 def test_rank_of_test_item_lower_is_better():
     scores = {"a": 0.9, "b": 0.5, "c": 0.1}
-    assert rank_of_test_item(scores, "c", higher_is_better=False) == 1
-    assert rank_of_test_item(scores, "a", higher_is_better=False) == 3
+    # lower is better: rank the negated scores
+    negated = {i: -v for i, v in scores.items()}
+    assert _rank(negated, "c") == 1
+    assert _rank(negated, "a") == 3
 
 
 def test_rank_of_test_item_ties_break_toward_smaller_id():
     scores = {"a": 1.0, "b": 1.0, "m": 1.0, "z": 0.0}
-    assert rank_of_test_item(scores, "a") == 1
-    assert rank_of_test_item(scores, "m") == 3
-    assert rank_of_test_item(scores, "z") == 4
-
-
-def test_rank_of_test_item_missing():
-    with pytest.raises(MissingTestItem):
-        rank_of_test_item({"a": 1.0}, "zz")
+    assert _rank(scores, "a") == 1
+    assert _rank(scores, "m") == 3
+    assert _rank(scores, "z") == 4
 
 
 @settings(max_examples=50)
@@ -52,7 +57,7 @@ def test_rank_of_test_item_missing():
                        st.integers(0, 5), min_size=2))
 def test_rank_is_a_permutation_position(scores):
     scores = {k: float(v) for k, v in scores.items()}
-    ranks = sorted(rank_of_test_item(scores, item) for item in scores)
+    ranks = sorted(_rank(scores, item) for item in scores)
     assert ranks == list(range(1, len(scores) + 1))
 
 
@@ -69,16 +74,12 @@ def test_ndcg_at_values():
     assert ndcg_at(2, 10) == pytest.approx(NDCG_RANK_2, abs=1e-12)
     assert ndcg_at(10, 10) == pytest.approx(NDCG_RANK_10, abs=1e-12)
     assert ndcg_at(11, 10) == 0.0
-    # without the cutoff the raw value is kept
-    assert ndcg_at(15, 10, cutoff=False) == pytest.approx(
-        np.log(2) / np.log(16), abs=1e-12)
 
 
 def test_mrr_at_values():
     assert mrr_at(1, 10) == 1.0
     assert mrr_at(4, 10) == 0.25
     assert mrr_at(11, 10) == 0.0
-    assert mrr_at(20, 10, cutoff=False) == 0.05
 
 
 def test_metrics_from_ranks_two_user_example():
@@ -91,7 +92,7 @@ def test_metrics_from_ranks_two_user_example():
 
 # -- evaluate ----------------------------------------------------------------
 
-def _eval_scenario(n_test=8, n_items=60):
+def _eval_scenario(n_test=8, n_items=60, phi=1.0):
     items = [f"i{k:03d}" for k in range(n_items)]
     test_users = tuple(f"tu{k:02d}" for k in range(n_test))
     heldout = {u: (items[2 * k], items[2 * k + 1])
@@ -100,13 +101,20 @@ def _eval_scenario(n_test=8, n_items=60):
     return CrossDomainScenario(
         source=target, target=target, overlap_users=test_users,
         test_users=test_users, train_overlap_users=(), heldout=heldout,
-        phi=1.0, seed=0)
+        phi=phi, seed=0)
+
+
+def _ids(scenario, rows):
+    """The target item ids of ``rows``."""
+    return [scenario.target.item_ids[r] for r in rows]
 
 
 def _oracle_scorer(scenario, positive="test"):
-    def scorer(user, candidates):
+    def scorer(k, rows):
+        user = scenario.test_users[k]
         want = scenario.heldout[user][0 if positive == "test" else 1]
-        return np.array([1.0 if c == want else 0.0 for c in candidates])
+        return np.array([1.0 if c == want else 0.0
+                         for c in _ids(scenario, rows)])
     return scorer
 
 
@@ -128,9 +136,10 @@ def test_evaluate_hopeless_scorer_scores_zero():
     scen = _eval_scenario()
     cfg = EvalConfig(cutoffs=(10,), repeats=2, negatives=30, seed=1)
 
-    def scorer(user, candidates):
-        want = scen.heldout[user][0]
-        return np.array([-1.0 if c == want else 1.0 for c in candidates])
+    def scorer(k, rows):
+        want = scen.heldout[scen.test_users[k]][0]
+        return np.array([-1.0 if c == want else 1.0
+                         for c in _ids(scen, rows)])
 
     report = evaluate(scorer, scen, cfg)
     avg = report.averaged()
@@ -148,15 +157,17 @@ def test_evaluate_validation_mode_targets_the_validation_item():
     assert report.averaged()[("HR", 10)] == 1.0
 
     # the candidate set carries the validation item and never the test item
-    def probing(user, candidates):
-        t, v = scen.heldout[user]
+    def probing(k, rows):
+        t, v = scen.heldout[scen.test_users[k]]
+        candidates = _ids(scen, rows)
         assert v in candidates and t not in candidates
         return np.arange(len(candidates), dtype=float)
 
     evaluate(probing, scen, cfg, positive="valid")
 
-    def probing_test(user, candidates):
-        t, v = scen.heldout[user]
+    def probing_test(k, rows):
+        t, v = scen.heldout[scen.test_users[k]]
+        candidates = _ids(scen, rows)
         assert t in candidates and v not in candidates
         return np.arange(len(candidates), dtype=float)
 
@@ -168,7 +179,8 @@ def test_evaluate_is_deterministic_and_repeats_differ():
     cfg = EvalConfig(cutoffs=(10,), repeats=3, negatives=25, seed=9)
     seen = []
 
-    def scorer(user, candidates):
+    def scorer(k, rows):
+        candidates = _ids(scen, rows)
         seen.append(tuple(candidates))
         return np.array([float(int(c[1:])) for c in candidates])
 
@@ -192,8 +204,10 @@ def test_evaluate_excludes_both_heldout_items_from_negatives():
     cfg = EvalConfig(cutoffs=(10,), repeats=2, negatives=50, seed=5)
     problems = []
 
-    def scorer(user, candidates):
+    def scorer(k, rows):
+        user = scen.test_users[k]
         t, v = scen.heldout[user]
+        candidates = _ids(scen, rows)
         rest = candidates[1:] if candidates[0] in (t, v) else candidates
         if t in rest or v in rest:
             problems.append(user)
@@ -207,11 +221,12 @@ def test_evaluate_wraps_scorer_errors():
     scen = _eval_scenario()
     cfg = EvalConfig(cutoffs=(10,), repeats=1, negatives=10, seed=0)
     with pytest.raises(ScorerFailure):
-        evaluate(lambda u, c: 1 / 0, scen, cfg)
+        evaluate(lambda k, rows: 1 / 0, scen, cfg)
     with pytest.raises(ScorerFailure):
-        evaluate(lambda u, c: np.zeros(3), scen, cfg)
+        evaluate(lambda k, rows: np.zeros(3), scen, cfg)
     with pytest.raises(ScorerFailure):
-        evaluate(lambda u, c: np.full(len(c), np.nan), scen, cfg)
+        evaluate(lambda k, rows: np.full(len(rows), np.nan), scen,
+                 cfg)
 
 
 def test_evaluate_rejects_bad_positive_mode():
@@ -232,10 +247,10 @@ def test_eval_config_validation():
 # -- report formatting --------------------------------------------------------
 
 def test_report_tsv_layout_and_determinism():
-    scen = _eval_scenario()
+    scen = _eval_scenario(phi=0.05)
     cfg = EvalConfig(cutoffs=(5, 10), repeats=2, negatives=20, seed=2)
     report = evaluate(_oracle_scorer(scen), scen, cfg)
-    tsv = report.to_tsv("METHOD", 0.05)
+    tsv = report.to_tsv("METHOD")
     lines = tsv.strip().split("\n")
     assert lines[0] == "method\tphi\trepeat\tmetric\tN\tvalue"
     # 2 repeats * 3 metrics * 2 cutoffs + averaged block of 6
@@ -243,8 +258,69 @@ def test_report_tsv_layout_and_determinism():
     assert lines[1].split("\t") == ["METHOD", "0.05", "1", "HR", "5",
                                     "1.000000000"]
     assert lines[-1].startswith("METHOD\t0.05\tavg\tMRR\t10\t")
-    assert report.to_tsv("METHOD", 0.05) == tsv
+    assert report.to_tsv("METHOD") == tsv
 
     table = report.format_table(title="demo")
     assert "demo" in table
     assert "@5" in table and "@10" in table and "HR" in table
+
+
+# -- the row path against the string path -------------------------------------
+
+# ids whose string order differs from their row order: "t10" < "t9", and
+# "t5" < "t5\x00" (a numpy str array would drop the NUL and tie them)
+_PIN_ITEMS = ("t9", "t10", "t5\x00", "t5", "t1", "t11", "t0", "t2", "t3",
+              "t12", "t4", "t6")
+
+
+def _pin_scenario():
+    """Three test users; ``tu1`` also has training pairs, so its own items
+    must be blocked."""
+    items = _PIN_ITEMS
+    heldout = {"tu0": ("t5", "t10"), "tu1": ("t5\x00", "t9"),
+               "tu2": ("t11", "t5")}
+    target = InteractionSet(
+        [("tu1", "t5"), ("tu1", "t0"), ("tu1", "t12"), ("other", "t10"),
+         ("other", "t3")], items=items)
+    users = tuple(sorted(heldout))
+    return CrossDomainScenario(
+        source=target, target=target, overlap_users=users, test_users=users,
+        train_overlap_users=(), heldout=heldout, phi=1.0, seed=0)
+
+
+def _string_ranks(scen, table, cfg, positive):
+    """The ranks of the id-list pool and the per-candidate dict rank."""
+    items = scen.target.item_ids
+    out = []
+    for r in range(cfg.repeats):
+        ranks = []
+        for k, user in enumerate(scen.test_users):
+            test_item, valid_item = scen.heldout[user]
+            pos = test_item if positive == "test" else valid_item
+            blocked = {test_item, valid_item} | set(scen.target.items_of(user))
+            pool = [i for i in items if i not in blocked]
+            rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed + r, k]))
+            pick = rng.choice(len(pool), size=cfg.negatives, replace=False)
+            candidates = [pos] + [pool[j] for j in pick]
+            scores = {c: table[k][items.index(c)] for c in candidates}
+            target = scores[pos]
+            ranks.append(1 + sum(v > target for v in scores.values())
+                         + sum(v == target and c < pos
+                               for c, v in scores.items()))
+        out.append(ranks)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["test", "valid"]),
+       st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         min_size=len(_PIN_ITEMS), max_size=len(_PIN_ITEMS)),
+                min_size=3, max_size=3))
+def test_row_ranks_match_the_string_path(seed, positive, table):
+    scen = _pin_scenario()
+    cfg = EvalConfig(cutoffs=(3,), repeats=2, negatives=6, seed=seed)
+    rows = np.array(table)
+    report = evaluate(lambda k, r: rows[k, r], scen, cfg, positive=positive)
+    assert [list(r) for r in report.ranks] == \
+        _string_ranks(scen, table, cfg, positive)
