@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Every subcommand reads an optional flat ``key=value`` config file; the
-flags repeated here override file values.  Exit codes: 0 on success, 2 for
+Every subcommand reads an optional flat ``key=value`` config file; a flag
+overrides the config key of the same name.  Exit codes: 0 on success, 2 for
 configuration problems, 3 for data problems, 4 for numeric failures.
 
 Subcommands::
@@ -32,20 +32,11 @@ from .errors import ConfigError, DataError, NumericError
 
 
 def _resolve_config(args):
-    kv = {}
-    if getattr(args, "config", None):
-        kv = experiment.parse_config_file(args.config)
-    cfg = experiment.config_from_mapping(kv)
-    for flag, attr in (("method", "method"), ("phi", "phi"),
-                       ("hops", "hops"), ("lam", "map_lam"),
-                       ("seed", "seed"), ("out", "out_dir"),
-                       ("source", "source_path"),
-                       ("target", "target_path"),
-                       ("scenario", "scenario_dir")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    return cfg
+    # a flag's dest is the config key it overrides, parsed the same way
+    kv = experiment.parse_config_file(args.config) if args.config else {}
+    kv.update({key: value for key, value in vars(args).items()
+               if key in experiment.KEYS and value is not None})
+    return experiment.config_from_mapping(kv)
 
 
 def _check_hops_flag(args, cfg):
@@ -58,7 +49,7 @@ def _check_hops_flag(args, cfg):
 
 def _add_common(p, out_required=False):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, help="experiment seed")
+    p.add_argument("--seed", help="experiment seed")
     p.add_argument("--out", required=out_required,
                    help="output file or directory")
 
@@ -164,6 +155,7 @@ def _cmd_run(args):
 
 def _cmd_export_vectors(args):
     cfg = _resolve_config(args)
+    cfg.check_hops()
     scenario = data.load_scenario(args.scenario)
     source_space = embed.load_embeddings(args.source_emb)
     net = mapping.load_mapping(args.mapping)
@@ -192,7 +184,7 @@ def build_parser():
     _add_common(p, out_required=True)
     p.add_argument("--source", help="source interactions tsv")
     p.add_argument("--target", help="target interactions tsv")
-    p.add_argument("--phi", type=float, help="train-overlap fraction")
+    p.add_argument("--phi", help="train-overlap fraction")
     p.set_defaults(func=_cmd_build_scenario)
 
     p = sub.add_parser("train-embed", help="train one embedding space")
@@ -211,8 +203,7 @@ def build_parser():
     p.add_argument("--target-emb", required=True)
     p.add_argument("--mode", choices=(mapping.MODE_SUPERVISED,
                                       mapping.MODE_SEMI))
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="weight of the unsupervised term")
+    p.add_argument("--lambda", help="weight of the unsupervised term")
     p.set_defaults(func=_cmd_train_map)
 
     p = sub.add_parser("eval", help="evaluate saved artifacts")
@@ -223,15 +214,15 @@ def build_parser():
     p.add_argument("--source-emb")
     p.add_argument("--target-emb")
     p.add_argument("--mapping")
-    p.add_argument("--hops", type=int)
+    p.add_argument("--hops")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("run", help="full pipeline from one config")
     _add_common(p)
     p.add_argument("--method")
-    p.add_argument("--phi", type=float)
-    p.add_argument("--hops", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--phi")
+    p.add_argument("--hops")
+    p.add_argument("--lambda")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("export-vectors",
@@ -240,7 +231,7 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--source-emb", required=True)
     p.add_argument("--mapping", required=True)
-    p.add_argument("--hops", type=int)
+    p.add_argument("--hops")
     p.set_defaults(func=_cmd_export_vectors)
 
     return parser

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateScenario,
     EmptyDataset,
     IndexMismatch,
@@ -429,6 +430,9 @@ _TARGET_FILE = "target_train.tsv"
 _OVERLAP_FILE = "overlap.txt"
 _TEST_FILE = "test.tsv"
 _META_FILE = "meta.txt"
+# every key save_scenario writes to the meta file
+_META_KEYS = ("phi", "seed", "test_fraction", "min_overlap_interactions",
+              "min_other_interactions", "train_overlap_users")
 
 
 def write_interactions(path, interactions):
@@ -467,13 +471,17 @@ def save_scenario(scenario, out_dir):
 def load_scenario(in_dir):
     """Inverse of :func:`save_scenario`."""
     meta = {}
-    with open(os.path.join(in_dir, _META_FILE), encoding="utf-8") as fh:
+    meta_path = os.path.join(in_dir, _META_FILE)
+    with open(meta_path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
             meta[key] = value
+    for key in _META_KEYS:
+        if key not in meta:
+            raise DataError(f"{meta_path}: missing key {key}")
     source = load_interactions(os.path.join(in_dir, _SOURCE_FILE))
     with open(os.path.join(in_dir, _OVERLAP_FILE), encoding="utf-8") as fh:
         overlap = tuple(line.strip() for line in fh if line.strip())
@@ -497,7 +505,7 @@ def load_scenario(in_dir):
         train.user_ids, train.item_ids + tuple(sorted(extra)),
         *train.pair_arrays())
 
-    tou = meta.get("train_overlap_users", "")
+    tou = meta["train_overlap_users"]
     return CrossDomainScenario(
         source=source,
         target=target,
@@ -507,12 +515,7 @@ def load_scenario(in_dir):
         heldout=heldout,
         phi=float(meta["phi"]),
         seed=int(meta["seed"]),
-        test_fraction=float(meta.get("test_fraction",
-                                     DEFAULT_TEST_FRACTION)),
-        min_overlap_interactions=int(
-            meta.get("min_overlap_interactions",
-                     DEFAULT_MIN_OVERLAP_INTERACTIONS)),
-        min_other_interactions=int(
-            meta.get("min_other_interactions",
-                     DEFAULT_MIN_OTHER_INTERACTIONS)),
+        test_fraction=float(meta["test_fraction"]),
+        min_overlap_interactions=int(meta["min_overlap_interactions"]),
+        min_other_interactions=int(meta["min_other_interactions"]),
     )

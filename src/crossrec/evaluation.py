@@ -45,8 +45,13 @@ def ranking(scores, keys):
 def rank_of_test_item(scores, keys):
     """Position of candidate 0 in the :func:`ranking` of ``scores``: one
     plus the number of strictly better candidates plus the number of
-    equal-scored candidates with a smaller key."""
-    return 1 + int(np.flatnonzero(ranking(scores, keys) == 0)[0])
+    equal-scored candidates with a smaller key.  Candidates scored below
+    candidate 0 rank after it anyway, so only the others are ranked."""
+    scores = np.asarray(scores, dtype=float)
+    contenders = scores >= scores[0]
+    contenders[0] = True
+    return 1 + int(np.flatnonzero(ranking(
+        scores[contenders], np.asarray(keys)[contenders]) == 0)[0])
 
 
 def hit_at(rank, n):

@@ -116,10 +116,7 @@ class ExperimentConfig:
                               f"one of {', '.join(METHODS)}")
         if self.method == METHOD_SSCDR and self.hops < 1:
             raise ConfigError("SSCDR needs hops >= 1")
-        if self.hops < 0:
-            raise ConfigError("hops must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        self.check_hops()
         sources = [bool(self.scenario_dir),
                    bool(self.source_path or self.target_path),
                    self.synth_users > 0]
@@ -130,7 +127,7 @@ class ExperimentConfig:
         if self.source_path and not self.target_path \
                 or self.target_path and not self.source_path:
             raise ConfigError("source and target files go together")
-        # the method's train configs check their values before any work
+        # the train configs check their values (the seed too) before work
         objective, mode = _PLAN[self.method]
         if objective is not None:
             embed.check_objective(objective, embed_config(self, "source"))
@@ -142,46 +139,36 @@ class ExperimentConfig:
                               f"{', '.join(evaluation.POSITIVES)}, got "
                               f"{self.eval_positive!r}")
 
+    def check_hops(self):
+        """Reject a negative ``hops``; every command that reads it
+        applies this rule."""
+        if self.hops < 0:
+            raise ConfigError("hops must be >= 0")
 
-# config-file key -> (attribute, parser)
+
+# fields whose config key is not derived from their name by _key
+_ALIASES = {"out_dir": "out", "map_lam": "lambda", "scenario_dir": "scenario",
+            "source_path": "source", "target_path": "target",
+            "min_overlap_interactions": "min_overlap",
+            "min_other_interactions": "min_other"}
+
+
+def _key(name):
+    """A field's alias, else its name with the first ``_`` of a
+    ``synth_``, ``embed_``, ``map_`` or ``eval_`` name read as ``.``."""
+    grouped = name.startswith(("synth_", "embed_", "map_", "eval_"))
+    return _ALIASES.get(name, name.replace("_", ".", 1) if grouped else name)
+
+
 def _csv_ints(text):
     return tuple(int(x) for x in text.split(",") if x)
 
 
-_KEYS = {
-    "method": ("method", str),
-    "out": ("out_dir", str),
-    "seed": ("seed", int),
-    "phi": ("phi", float),
-    "hops": ("hops", int),
-    "lambda": ("map_lam", float),
-    "scenario": ("scenario_dir", str),
-    "source": ("source_path", str),
-    "target": ("target_path", str),
-    "test_fraction": ("test_fraction", float),
-    "min_overlap": ("min_overlap_interactions", int),
-    "min_other": ("min_other_interactions", int),
-    "synth.users": ("synth_users", int),
-    "synth.source_items": ("synth_source_items", int),
-    "synth.target_items": ("synth_target_items", int),
-    "synth.k_true": ("synth_k_true", int),
-    "synth.overlap": ("synth_overlap", float),
-    "synth.density": ("synth_density", float),
-    "embed.dim": ("embed_dim", int),
-    "embed.margin": ("embed_margin", float),
-    "embed.lr": ("embed_lr", float),
-    "embed.l2": ("embed_l2", float),
-    "embed.epochs": ("embed_epochs", int),
-    "embed.batch": ("embed_batch", int),
-    "map.margin": ("map_margin", float),
-    "map.lr": ("map_lr", float),
-    "map.epochs": ("map_epochs", int),
-    "map.batch": ("map_batch", int),
-    "eval.cutoffs": ("eval_cutoffs", _csv_ints),
-    "eval.repeats": ("eval_repeats", int),
-    "eval.negatives": ("eval_negatives", int),
-    "eval.positive": ("eval_positive", str),
-}
+# config key (and CLI flag dest) -> (attribute, parser); the parser is the
+# type of the attribute's default, and a tuple is comma-separated ints
+KEYS = {_key(f.name): (f.name, _csv_ints if isinstance(f.default, tuple)
+                       else type(f.default))
+        for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path):
@@ -198,12 +185,13 @@ def parse_config_file(path):
             out[key.strip()] = value.strip()
     return out
 
+
 def config_from_mapping(kv):
     cfg = ExperimentConfig()
     for key, value in kv.items():
-        if key not in _KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, parse = _KEYS[key]
+        attr, parse = KEYS[key]
         try:
             setattr(cfg, attr, parse(value))
         except ValueError as exc:
@@ -298,7 +286,7 @@ class MethodArtifacts:
         return cls(hops=cfg.hops if cfg.method == METHOD_SSCDR else 0)
 
 
-def train_method(scenario, cfg, stage=None):
+def train_method(scenario, cfg, stage):
     """Train whatever ``cfg.method`` requires on top of the scenario.
 
     ``stage(name, artifact) -> artifact`` is invoked right after each
@@ -307,9 +295,6 @@ def train_method(scenario, cfg, stage=None):
     stage through its on-disk serialization, which keeps ``run`` output
     byte-identical to the equivalent chain of step subcommands.
     """
-    if stage is None:
-        def stage(name, artifact):
-            return artifact
     objective, mode = _PLAN[cfg.method]
     art = MethodArtifacts.for_method(cfg)
     if objective is None:
@@ -424,7 +409,7 @@ def run_experiment(cfg):
             artifacts[name + ".txt"] = path
             return artifact
 
-        art = train_method(scenario, cfg, stage=stage)
+        art = train_method(scenario, cfg, stage)
         report, text = evaluate_method(scenario, cfg, art)
         report_path = os.path.join(out, "report.tsv")
         with open(report_path, "w", encoding="utf-8") as fh:

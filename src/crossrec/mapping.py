@@ -276,18 +276,14 @@ def train_mapping(source_space, target_space, scenario, cfg,
     if semi:
         src = scenario.source
         u_rows = id_rows(src.user_index, linked)
+        # ascending, so each also serves as the user's sorted blocked set
         pos_lists = [src.item_neighbors(r) for r in u_rows]
-        eligible = np.flatnonzero(src.item_degrees() > 0)
-        # positions of each user's items inside the eligible pool; the
-        # neighbor arrays are ascending so the result stays sorted
-        blocked_pos = [np.searchsorted(eligible, plist)
-                       for plist in pos_lists]
         Vsrc = source_space.V[id_rows(source_space.item_index, src.item_ids)]
         for r, plist in zip(u_rows, pos_lists):
             if plist.shape[0] == 0:
                 raise EmptyBatch(
                     f"linked user {src.user_ids[r]} has no source items")
-            if eligible.shape[0] - plist.shape[0] < 1:
+            if src.n_items - plist.shape[0] < 1:
                 raise EmptyBatch("no negative source items to sample")
 
     for epoch in range(1, cfg.epochs + 1):
@@ -304,8 +300,8 @@ def train_mapping(source_space, target_space, scenario, cfg,
                     plist = pos_lists[ub]
                     pj[row] = plist[int(rng_neg.integers(0,
                                                          plist.shape[0]))]
-                    nk[row] = eligible[_sample_excluding(
-                        rng_neg, eligible.shape[0], blocked_pos[ub])]
+                    nk[row] = _sample_excluding(rng_neg, src.n_items,
+                                                plist)
                 loss, grads, _ = mapping_loss_and_grads(
                     net, Sb, Tb, margin=cfg.margin, lam=cfg.lam,
                     pos_vecs=Vsrc[pj], neg_vecs=Vsrc[nk], anchor_vecs=Tb)

@@ -9,13 +9,14 @@ parameters (the mapping network) use the ordinary update.
 import numpy as np
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, shape, learning_rate, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    def __init__(self, shape, learning_rate):
         self.lr = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
@@ -23,11 +24,11 @@ class Adam:
     def step(self, param, grad):
         """In-place dense update of ``param``."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1 ** self.t)
-        vhat = self.v / (1.0 - self.beta2 ** self.t)
-        param -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        mhat = self.m / (1.0 - BETA1 ** self.t)
+        vhat = self.v / (1.0 - BETA2 ** self.t)
+        param -= self.lr * mhat / (np.sqrt(vhat) + EPS)
 
     def step_rows(self, param, rows, grad_rows):
         """In-place update of ``param[rows]`` only.
@@ -36,11 +37,10 @@ class Adam:
         per row first.  Rows never touched keep zero moments.
         """
         self.t += 1
-        m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * grad_rows
-        v = (self.beta2 * self.v[rows]
-             + (1.0 - self.beta2) * grad_rows * grad_rows)
+        m = BETA1 * self.m[rows] + (1.0 - BETA1) * grad_rows
+        v = BETA2 * self.v[rows] + (1.0 - BETA2) * grad_rows * grad_rows
         self.m[rows] = m
         self.v[rows] = v
-        mhat = m / (1.0 - self.beta1 ** self.t)
-        vhat = v / (1.0 - self.beta2 ** self.t)
-        param[rows] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        mhat = m / (1.0 - BETA1 ** self.t)
+        vhat = v / (1.0 - BETA2 ** self.t)
+        param[rows] -= self.lr * mhat / (np.sqrt(vhat) + EPS)

@@ -7,6 +7,7 @@ byte.  Exit-code tests poke each error path.
 """
 
 import pathlib
+import shutil
 import tempfile
 import textwrap
 
@@ -287,6 +288,81 @@ def test_export_vectors_takes_hops_from_the_config(chain, tmp_path,
                      "--mapping", chain["net"], "--out", path, *flag]) == 0
         assert "(hops=1)" in capsys.readouterr().out
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+def test_export_vectors_rejects_negative_hops(chain, tmp_path, capsys):
+    out = tmp_path / "vectors.txt"
+    assert main(["export-vectors", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]),
+                 "--source-emb", chain["src_emb"], "--mapping", chain["net"],
+                 "--hops", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "hops" in err
+    assert not out.exists()
+
+
+def _tree(root):
+    """Every file under ``root`` by relative path, the manifest without its
+    ``out_dir`` line."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.txt":
+                data = b"".join(line for line in data.splitlines(True)
+                                if not line.startswith(b"config.out_dir="))
+            out[str(path.relative_to(root))] = data
+    return out
+
+
+def test_flags_override_like_their_config_keys(tmp_path, capsys):
+    base = GEN_CFG + PIPE_CFG + "method=SSCDR\n"
+    settings = {"lambda": "2.0", "phi": "0.5", "hops": "2", "seed": "3"}
+    in_file = _write(tmp_path / "file.cfg", base + "".join(
+        f"{key}={value}\n" for key, value in settings.items()))
+    plain = _write(tmp_path / "plain.cfg", base)
+    flags = [arg for key, value in settings.items()
+             for arg in (f"--{key}", value)]
+    assert main(["run", "--config", in_file,
+                 "--out", str(tmp_path / "file")]) == 0
+    assert main(["run", "--config", plain, *flags,
+                 "--out", str(tmp_path / "flags")]) == 0
+    capsys.readouterr()
+    by_file, by_flags = _tree(tmp_path / "file"), _tree(tmp_path / "flags")
+    assert "mapping.txt" in by_file
+    assert b"config.map_lam=2.0\n" in by_file["manifest.txt"]
+    assert by_file == by_flags
+
+
+_META_KEYS = ("phi", "seed", "test_fraction", "min_overlap_interactions",
+              "min_other_interactions", "train_overlap_users")
+
+
+@pytest.mark.parametrize("key", _META_KEYS)
+def test_scenario_meta_missing_a_key_exits_3(chain, tmp_path, capsys, key):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    meta = scen / "meta.txt"
+    lines = meta.read_text(encoding="utf-8").splitlines(True)
+    kept = [line for line in lines if not line.startswith(key + "=")]
+    assert len(kept) == len(lines) - 1
+    meta.write_text("".join(kept), encoding="utf-8")
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # tmp_path holds the key too, so look at the message's end
+    assert "meta.txt: " in err and err.endswith(f" {key}\n")
+    assert not report.exists()
+    run_cfg = _write(tmp_path / "r.cfg",
+                     PIPE_CFG + f"scenario={scen}\nmethod=ITEMPOP\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", run_cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.endswith(f" {key}\n")
+    assert (out / "manifest.txt").read_text().startswith(
+        "status=failed\nerror=DataError\n")
 
 
 def test_failed_run_marks_its_manifest(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -59,6 +60,67 @@ def test_unknown_config_key_fails_fast():
 def test_bad_config_value_fails_fast():
     with pytest.raises(ConfigError):
         config_from_mapping({"hops": "two"})
+
+
+# every config key: (attribute, value text, parsed value)
+_DOCUMENTED_KEYS = {
+    "method": ("method", "CML", "CML"),
+    "out": ("out_dir", "o", "o"),
+    "seed": ("seed", "7", 7),
+    "phi": ("phi", "0.25", 0.25),
+    "hops": ("hops", "3", 3),
+    "lambda": ("map_lam", "0.75", 0.75),
+    "scenario": ("scenario_dir", "s", "s"),
+    "source": ("source_path", "a.tsv", "a.tsv"),
+    "target": ("target_path", "b.tsv", "b.tsv"),
+    "test_fraction": ("test_fraction", "0.4", 0.4),
+    "min_overlap": ("min_overlap_interactions", "4", 4),
+    "min_other": ("min_other_interactions", "5", 5),
+    "synth.users": ("synth_users", "100", 100),
+    "synth.source_items": ("synth_source_items", "60", 60),
+    "synth.target_items": ("synth_target_items", "70", 70),
+    "synth.k_true": ("synth_k_true", "6", 6),
+    "synth.overlap": ("synth_overlap", "0.2", 0.2),
+    "synth.density": ("synth_density", "0.01", 0.01),
+    "embed.dim": ("embed_dim", "16", 16),
+    "embed.margin": ("embed_margin", "0.5", 0.5),
+    "embed.lr": ("embed_lr", "0.01", 0.01),
+    "embed.l2": ("embed_l2", "0.1", 0.1),
+    "embed.epochs": ("embed_epochs", "9", 9),
+    "embed.batch": ("embed_batch", "128", 128),
+    "map.margin": ("map_margin", "2.5", 2.5),
+    "map.lr": ("map_lr", "0.02", 0.02),
+    "map.epochs": ("map_epochs", "11", 11),
+    "map.batch": ("map_batch", "32", 32),
+    "eval.cutoffs": ("eval_cutoffs", "5,10,20", (5, 10, 20)),
+    "eval.repeats": ("eval_repeats", "3", 3),
+    "eval.negatives": ("eval_negatives", "99", 99),
+    "eval.positive": ("eval_positive", "valid", "valid"),
+}
+
+
+def test_config_keys_are_the_documented_ones():
+    # one key per field, each to its attribute, parsed to the field's type
+    assert sorted(a for a, _, _ in _DOCUMENTED_KEYS.values()) == \
+        sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    default = ExperimentConfig()
+    for key, (attr, text, value) in _DOCUMENTED_KEYS.items():
+        cfg = config_from_mapping({key: text})
+        got = getattr(cfg, attr)
+        assert got == value and type(got) is type(value), key
+        assert cfg == dataclasses.replace(default, **{attr: value}), key
+        if isinstance(value, int):
+            with pytest.raises(ConfigError):
+                config_from_mapping({key: "1.5"})
+        if isinstance(value, float):  # a float key takes an int's text
+            assert getattr(config_from_mapping({key: "1"}), attr) == 1.0
+
+
+@pytest.mark.parametrize("key", ["map.lam", "out_dir", "map_lam",
+                                 "embed_lr", "scenario_dir"])
+def test_attribute_names_are_not_config_keys(key):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        config_from_mapping({key: "1"})
 
 
 def test_validate_rejects_unknown_method(tmp_path):
