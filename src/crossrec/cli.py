@@ -15,8 +15,9 @@ Subcommands::
     export-vectors   write inferred target-space vectors for test users
 
 All randomness derives from the single ``--seed`` through the fixed stream
-slots of :mod:`crossrec.experiment`, so ``run`` and an equivalent chain of
-the step subcommands produce identical artifacts.
+slots of :mod:`crossrec.experiment`, and each step trains what ``method``
+trains, so ``run`` and an equivalent chain of the step subcommands produce
+identical artifacts.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _cmd_gen_synth(args):
 
 def _cmd_build_scenario(args):
     cfg = _resolve_config(args)
-    cfg.method = experiment.METHOD_ITEMPOP  # irrelevant here
     cfg.validate()
     scenario = experiment.prepare_scenario(cfg)
     data.save_scenario(scenario, cfg.out_dir)
@@ -84,12 +84,14 @@ def _cmd_build_scenario(args):
 
 def _cmd_train_embed(args):
     cfg = _resolve_config(args)
+    cfg.validate()
     scenario = data.load_scenario(args.scenario)
     history = []
-    space = experiment.train_space(scenario, cfg, args.domain,
-                                   args.objective, loss_history=history)
+    space = experiment.train_artifact(
+        f"{args.domain}_space", scenario, cfg, experiment.MethodArtifacts(),
+        loss_history=history)
     embed.save_embeddings(space, args.out)
-    print(f"trained {args.domain} {args.objective} space "
+    print(f"trained {args.domain} {space.kind} space for {cfg.method} "
           f"({space.U.shape[0]} users, {space.V.shape[0]} items, "
           f"K={space.dim}); final epoch loss {history[-1]:.6f}")
     return 0
@@ -97,17 +99,17 @@ def _cmd_train_embed(args):
 
 def _cmd_train_map(args):
     cfg = _resolve_config(args)
-    mode = args.mode or mapping.MODE_SEMI
-    train_cfg = experiment.map_config(cfg, mode)
+    cfg.validate()
     scenario = data.load_scenario(args.scenario)
-    source_space = embed.load_embeddings(args.source_emb)
-    target_space = embed.load_embeddings(args.target_emb)
+    art = experiment.MethodArtifacts(
+        source_space=embed.load_embeddings(args.source_emb),
+        target_space=embed.load_embeddings(args.target_emb))
     history = []
-    net = mapping.train_mapping(source_space, target_space, scenario,
-                                train_cfg, loss_history=history)
+    net = experiment.train_artifact("net", scenario, cfg, art,
+                                    loss_history=history)
     mapping.save_mapping(net, args.out)
-    print(f"trained {mode} mapping (K={net.dim}); "
-          f"final epoch loss {history[-1]:.6f}")
+    print(f"trained {experiment.map_config(cfg).mode} mapping for "
+          f"{cfg.method} (K={net.dim}); final epoch loss {history[-1]:.6f}")
     return 0
 
 
@@ -129,8 +131,7 @@ def _cmd_eval(args):
     for name, flag in _ARTIFACT_FLAGS.items():
         path = getattr(args, flag[2:].replace("-", "_"))
         if path:
-            load = mapping.load_mapping if name == "net" \
-                else embed.load_embeddings
+            _, _, load = experiment.artifact_io(name)
             setattr(art, name, load(path))
     missing = [flag for name, flag in _ARTIFACT_FLAGS.items()
                if name in experiment.required_artifacts(cfg.method)
@@ -190,10 +191,9 @@ def build_parser():
     p = sub.add_parser("train-embed", help="train one embedding space")
     _add_common(p, out_required=True)
     p.add_argument("--scenario", required=True, help="scenario directory")
+    p.add_argument("--method")
     p.add_argument("--domain", required=True,
                    choices=("source", "target", "unified"))
-    p.add_argument("--objective", default=embed.KIND_METRIC,
-                   choices=(embed.KIND_METRIC, embed.KIND_INNER))
     p.set_defaults(func=_cmd_train_embed)
 
     p = sub.add_parser("train-map", help="train the cross-domain mapping")
@@ -201,8 +201,7 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--source-emb", required=True)
     p.add_argument("--target-emb", required=True)
-    p.add_argument("--mode", choices=(mapping.MODE_SUPERVISED,
-                                      mapping.MODE_SEMI))
+    p.add_argument("--method")
     p.add_argument("--lambda", help="weight of the unsupervised term")
     p.set_defaults(func=_cmd_train_map)
 

@@ -430,9 +430,16 @@ _TARGET_FILE = "target_train.tsv"
 _OVERLAP_FILE = "overlap.txt"
 _TEST_FILE = "test.tsv"
 _META_FILE = "meta.txt"
-# every key save_scenario writes to the meta file
-_META_KEYS = ("phi", "seed", "test_fraction", "min_overlap_interactions",
-              "min_other_interactions", "train_overlap_users")
+
+
+def _ids(text):
+    return tuple(text.split(",")) if text else ()
+
+
+# every meta file key, a CrossDomainScenario field, with its parser
+_META = {"phi": float, "seed": int, "test_fraction": float,
+         "min_overlap_interactions": int, "min_other_interactions": int,
+         "train_overlap_users": _ids}
 
 
 def write_interactions(path, interactions):
@@ -457,15 +464,11 @@ def save_scenario(scenario, out_dir):
             fh.write(f"{u}\t{t}\t{v}\n")
     with open(os.path.join(out_dir, _META_FILE), "w",
               encoding="utf-8") as fh:
-        fh.write(f"phi={scenario.phi!r}\n")
-        fh.write(f"seed={scenario.seed}\n")
-        fh.write(f"test_fraction={scenario.test_fraction!r}\n")
-        fh.write(f"min_overlap_interactions="
-                 f"{scenario.min_overlap_interactions}\n")
-        fh.write(f"min_other_interactions="
-                 f"{scenario.min_other_interactions}\n")
-        fh.write(f"train_overlap_users="
-                 f"{','.join(sorted(scenario.train_overlap_users))}\n")
+        for key in _META:
+            value = getattr(scenario, key)
+            if isinstance(value, tuple):
+                value = ",".join(sorted(value))
+            fh.write(f"{key}={value}\n")
 
 
 def load_scenario(in_dir):
@@ -479,9 +482,15 @@ def load_scenario(in_dir):
                 continue
             key, _, value = line.partition("=")
             meta[key] = value
-    for key in _META_KEYS:
+    parsed = {}
+    for key, parse in _META.items():
         if key not in meta:
             raise DataError(f"{meta_path}: missing key {key}")
+        try:
+            parsed[key] = parse(meta[key])
+        except ValueError as exc:
+            raise DataError(f"{meta_path}: bad value {meta[key]!r} for key "
+                            f"{key}") from exc
     source = load_interactions(os.path.join(in_dir, _SOURCE_FILE))
     with open(os.path.join(in_dir, _OVERLAP_FILE), encoding="utf-8") as fh:
         overlap = tuple(line.strip() for line in fh if line.strip())
@@ -505,17 +514,11 @@ def load_scenario(in_dir):
         train.user_ids, train.item_ids + tuple(sorted(extra)),
         *train.pair_arrays())
 
-    tou = meta["train_overlap_users"]
     return CrossDomainScenario(
         source=source,
         target=target,
         overlap_users=overlap,
         test_users=tuple(sorted(heldout)),
-        train_overlap_users=tuple(tou.split(",")) if tou else (),
         heldout=heldout,
-        phi=float(meta["phi"]),
-        seed=int(meta["seed"]),
-        test_fraction=float(meta["test_fraction"]),
-        min_overlap_interactions=int(meta["min_overlap_interactions"]),
-        min_other_interactions=int(meta["min_other_interactions"]),
+        **parsed,
     )

@@ -16,6 +16,7 @@ the touched rows.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,6 +360,13 @@ def load_embeddings(path):
             raise ValueError(f"{path}: bad embedding header")
         dim, n_users, n_items = (int(header[1]), int(header[3]),
                                  int(header[5]))
+        # a row ("U <id>", dim " <x>", newline) takes 2 * dim + 4 bytes or
+        # more, so counts the file cannot hold fail before any allocation
+        size = os.path.getsize(path)
+        if min(dim, n_users, n_items) < 0 \
+                or (n_users + n_items) * (2 * dim + 4) > size:
+            raise ValueError(f"{path}: header declares more rows than its "
+                             f"{size} bytes can hold")
         kind = header[7]
         user_ids, items_ids = [], []
         U = np.empty((n_users, dim))

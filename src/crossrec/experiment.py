@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import coldstart, data, embed, evaluation, mapping, synth
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 METHOD_ITEMPOP = "ITEMPOP"
 METHOD_BPR = "BPR"
@@ -56,7 +56,8 @@ _SLOT_EVAL = 6
 
 # method -> (embedding objective, mapping mode); None where the method
 # trains no embedding or no mapping.  Methods without a mapping train one
-# unified space over both domains.
+# unified space over both domains.  `run` and every step train through
+# train_artifact, which reads this plan.
 _PLAN = {
     METHOD_ITEMPOP: (None, None),
     METHOD_BPR: (embed.KIND_INNER, None),
@@ -132,7 +133,7 @@ class ExperimentConfig:
         if objective is not None:
             embed.check_objective(objective, embed_config(self, "source"))
         if mode is not None:
-            map_config(self, mode)
+            map_config(self)
         eval_config(self)
         if self.eval_positive not in evaluation.POSITIVES:
             raise ConfigError(f"eval.positive must be one of "
@@ -172,7 +173,7 @@ KEYS = {_key(f.name): (f.name, _csv_ints if isinstance(f.default, tuple)
 
 
 def parse_config_file(path):
-    """Flat ``key=value`` file, ``#`` comments allowed."""
+    """Flat ``key=value`` file, ``#`` comments allowed, each key once."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -180,9 +181,13 @@ def parse_config_file(path):
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            out[key.strip()] = value.strip()
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is set "
+                                  f"twice")
+            out[key] = value.strip()
     return out
 
 
@@ -234,10 +239,12 @@ def embed_config(cfg, domain):
         seed=derive_seed(cfg.seed, _SLOT_EMBED[domain]))
 
 
-def map_config(cfg, mode):
+def map_config(cfg):
+    """Training config of the mapping, in ``cfg.method``'s mode."""
     return mapping.MapTrainConfig(
         lam=cfg.map_lam, margin=cfg.map_margin, learning_rate=cfg.map_lr,
-        epochs=cfg.map_epochs, batch_size=cfg.map_batch, mode=mode,
+        epochs=cfg.map_epochs, batch_size=cfg.map_batch,
+        mode=_PLAN[cfg.method][1],
         seed=derive_seed(cfg.seed, _SLOT_MAPPING))
 
 
@@ -258,17 +265,6 @@ def required_artifacts(method):
     return ("source_space", "target_space", "net")
 
 
-def train_space(scenario, cfg, domain, objective, loss_history=None):
-    """Train the ``source``, ``target`` or ``unified`` embedding space."""
-    if domain == "unified":
-        interactions = data.build_unified(scenario)
-    else:
-        interactions = getattr(scenario, domain)
-    return embed.train_embeddings(interactions, embed_config(cfg, domain),
-                                  objective=objective,
-                                  loss_history=loss_history)
-
-
 @dataclass
 class MethodArtifacts:
     """Everything a scorer needs, plus what should be persisted."""
@@ -286,33 +282,47 @@ class MethodArtifacts:
         return cls(hops=cfg.hops if cfg.method == METHOD_SSCDR else 0)
 
 
-def train_method(scenario, cfg, stage):
-    """Train whatever ``cfg.method`` requires on top of the scenario.
+def _check_space_kinds(cfg, art):
+    """Every space ``cfg.method`` uses must be of its objective's kind; a
+    space of another kind is a data error naming both."""
+    objective = _PLAN[cfg.method][0]
+    for name in required_artifacts(cfg.method):
+        space = getattr(art, name)
+        if name != "net" and space.kind != objective:
+            raise DataError(f"{name} is a {space.kind} space, but "
+                            f"{cfg.method} uses {objective} spaces")
 
-    ``stage(name, artifact) -> artifact`` is invoked right after each
-    artifact finishes training; it may persist the artifact and must return
-    the copy every later stage consumes.  The runner uses it to push each
-    stage through its on-disk serialization, which keeps ``run`` output
-    byte-identical to the equivalent chain of step subcommands.
+
+def artifact_io(name):
+    """``(file, save(artifact, path), load(path))`` of the
+    :class:`MethodArtifacts` field ``name``, ``file`` being its name in a
+    ``run`` directory."""
+    if name == "net":
+        return "mapping.txt", mapping.save_mapping, mapping.load_mapping
+    return (name.replace("_space", "_embeddings.txt"),
+            embed.save_embeddings, embed.load_embeddings)
+
+
+def train_artifact(name, scenario, cfg, art, loss_history=None):
+    """Train the :class:`MethodArtifacts` field ``name`` the way
+    ``cfg.method`` does; the mapping (``net``) links ``art``'s source and
+    target spaces.  A field the method does not train is a config error.
     """
-    objective, mode = _PLAN[cfg.method]
-    art = MethodArtifacts.for_method(cfg)
-    if objective is None:
-        return art
-
-    def space(domain):
-        return stage(f"{domain}_embeddings",
-                     train_space(scenario, cfg, domain, objective))
-
-    if mode is None:
-        art.unified_space = space("unified")
-        return art
-    art.source_space = space("source")
-    art.target_space = space("target")
-    art.net = stage("mapping", mapping.train_mapping(
-        art.source_space, art.target_space, scenario,
-        map_config(cfg, mode)))
-    return art
+    needed = required_artifacts(cfg.method)
+    if name not in needed:
+        raise ConfigError(f"{cfg.method} does not train {name} (it trains "
+                          f"{', '.join(needed) or 'nothing'})")
+    if name == "net":
+        _check_space_kinds(cfg, art)
+        return mapping.train_mapping(art.source_space, art.target_space,
+                                     scenario, map_config(cfg),
+                                     loss_history=loss_history)
+    domain = name[:-len("_space")]
+    interactions = (data.build_unified(scenario) if domain == "unified"
+                    else getattr(scenario, domain))
+    return embed.train_embeddings(interactions, embed_config(cfg, domain),
+                                  objective=_PLAN[cfg.method][0],
+                                  loss_history=loss_history)
 
 
 def make_scorer(scenario, cfg, art):
@@ -321,8 +331,10 @@ def make_scorer(scenario, cfg, art):
 
     Every target item (``t:``-prefixed in a unified space), test user and,
     with hops, source user and item needs a row, found by id; a missing
-    one raises :class:`IndexMismatch` before anything is scored.
+    one raises :class:`IndexMismatch`, and a space of the wrong kind
+    :class:`DataError`, before anything is scored.
     """
+    _check_space_kinds(cfg, art)
     objective, mode = _PLAN[cfg.method]
     target = scenario.target
     if objective is None:  # popularity
@@ -398,18 +410,14 @@ def run_experiment(cfg):
         for name in os.listdir(scen_dir):
             artifacts[f"scenario/{name}"] = os.path.join(scen_dir, name)
 
-        def stage(name, artifact):
-            path = os.path.join(out, name + ".txt")
-            if name == "mapping":
-                mapping.save_mapping(artifact, path)
-                artifact = mapping.load_mapping(path)
-            else:
-                embed.save_embeddings(artifact, path)
-                artifact = embed.load_embeddings(path)
-            artifacts[name + ".txt"] = path
-            return artifact
-
-        art = train_method(scenario, cfg, stage)
+        art = MethodArtifacts.for_method(cfg)
+        for name in required_artifacts(cfg.method):
+            fname, save, load = artifact_io(name)
+            path = os.path.join(out, fname)
+            save(train_artifact(name, scenario, cfg, art), path)
+            # later stages consume exactly what a separate step loads
+            setattr(art, name, load(path))
+            artifacts[fname] = path
         report, text = evaluate_method(scenario, cfg, art)
         report_path = os.path.join(out, "report.tsv")
         with open(report_path, "w", encoding="utf-8") as fh:

@@ -48,6 +48,18 @@ eval.repeats=2
 eval.negatives=30
 """
 
+# one config for `run`, setting seed once
+RUN_CFG = GEN_CFG + PIPE_CFG.replace("seed=11\n", "")
+
+
+def _with(cfg, *lines):
+    """``cfg`` with each ``key=value`` of ``lines`` in place of the line
+    that sets the same key, since a config file sets each key once."""
+    keys = {line.split("=")[0] for line in lines}
+    kept = [line for line in cfg.splitlines(True)
+            if line.split("=")[0] not in keys]
+    return "".join(kept) + "".join(line + "\n" for line in lines)
+
 
 def _write(path, text):
     path.write_text(textwrap.dedent(text), encoding="utf-8")
@@ -61,7 +73,7 @@ def chain(tmp_path_factory):
     gen_cfg = _write(root / "gen.cfg", GEN_CFG)
     pipe_cfg = _write(root / "pipe.cfg", PIPE_CFG)
     run_cfg = _write(root / "run.cfg",
-                     GEN_CFG + PIPE_CFG + "method=SSCDR\n")
+                     RUN_CFG + "method=SSCDR\n")
 
     raw = root / "raw"
     scen = root / "scen"
@@ -216,7 +228,7 @@ def test_method_flag_overrides_config(tmp_path):
 
 
 def test_mismatched_embedding_dims_exit_3(chain, tmp_path, capsys):
-    dim6_cfg = _write(tmp_path / "dim6.cfg", PIPE_CFG + "embed.dim=6\n")
+    dim6_cfg = _write(tmp_path / "dim6.cfg", _with(PIPE_CFG, "embed.dim=6"))
     tgt6 = str(tmp_path / "tgt6.txt")
     assert main(["train-embed", "--config", dim6_cfg, "--scenario",
                  str(chain["scen"]), "--domain", "target",
@@ -233,7 +245,7 @@ def test_mismatched_embedding_dims_exit_3(chain, tmp_path, capsys):
 
 def test_non_finite_lambda_exits_2(chain, tmp_path, capsys):
     run_cfg = _write(tmp_path / "r.cfg",
-                     GEN_CFG + PIPE_CFG + "method=SSCDR\n")
+                     RUN_CFG + "method=SSCDR\n")
     assert main(["run", "--config", run_cfg, "--lambda", "nan",
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["train-map", "--config", chain["pipe_cfg"],
@@ -247,7 +259,7 @@ def test_non_finite_lambda_exits_2(chain, tmp_path, capsys):
 def test_negative_seed_exits_2(tmp_path, capsys):
     gen_cfg = _write(tmp_path / "gen.cfg", GEN_CFG)
     run_cfg = _write(tmp_path / "r.cfg",
-                     GEN_CFG + PIPE_CFG + "method=SSCDR\n")
+                     RUN_CFG + "method=SSCDR\n")
     assert main(["gen-synth", "--config", gen_cfg, "--seed", "-1",
                  "--out", str(tmp_path / "raw")]) == 2
     assert main(["run", "--config", run_cfg, "--seed", "-1",
@@ -317,10 +329,10 @@ def _tree(root):
 
 
 def test_flags_override_like_their_config_keys(tmp_path, capsys):
-    base = GEN_CFG + PIPE_CFG + "method=SSCDR\n"
+    base = RUN_CFG + "method=SSCDR\n"
     settings = {"lambda": "2.0", "phi": "0.5", "hops": "2", "seed": "3"}
-    in_file = _write(tmp_path / "file.cfg", base + "".join(
-        f"{key}={value}\n" for key, value in settings.items()))
+    in_file = _write(tmp_path / "file.cfg", _with(base, *(
+        f"{key}={value}" for key, value in settings.items())))
     plain = _write(tmp_path / "plain.cfg", base)
     flags = [arg for key, value in settings.items()
              for arg in (f"--{key}", value)]
@@ -392,7 +404,7 @@ def test_negative_seed_is_rejected_before_any_file(tmp_path, capsys):
                                      "eval.cutoffs=0"])
 def test_bad_eval_setting_is_rejected_before_any_file(tmp_path, capsys,
                                                       setting):
-    cfg = _write(tmp_path / "r.cfg", GEN_CFG + PIPE_CFG + setting + "\n")
+    cfg = _write(tmp_path / "r.cfg", _with(RUN_CFG, setting))
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--method", "BPR",
                  "--out", str(out)]) == 2
@@ -401,7 +413,7 @@ def test_bad_eval_setting_is_rejected_before_any_file(tmp_path, capsys,
 
 
 def test_hops_flag_needs_sscdr(chain, tmp_path, capsys):
-    run_cfg = _write(tmp_path / "r.cfg", GEN_CFG + PIPE_CFG)
+    run_cfg = _write(tmp_path / "r.cfg", RUN_CFG)
     out = tmp_path / "o"
     assert main(["run", "--config", run_cfg, "--method", "ITEMPOP",
                  "--hops", "3", "--out", str(out)]) == 2
@@ -422,15 +434,19 @@ def test_hops_flag_needs_sscdr(chain, tmp_path, capsys):
 
 def test_l2_on_a_metric_objective_exits_2(chain, tmp_path, capsys):
     l2 = "embed.l2=0.5\n"
-    run_cfg = _write(tmp_path / "r.cfg", GEN_CFG + PIPE_CFG + l2)
+    run_cfg = _write(tmp_path / "r.cfg", RUN_CFG + l2)
     assert main(["run", "--config", run_cfg, "--method", "CML",
                  "--out", str(tmp_path / "cml")]) == 2
     assert not (tmp_path / "cml").exists()
-    assert main(["train-embed", "--config", run_cfg,
+    assert "embed.l2" in capsys.readouterr().err
+    # the default method, SSCDR, trains metric spaces; train-embed reads
+    # its scenario from --scenario, so its config names no data source
+    pipe_cfg = _write(tmp_path / "p.cfg", PIPE_CFG + l2)
+    assert main(["train-embed", "--config", pipe_cfg,
                  "--scenario", str(chain["scen"]), "--domain", "source",
-                 "--objective", "metric",
                  "--out", str(tmp_path / "src.txt")]) == 2
     assert "embed.l2" in capsys.readouterr().err
+    assert not (tmp_path / "src.txt").exists()
     assert main(["run", "--config", run_cfg, "--method", "BPR",
                  "--out", str(tmp_path / "bpr")]) == 0
     assert (tmp_path / "bpr" / "report.tsv").exists()
@@ -618,7 +634,7 @@ def test_oversized_negative_count_fails_before_training(tmp_path, capsys):
 
 def test_eval_checks_the_negative_pool_before_reading_artifacts(
         chain, tmp_path, capsys):
-    cfg = _write(tmp_path / "big.cfg", PIPE_CFG + "eval.negatives=999\n")
+    cfg = _write(tmp_path / "big.cfg", _with(PIPE_CFG, "eval.negatives=999"))
     missing = str(tmp_path / "no_such_space.txt")
     assert main(["eval", "--config", cfg, "--scenario", str(chain["scen"]),
                  "--method", "SSCDR", "--source-emb", chain["src_emb"],
@@ -627,3 +643,148 @@ def test_eval_checks_the_negative_pool_before_reading_artifacts(
     err = capsys.readouterr().err
     assert "negative pool has" in err and "need 999" in err
     assert missing not in err
+
+
+# what each method's step chain trains, and the file `run` writes it to
+_METHOD_STEPS = {
+    "ITEMPOP": (),
+    "BPR": ("unified",),
+    "CML": ("unified",),
+    "EMCDR-BPR": ("source", "target", "map"),
+    "EMCDR-CML": ("source", "target", "map"),
+    "SSCDR-naive": ("source", "target", "map"),
+    "SSCDR": ("source", "target", "map"),
+}
+_RUN_FILES = {"source": "source_embeddings.txt",
+              "target": "target_embeddings.txt",
+              "unified": "unified_embeddings.txt", "map": "mapping.txt",
+              "report": "report.tsv"}
+_EVAL_FLAGS = {"source": "--source-emb", "target": "--target-emb",
+               "unified": "--unified-emb", "map": "--mapping"}
+
+
+@pytest.mark.parametrize("method", list(_METHOD_STEPS))
+def test_step_chain_trains_what_run_trains(chain, tmp_path, capsys, method):
+    """With ``method`` in the config, the steps take their objective and
+    mapping mode from it, so every file matches `run`'s."""
+    cfg = _write(tmp_path / "m.cfg", PIPE_CFG + f"method={method}\n")
+    scen = str(chain["scen"])
+    files = {}
+    for step in _METHOD_STEPS[method]:
+        out = files[step] = str(tmp_path / f"{step}.txt")
+        if step == "map":
+            argv = ["train-map", "--source-emb", files["source"],
+                    "--target-emb", files["target"]]
+        else:
+            argv = ["train-embed", "--domain", step]
+        assert main([*argv, "--config", cfg, "--scenario", scen,
+                     "--out", out]) == 0
+    flags = [x for step, path in files.items()
+             for x in (_EVAL_FLAGS[step], path)]
+    files["report"] = str(tmp_path / "report.tsv")
+    assert main(["eval", "--config", cfg, "--scenario", scen, "--method",
+                 method, *flags, "--out", files["report"]]) == 0
+    run_cfg = _write(tmp_path / "r.cfg",
+                     PIPE_CFG + f"method={method}\nscenario={scen}\n")
+    run_out = tmp_path / "run"
+    assert main(["run", "--config", run_cfg, "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    assert {p.name for p in run_out.iterdir() if p.is_file()} == \
+        {_RUN_FILES[step] for step in files} | {"manifest.txt"}
+    for step, path in files.items():
+        assert open(path, "rb").read() == \
+            (run_out / _RUN_FILES[step]).read_bytes(), step
+
+
+@pytest.mark.parametrize("method,step", [("SSCDR", "unified"),
+                                         ("ITEMPOP", "source"),
+                                         ("BPR", "map")])
+def test_step_the_method_does_not_train_exits_2(chain, tmp_path, capsys,
+                                                method, step):
+    out = tmp_path / "out.txt"
+    if step == "map":
+        argv = ["train-map", "--source-emb", chain["src_emb"],
+                "--target-emb", chain["tgt_emb"]]
+    else:
+        argv = ["train-embed", "--domain", step]
+    assert main([*argv, "--config", chain["pipe_cfg"], "--method", method,
+                 "--scenario", str(chain["scen"]), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {method} does not train ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_build_scenario_rejects_an_unknown_method(chain, tmp_path, capsys):
+    raw = chain["root"] / "raw"
+    cfg = _write(tmp_path / "b.cfg", PIPE_CFG + "method=BOGUS\n")
+    out = tmp_path / "scen"
+    assert main(["build-scenario", "--config", cfg,
+                 "--source", str(raw / "source.tsv"),
+                 "--target", str(raw / "target.tsv"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'BOGUS'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train-map", "eval-exported"])
+def test_space_of_the_wrong_kind_exits_3(chain, exported, tmp_path, capsys,
+                                         command):
+    src_emb, method, kind, want = (chain["src_emb"], "EMCDR-BPR", "metric",
+                                   "inner")
+    if command == "eval-exported":
+        # an export-vectors file holds inferred vectors, not a space
+        src_emb = str(tmp_path / "exported.txt")
+        open(src_emb, "wb").write(exported["0"])
+        command, method, kind, want = "eval", "SSCDR", "inferred", "metric"
+    out = tmp_path / "out"
+    argv = _step(chain, command, src_emb, chain["tgt_emb"], str(out))
+    # the last --method flag wins over the one _step gives eval
+    assert main([*argv, "--method", method]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: source_space is a {kind} space, but {method} "
+                   f"uses {want} spaces\n")
+    assert not out.exists()
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "gen.cfg", GEN_CFG + "seed=2\n")
+    out = tmp_path / "raw"
+    assert main(["gen-synth", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:8: key 'seed' is set twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", [k for k in _META_KEYS
+                                 if k != "train_overlap_users"])
+def test_scenario_meta_bad_value_exits_3(chain, tmp_path, capsys, key):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    meta = scen / "meta.txt"
+    lines = [f"{key}=abc\n" if line.startswith(key + "=") else line
+             for line in meta.read_text(encoding="utf-8").splitlines(True)]
+    meta.write_text("".join(lines), encoding="utf-8")
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {meta}: bad value 'abc' for key {key}\n"
+    assert not report.exists()
+
+
+def test_space_header_larger_than_its_file_exits_3(chain, tmp_path, capsys):
+    header, rows = _space_rows(chain["src_emb"])
+    header[3] = "99999999999"
+    huge = _write_space(tmp_path / "huge.txt", header, rows)
+    report = tmp_path / "r.tsv"
+    code = main(["eval", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]), "--method", "SSCDR",
+                 "--source-emb", huge, "--target-emb", chain["tgt_emb"],
+                 "--mapping", chain["net"], "--out", str(report)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {huge}: header declares more rows")
+    assert err.count("\n") == 1
+    assert not report.exists()
