@@ -471,17 +471,32 @@ def save_scenario(scenario, out_dir):
             fh.write(f"{key}={value}\n")
 
 
+def read_key_values(path, error):
+    """Flat ``key=value`` file, ``#`` comments allowed, each key once; a
+    line breaking these rules raises ``error`` naming ``path:line``."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep:
+                raise error(f"{path}:{lineno}: expected key=value")
+            if key in out:
+                raise error(f"{path}:{lineno}: key {key!r} is set twice")
+            out[key] = value.strip()
+    return out
+
+
 def load_scenario(in_dir):
     """Inverse of :func:`save_scenario`."""
-    meta = {}
     meta_path = os.path.join(in_dir, _META_FILE)
-    with open(meta_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            meta[key] = value
+    meta = read_key_values(meta_path, DataError)
+    for key in meta:
+        if key not in _META:
+            raise DataError(f"{meta_path}: unknown key {key!r}")
     parsed = {}
     for key, parse in _META.items():
         if key not in meta:

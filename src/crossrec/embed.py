@@ -34,6 +34,7 @@ from .optim import Adam
 KIND_METRIC = "metric"
 KIND_INNER = "inner"
 KIND_INFERRED = "inferred"
+_KINDS = (KIND_METRIC, KIND_INNER, KIND_INFERRED)
 _BALL_TOL = 1e-6
 
 
@@ -47,24 +48,23 @@ def distance(u, v):
     return float(np.dot(d, d))
 
 
+def project_rows(mat, rows=None):
+    """Divide in place each row of ``mat`` (or each of its rows ``rows``)
+    whose norm exceeds 1 by that norm; return the norms from before."""
+    norms = np.linalg.norm(mat if rows is None else mat[rows], axis=1)
+    big = norms > 1.0
+    if np.any(big):
+        mat[big if rows is None else rows[big]] /= norms[big][:, None]
+    return norms
+
+
 def project_unit_ball(x):
     """Scale ``x`` onto the unit ball: ``x / max(1, |x|)``."""
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("cannot project a non-finite vector")
-    norm = float(np.linalg.norm(x))
-    if norm > 1.0:
-        return x / norm
-    return x.copy()
-
-
-def _project_rows(mat, rows):
-    # in-place row projection for the rows just updated
-    norms = np.linalg.norm(mat[rows], axis=1)
-    mask = norms > 1.0
-    if np.any(mask):
-        sel = rows[mask]
-        mat[sel] /= norms[mask][:, None]
+    project_rows(x[None])
+    return x
 
 
 def _sigmoid(x):
@@ -74,6 +74,18 @@ def _sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def metric_hinge(A, P, N, margin):
+    """``max(0, margin + |A - P|^2 - |A - N|^2)`` per row, with subgradient
+    zero at an exactly-zero argument.  Returns ``(args, loss, gA, gP, gN)``:
+    the hinge arguments, the summed hinge and its gradients."""
+    dp = np.einsum("ij,ij->i", A - P, A - P)
+    dn = np.einsum("ij,ij->i", A - N, A - N)
+    arg = margin + dp - dn
+    loss = float(np.sum(np.maximum(arg, 0.0)))
+    w = 2.0 * (arg > 0.0)[:, None]
+    return arg, loss, w * (N - P), w * (P - A), w * (A - N)
 
 
 def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
@@ -87,12 +99,7 @@ def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
     ``inner`` only).  Returns ``(loss, gU, gVp, gVn)``.
     """
     if kind == KIND_METRIC:
-        dp = np.einsum("ij,ij->i", U - Vp, U - Vp)
-        dn = np.einsum("ij,ij->i", U - Vn, U - Vn)
-        arg = margin + dp - dn
-        loss = float(np.sum(np.maximum(arg, 0.0)))
-        w = 2.0 * (arg > 0.0)[:, None]
-        return loss, w * (Vn - Vp), w * (Vp - U), w * (U - Vn)
+        return metric_hinge(U, Vp, Vn, margin)[1:]
     s = np.einsum("ij,ij->i", U, Vp - Vn)
     loss = float(np.sum(np.logaddexp(0.0, -s)))
     g = (_sigmoid(s) - 1.0)[:, None]  # d loss / d s
@@ -189,7 +196,7 @@ class EmbeddingSpace:
                  "_uindex", "_iindex")
 
     def __init__(self, user_ids, item_ids, U, V, kind):
-        if kind not in (KIND_METRIC, KIND_INNER, KIND_INFERRED):
+        if kind not in _KINDS:
             raise ConfigError(f"unknown embedding kind {kind!r}")
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
@@ -295,20 +302,12 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
                 objective, U[bu], V[bi], V[bk], cfg.margin, cfg.l2_reg)
             epoch_loss += loss
 
-            rows_u, inv_u = np.unique(bu, return_inverse=True)
-            acc_u = np.zeros((rows_u.shape[0], k))
-            np.add.at(acc_u, inv_u, gu)
-            opt_u.step_rows(U, rows_u, acc_u)
-
-            rows_v, inv_v = np.unique(np.concatenate([bi, bk]),
-                                      return_inverse=True)
-            acc_v = np.zeros((rows_v.shape[0], k))
-            np.add.at(acc_v, inv_v, np.concatenate([gp, gn]))
-            opt_v.step_rows(V, rows_v, acc_v)
-
+            rows_u = opt_u.step_rows(U, bu, gu)
+            rows_v = opt_v.step_rows(V, np.concatenate([bi, bk]),
+                                     np.concatenate([gp, gn]))
             if metric:
-                _project_rows(U, rows_u)
-                _project_rows(V, rows_v)
+                project_rows(U, rows_u)
+                project_rows(V, rows_v)
 
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(epoch, epoch_loss)
@@ -352,22 +351,31 @@ def parse_floats(fields, path, lineno):
     return row
 
 
+def header_count(path, field, text):
+    """Header field ``field`` of ``path`` as a non-negative int."""
+    if not text.isdecimal():
+        raise ValueError(f"{path}: header field {field} is {text!r}, "
+                         f"not a count")
+    return int(text)
+
+
 def load_embeddings(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if (len(header) != 8 or header[0] != "K" or header[2] != "users"
                 or header[4] != "items" or header[6] != "kind"):
             raise ValueError(f"{path}: bad embedding header")
-        dim, n_users, n_items = (int(header[1]), int(header[3]),
-                                 int(header[5]))
+        dim, n_users, n_items = (header_count(path, header[k - 1],
+                                              header[k]) for k in (1, 3, 5))
+        kind = header[7]
+        if kind not in _KINDS:
+            raise ValueError(f"{path}: unknown embedding kind {kind!r}")
         # a row ("U <id>", dim " <x>", newline) takes 2 * dim + 4 bytes or
         # more, so counts the file cannot hold fail before any allocation
         size = os.path.getsize(path)
-        if min(dim, n_users, n_items) < 0 \
-                or (n_users + n_items) * (2 * dim + 4) > size:
+        if (n_users + n_items) * (2 * dim + 4) > size:
             raise ValueError(f"{path}: header declares more rows than its "
                              f"{size} bytes can hold")
-        kind = header[7]
         user_ids, items_ids = [], []
         U = np.empty((n_users, dim))
         V = np.empty((n_items, dim))

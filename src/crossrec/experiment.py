@@ -174,21 +174,7 @@ KEYS = {_key(f.name): (f.name, _csv_ints if isinstance(f.default, tuple)
 
 def parse_config_file(path):
     """Flat ``key=value`` file, ``#`` comments allowed, each key once."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} is set "
-                                  f"twice")
-            out[key] = value.strip()
-    return out
+    return data.read_key_values(path, ConfigError)
 
 
 def config_from_mapping(kv):

@@ -33,7 +33,8 @@ from .errors import (
     NoOverlapUsers,
 )
 from .data import id_rows
-from .embed import _fmt, parse_floats
+from .embed import (_fmt, header_count, metric_hinge, parse_floats,
+                    project_rows)
 from .optim import Adam
 
 MODE_SUPERVISED = "supervised-only"
@@ -156,11 +157,8 @@ class _Backprop:
         self.X = X
         self.H = np.tanh(X @ net.w1.T + net.b1)
         self.Y = self.H @ net.w2.T + net.b2
-        self.norms = np.linalg.norm(self.Y, axis=1)
-        big = self.norms > 1.0
-        if big.any():
-            self.Y[big] /= self.norms[big][:, None]
-        self.big = big
+        self.norms = project_rows(self.Y)
+        self.big = self.norms > 1.0
 
     def grads(self, dY):
         """dLoss/d(w1, b1, w2, b2) given dLoss/dY."""
@@ -218,14 +216,11 @@ def mapping_loss_and_grads(net, sup_src, sup_tgt, margin=1.0, lam=0.0,
     hinge_args = np.empty(0)
     if semi:
         t = P.shape[0]
-        Yp, Yn = Y[m:m + t], Y[m + t:]
-        dp = np.einsum("ij,ij->i", Yp - A, Yp - A)
-        dn = np.einsum("ij,ij->i", Yn - A, Yn - A)
-        hinge_args = margin + dp - dn
-        act = (hinge_args > 0.0)[:, None].astype(float)
-        loss += lam * float(np.sum(np.maximum(hinge_args, 0.0)))
-        dY[m:m + t] = lam * act * 2.0 * (Yp - A)
-        dY[m + t:] = -lam * act * 2.0 * (Yn - A)
+        hinge_args, hinge, _, gP, gN = metric_hinge(
+            A, Y[m:m + t], Y[m + t:], margin)
+        loss += lam * hinge
+        dY[m:m + t] = lam * gP
+        dY[m + t:] = lam * gN
 
     info = {"raw_norms": bp.norms.copy(), "hinge_args": hinge_args}
     return loss, bp.grads(dY), info
@@ -337,7 +332,7 @@ def load_mapping(path):
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "K":
             raise ValueError(f"{path}: bad mapping header")
-        k = int(header[1])
+        k = header_count(path, "K", header[1])
         rows = [np.array(parse_floats(line.split(), path, lineno))
                 for lineno, line in enumerate(fh, start=2) if line.strip()]
     expect = 2 * k + 1 + k + 1

@@ -21,26 +21,30 @@ class Adam:
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
 
+    def _advance(self, m, v, grad):
+        """One more step: new moments and the amount to subtract."""
+        self.t += 1
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        delta = self.lr * (m / (1.0 - BETA1 ** self.t))
+        denom = np.sqrt(v / (1.0 - BETA2 ** self.t))
+        denom += EPS
+        return m, v, np.divide(delta, denom, out=delta)
+
     def step(self, param, grad):
         """In-place dense update of ``param``."""
-        self.t += 1
-        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
-        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
-        mhat = self.m / (1.0 - BETA1 ** self.t)
-        vhat = self.v / (1.0 - BETA2 ** self.t)
-        param -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+        self.m, self.v, delta = self._advance(self.m, self.v, grad)
+        param -= delta
 
-    def step_rows(self, param, rows, grad_rows):
-        """In-place update of ``param[rows]`` only.
-
-        ``rows`` must not contain duplicates; callers accumulate gradients
-        per row first.  Rows never touched keep zero moments.
-        """
-        self.t += 1
-        m = BETA1 * self.m[rows] + (1.0 - BETA1) * grad_rows
-        v = BETA2 * self.v[rows] + (1.0 - BETA2) * grad_rows * grad_rows
-        self.m[rows] = m
-        self.v[rows] = v
-        mhat = m / (1.0 - BETA1 ** self.t)
-        vhat = v / (1.0 - BETA2 ** self.t)
-        param[rows] -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+    def step_rows(self, param, idx, grads):
+        """In-place update of the rows ``idx`` of ``param`` only, with
+        ``grads[j]`` the gradient of row ``idx[j]``: a repeated row's
+        gradients are summed.  Rows never touched keep their values and
+        zero moments.  Returns the touched rows in ascending order."""
+        rows, inv = np.unique(idx, return_inverse=True)
+        g = np.zeros((rows.shape[0],) + param.shape[1:])
+        np.add.at(g, inv, grads)
+        self.m[rows], self.v[rows], delta = self._advance(
+            self.m[rows], self.v[rows], g)
+        param[rows] -= delta
+        return rows

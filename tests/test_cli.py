@@ -788,3 +788,61 @@ def test_space_header_larger_than_its_file_exits_3(chain, tmp_path, capsys):
     assert err.startswith(f"error: {huge}: header declares more rows")
     assert err.count("\n") == 1
     assert not report.exists()
+
+
+def _eval_sscdr(chain, report, src_emb=None, net=None):
+    return main(["eval", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]), "--method", "SSCDR",
+                 "--source-emb", src_emb or chain["src_emb"],
+                 "--target-emb", chain["tgt_emb"],
+                 "--mapping", net or chain["net"], "--out", str(report)])
+
+
+def test_space_of_an_unknown_kind_exits_3(chain, tmp_path, capsys):
+    header, rows = _space_rows(chain["src_emb"])
+    header[7] = "bogus"
+    bogus = _write_space(tmp_path / "bogus.txt", header, rows)
+    report = tmp_path / "r.tsv"
+    assert _eval_sscdr(chain, report, src_emb=bogus) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {bogus}: unknown embedding kind 'bogus'\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("artifact", ["space", "mapping"])
+def test_bad_header_count_exits_3_naming_the_file(chain, tmp_path, capsys,
+                                                 artifact):
+    bad = tmp_path / "bad.txt"
+    if artifact == "space":
+        header, rows = _space_rows(chain["src_emb"])
+        header[1] = "x"
+        _write_space(bad, header, rows)
+        code = _eval_sscdr(chain, tmp_path / "r.tsv", src_emb=str(bad))
+    else:
+        lines = open(chain["net"], encoding="utf-8").read().splitlines(True)
+        bad.write_text("K x\n" + "".join(lines[1:]), encoding="utf-8")
+        code = _eval_sscdr(chain, tmp_path / "r.tsv", net=str(bad))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: header field K is 'x', not a count\n"
+    assert not (tmp_path / "r.tsv").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("phi=0.9\n", "{meta}:7: key 'phi' is set twice"),
+    ("garbage\n", "{meta}:7: expected key=value"),
+    ("foo=1\n", "{meta}: unknown key 'foo'"),
+], ids=["repeated-key", "junk-line", "unknown-key"])
+def test_scenario_meta_junk_exits_3(chain, tmp_path, capsys, extra, message):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    meta = scen / "meta.txt"
+    assert len(meta.read_text(encoding="utf-8").splitlines()) == 6
+    with open(meta, "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format(meta=meta) + "\n"
+    assert not report.exists()

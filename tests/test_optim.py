@@ -1,0 +1,62 @@
+"""The Adam updates both training loops run."""
+
+import numpy as np
+
+from crossrec.optim import Adam
+
+
+def _steps(rng, n_rows, n_steps):
+    """Random (indices with repeats, one gradient row per index) batches."""
+    out = []
+    for _ in range(n_steps):
+        idx = rng.integers(0, n_rows, size=12)
+        out.append((idx, rng.normal(size=(idx.shape[0], 3))))
+    return out
+
+
+def test_step_rows_sums_the_gradients_of_repeated_rows():
+    rng = np.random.default_rng(0)
+    start = rng.normal(size=(6, 3))
+    raw, summed = start.copy(), start.copy()
+    opt_raw, opt_sum = Adam(start.shape, 0.01), Adam(start.shape, 0.01)
+    for idx, grads in _steps(rng, 6, 5):
+        assert np.unique(idx).shape[0] < idx.shape[0]
+        rows = np.unique(idx)
+        acc = np.zeros((rows.shape[0], 3))
+        for i, g in zip(idx, grads):
+            acc[np.searchsorted(rows, i)] += g
+        got = opt_raw.step_rows(raw, idx, grads)
+        opt_sum.step_rows(summed, rows, acc)
+        np.testing.assert_array_equal(got, rows)
+    np.testing.assert_array_equal(raw, summed)
+    np.testing.assert_array_equal(opt_raw.m, opt_sum.m)
+    np.testing.assert_array_equal(opt_raw.v, opt_sum.v)
+    assert opt_raw.t == opt_sum.t == 5
+
+
+def test_rows_never_touched_keep_their_values_and_zero_moments():
+    rng = np.random.default_rng(1)
+    start = rng.normal(size=(10, 3))
+    param = start.copy()
+    opt = Adam(param.shape, 0.01)
+    for idx, grads in _steps(rng, 7, 4):  # rows 7, 8 and 9 never appear
+        opt.step_rows(param, idx, grads)
+    np.testing.assert_array_equal(param[7:], start[7:])
+    assert not opt.m[7:].any() and not opt.v[7:].any()
+    assert opt.m[:7].any() and not np.array_equal(param[:7], start[:7])
+
+
+def test_step_and_step_rows_over_every_row_agree_bitwise():
+    rng = np.random.default_rng(2)
+    start = rng.normal(size=(5, 4))
+    dense, sparse = start.copy(), start.copy()
+    opt_dense, opt_sparse = Adam(start.shape, 0.05), Adam(start.shape, 0.05)
+    every = np.arange(5)
+    for _ in range(6):
+        grad = rng.normal(size=start.shape)
+        opt_dense.step(dense, grad)
+        opt_sparse.step_rows(sparse, every[::-1], grad[::-1])
+    np.testing.assert_array_equal(dense, sparse)
+    np.testing.assert_array_equal(opt_dense.m, opt_sparse.m)
+    np.testing.assert_array_equal(opt_dense.v, opt_sparse.v)
+    assert not np.array_equal(dense, start)
