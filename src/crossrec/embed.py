@@ -80,12 +80,13 @@ def metric_hinge(A, P, N, margin):
     """``max(0, margin + |A - P|^2 - |A - N|^2)`` per row, with subgradient
     zero at an exactly-zero argument.  Returns ``(args, loss, gA, gP, gN)``:
     the hinge arguments, the summed hinge and its gradients."""
-    dp = np.einsum("ij,ij->i", A - P, A - P)
-    dn = np.einsum("ij,ij->i", A - N, A - N)
+    pa, an = P - A, A - N  # |P - A| is |A - P| bit for bit
+    dp = np.einsum("ij,ij->i", pa, pa)
+    dn = np.einsum("ij,ij->i", an, an)
     arg = margin + dp - dn
     loss = float(np.sum(np.maximum(arg, 0.0)))
     w = 2.0 * (arg > 0.0)[:, None]
-    return arg, loss, w * (N - P), w * (P - A), w * (A - N)
+    return arg, loss, w * (N - P), w * pa, w * an
 
 
 def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):

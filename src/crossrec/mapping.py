@@ -226,13 +226,77 @@ def mapping_loss_and_grads(net, sup_src, sup_tgt, margin=1.0, lam=0.0,
     return loss, bp.grads(dY), info
 
 
-def _sample_excluding(rng, n, blocked_sorted):
-    """Uniform draw from range(n) minus a sorted blocked array."""
-    while True:
-        x = int(rng.integers(0, n))
-        k = np.searchsorted(blocked_sorted, x)
-        if k >= blocked_sorted.shape[0] or blocked_sorted[k] != x:
-            return x
+def _lemire(words, bound):
+    """numpy's draw from ``range(bound)`` for each 32-bit word in ``words``
+    (Lemire's method): the value, and whether numpy rejects the word and
+    draws another."""
+    bound = np.asarray(bound, dtype=np.uint64)
+    prod = words.astype(np.uint64) * bound
+    reject = (prod & np.uint64(2 ** 32 - 1)) < (2 ** 32 - bound) % bound
+    return (prod >> np.uint64(32)).astype(np.int64), reject
+
+
+def _in_sorted(sorted_codes, c):
+    """Whether each of ``c`` is in the sorted array ``sorted_codes``."""
+    k = np.searchsorted(sorted_codes, c)
+    return sorted_codes[np.minimum(k, sorted_codes.shape[0] - 1)] == c
+
+
+def _sample_excluding(rng, n, users, starts, codes):
+    """One (positive, negative) source item pair per entry of ``users``.
+
+    ``codes`` holds the sorted ``user * n + item`` codes of every user's
+    items, user ``u``'s at ``codes[starts[u]:starts[u + 1]]``.  For each
+    user in turn the pair is what the scalar calls ::
+
+        pos = the user's item number rng.integers(0, its item count)
+        neg = rng.integers(0, n), drawn again while the user has it
+
+    return, and ``rng`` ends in the state those calls leave it in.
+
+    The calls are replayed in bulk from numpy's own stream.  A draw from
+    ``range(L)``, ``L <= 2**32``, takes one 32-bit word ``w`` (none when
+    ``L == 1``) and is ``(w * L) >> 32``, unless the word is rejected and
+    another taken; the words are the generator's ``next_uint32`` outputs,
+    which ``integers(0, 2**32, dtype=uint32)`` returns one for one (for
+    the PCG64 of ``default_rng``: a buffered high half first, then each
+    64-bit output, low half first).  The users up to the first rejected
+    word or blocked negative are accepted at once; the generator is then
+    rewound to the words they took, that one user is replayed with the
+    scalar calls, and the rest go on in bulk.  A numpy release that draws
+    bounded integers differently fails ``tests/test_mapping.py``.
+    """
+    lens = starts[users + 1] - starts[users]
+    pos = np.empty(users.shape[0], dtype=np.int64)
+    neg = np.empty(users.shape[0], dtype=np.int64)
+    r0 = 0
+    while r0 < users.shape[0]:
+        u, ln = users[r0:], lens[r0:]
+        end = np.cumsum((ln > 1) + 1)  # words per user if none is rejected
+        state = rng.bit_generator.state
+        words = rng.integers(0, 2 ** 32, size=end[-1], dtype=np.uint32)
+        # a one-item user's first word is its negative's: it maps to item
+        # 0 unrejected, as if no word were taken
+        k, bad = _lemire(words[end - (ln > 1) - 1], ln)
+        x, bad_x = _lemire(words[end - 1], n)
+        bad |= bad_x | _in_sorted(codes, u * n + x)
+        f = int(np.argmax(bad)) if bad.any() else u.shape[0]
+        pos[r0:r0 + f] = codes[starts[u[:f]] + k[:f]] - u[:f] * n
+        neg[r0:r0 + f] = x[:f]
+        if f == u.shape[0]:
+            break
+        # take back the words past the accepted users; replay user f alone
+        rng.bit_generator.state = state
+        rng.integers(0, 2 ** 32, size=end[f - 1] if f else 0,
+                     dtype=np.uint32)
+        r = r0 + f
+        ur = int(users[r])
+        pos[r] = codes[starts[ur] + rng.integers(0, int(lens[r]))] - ur * n
+        neg[r] = rng.integers(0, n)
+        while _in_sorted(codes, ur * n + neg[r]):
+            neg[r] = rng.integers(0, n)
+        r0 = r + 1
+    return pos, neg
 
 
 def train_mapping(source_space, target_space, scenario, cfg,
@@ -271,15 +335,18 @@ def train_mapping(source_space, target_space, scenario, cfg,
     if semi:
         src = scenario.source
         u_rows = id_rows(src.user_index, linked)
-        # ascending, so each also serves as the user's sorted blocked set
-        pos_lists = [src.item_neighbors(r) for r in u_rows]
+        deg = src.user_degrees()[u_rows]
+        if np.any(deg == 0):
+            user = src.user_ids[u_rows[deg.argmin()]]
+            raise EmptyBatch(f"linked user {user} has no source items")
+        if np.any(deg >= src.n_items):
+            raise EmptyBatch("no negative source items to sample")
+        # sorted ``linked position * n_items + item`` codes of the linked
+        # users' source items: the positive pool and the blocked negatives
+        starts = np.concatenate([[0], np.cumsum(deg)])
+        codes = np.repeat(np.arange(n), deg) * src.n_items + np.concatenate(
+            [src.item_neighbors(r) for r in u_rows])
         Vsrc = source_space.V[id_rows(source_space.item_index, src.item_ids)]
-        for r, plist in zip(u_rows, pos_lists):
-            if plist.shape[0] == 0:
-                raise EmptyBatch(
-                    f"linked user {src.user_ids[r]} has no source items")
-            if src.n_items - plist.shape[0] < 1:
-                raise EmptyBatch("no negative source items to sample")
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng_perm.permutation(n)
@@ -287,16 +354,9 @@ def train_mapping(source_space, target_space, scenario, cfg,
         for start in range(0, n, cfg.batch_size):
             b = order[start:start + cfg.batch_size]
             Sb, Tb = S[b], T[b]
-            m = b.shape[0]
             if semi:
-                pj = np.empty(m, dtype=np.int64)
-                nk = np.empty(m, dtype=np.int64)
-                for row, ub in enumerate(b):
-                    plist = pos_lists[ub]
-                    pj[row] = plist[int(rng_neg.integers(0,
-                                                         plist.shape[0]))]
-                    nk[row] = _sample_excluding(rng_neg, src.n_items,
-                                                plist)
+                pj, nk = _sample_excluding(rng_neg, src.n_items, b, starts,
+                                           codes)
                 loss, grads, _ = mapping_loss_and_grads(
                     net, Sb, Tb, margin=cfg.margin, lam=cfg.lam,
                     pos_vecs=Vsrc[pj], neg_vecs=Vsrc[nk], anchor_vecs=Tb)

@@ -4,6 +4,11 @@ Embedding training touches only a few rows per step, so a lazy variant is
 provided: first and second moments are updated for the touched rows only,
 while the bias-correction exponent uses the global step count.  Dense
 parameters (the mapping network) use the ordinary update.
+
+The lazy variant sums a repeated row's gradients with one weighted
+``np.bincount`` over the touched rows' compact positions.  Each bin adds
+its gradients in input order starting from 0.0, as ``np.add.at`` does, so
+the sums are bit for bit the same; the cost is O(rows + batch * columns).
 """
 
 import numpy as np
@@ -22,29 +27,43 @@ class Adam:
         self.v = np.zeros(shape)
 
     def _advance(self, m, v, grad):
-        """One more step: new moments and the amount to subtract."""
+        """One more step: update the moments ``m`` and ``v`` in place and
+        return the amount to subtract."""
         self.t += 1
-        m = BETA1 * m + (1.0 - BETA1) * grad
-        v = BETA2 * v + (1.0 - BETA2) * grad * grad
-        delta = self.lr * (m / (1.0 - BETA1 ** self.t))
-        denom = np.sqrt(v / (1.0 - BETA2 ** self.t))
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        sq = (1.0 - BETA2) * grad
+        sq *= grad
+        v += sq
+        delta = m / (1.0 - BETA1 ** self.t)
+        delta *= self.lr
+        denom = np.divide(v, 1.0 - BETA2 ** self.t, out=sq)
+        np.sqrt(denom, out=denom)
         denom += EPS
-        return m, v, np.divide(delta, denom, out=delta)
+        delta /= denom
+        return delta
 
     def step(self, param, grad):
         """In-place dense update of ``param``."""
-        self.m, self.v, delta = self._advance(self.m, self.v, grad)
-        param -= delta
+        param -= self._advance(self.m, self.v, grad)
 
     def step_rows(self, param, idx, grads):
         """In-place update of the rows ``idx`` of ``param`` only, with
         ``grads[j]`` the gradient of row ``idx[j]``: a repeated row's
         gradients are summed.  Rows never touched keep their values and
         zero moments.  Returns the touched rows in ascending order."""
-        rows, inv = np.unique(idx, return_inverse=True)
-        g = np.zeros((rows.shape[0],) + param.shape[1:])
-        np.add.at(g, inv, grads)
-        self.m[rows], self.v[rows], delta = self._advance(
-            self.m[rows], self.v[rows], g)
+        n = param.shape[0]
+        rows = np.flatnonzero(np.bincount(idx, minlength=n) > 0)
+        pos = np.empty(n, dtype=np.intp)
+        pos[rows] = np.arange(rows.shape[0])
+        width = param[0].size
+        cells = (pos[idx] * width)[:, None] + np.arange(width)
+        g = np.bincount(cells.ravel(), weights=grads.ravel(),
+                        minlength=rows.shape[0] * width)
+        g = g.reshape((rows.shape[0],) + param.shape[1:])
+        m, v = self.m[rows], self.v[rows]
+        delta = self._advance(m, v, g)
+        self.m[rows], self.v[rows] = m, v
         param[rows] -= delta
         return rows

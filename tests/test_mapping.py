@@ -11,6 +11,7 @@ from crossrec.errors import (
 )
 from crossrec.mapping import (
     MappingNetwork,
+    _sample_excluding,
     MapTrainConfig,
     init_mapping,
     load_mapping,
@@ -258,6 +259,52 @@ def test_semi_supervised_differs_from_supervised():
     b = train_mapping(src, tgt, scen, MapTrainConfig(
         lam=0.0, learning_rate=0.02, epochs=15, batch_size=4, seed=9))
     assert not np.array_equal(a.w1, b.w1)
+
+
+# -- negative draws --------------------------------------------------------
+
+def _draw_one_by_one(rng, n, users, item_lists):
+    """The per-user scalar calls whose draws and generator state the bulk
+    replay in ``_sample_excluding`` must reproduce."""
+    pos, neg = [], []
+    for u in users:
+        items = item_lists[u]
+        pos.append(items[int(rng.integers(0, items.shape[0]))])
+        while True:
+            x = int(rng.integers(0, n))
+            if not np.any(items == x):
+                break
+        neg.append(x)
+    return pos, neg
+
+
+# 3 * 2**30 and 2**31 + 1 reject a quarter and half of numpy's 32-bit words
+@pytest.mark.parametrize("n", [2, 7, 50, 3 * 2 ** 30, 2 ** 31 + 1])
+def test_bulk_negative_draws_replay_the_scalar_calls(n):
+    meta = np.random.default_rng(n)
+    for case in range(30):
+        n_users = int(meta.integers(1, 10))
+        # a third of the users have one item: their positive takes no word
+        counts = np.where(meta.random(n_users) < 0.3, 1,
+                          meta.integers(1, min(n, 9), size=n_users))
+        item_lists = [np.sort(meta.choice(min(n, 10 ** 6), size=c,
+                                          replace=False))
+                      for c in counts]
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        codes = (np.repeat(np.arange(n_users), counts) * n
+                 + np.concatenate(item_lists))
+        users = meta.integers(0, n_users, size=int(meta.integers(1, 40)))
+        seed = int(meta.integers(2 ** 32))
+        ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        if case % 2:  # start with a buffered 32-bit half
+            ref.integers(0, 5)
+            got.integers(0, 5)
+            assert got.bit_generator.state["has_uint32"] == 1
+        want_pos, want_neg = _draw_one_by_one(ref, n, users, item_lists)
+        pos, neg = _sample_excluding(got, n, users, starts, codes)
+        np.testing.assert_array_equal(pos, want_pos)
+        np.testing.assert_array_equal(neg, want_neg)
+        assert got.bit_generator.state == ref.bit_generator.state
 
 
 def test_train_mapping_recovers_a_rotation():

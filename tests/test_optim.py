@@ -60,3 +60,30 @@ def test_step_and_step_rows_over_every_row_agree_bitwise():
     np.testing.assert_array_equal(opt_dense.m, opt_sparse.m)
     np.testing.assert_array_equal(opt_dense.v, opt_sparse.v)
     assert not np.array_equal(dense, start)
+
+
+def test_step_rows_sums_repeated_rows_in_input_order_like_add_at():
+    """The scatter must give ``np.add.at``'s sums bit for bit: a row seen
+    twelve times in one batch sums its gradients in input order (another
+    order, such as a pairwise sum, changes the bits of this data), also
+    when the parameter has far more rows than the batch touches."""
+    rng = np.random.default_rng(3)
+    n, k = 5000, 4
+    start = rng.normal(size=(n, k))
+    param, ref = start.copy(), start.copy()
+    opt, opt_ref = Adam(start.shape, 0.01), Adam(start.shape, 0.01)
+    for _ in range(3):
+        idx = rng.permutation(np.concatenate(
+            [np.full(12, 7), rng.integers(0, n, size=20)]))
+        grads = rng.normal(size=(idx.shape[0], k)) * 10.0 ** rng.integers(
+            -6, 7, size=(idx.shape[0], 1))
+        acc = np.zeros((n, k))
+        np.add.at(acc, idx, grads)
+        assert not np.array_equal(acc[7], grads[idx == 7][::-1].sum(0))
+        rows = np.unique(idx)
+        np.testing.assert_array_equal(opt.step_rows(param, idx, grads),
+                                      rows)
+        opt_ref.step_rows(ref, rows, acc[rows])
+    np.testing.assert_array_equal(param, ref)
+    np.testing.assert_array_equal(opt.m, opt_ref.m)
+    np.testing.assert_array_equal(opt.v, opt_ref.v)
