@@ -48,14 +48,12 @@ def _round_half_up(x):
 
 
 def _id_index(ids, kind):
-    """First-appearance index of ``ids``, each checked once."""
-    index = {}
-    for x in ids:
-        if x not in index:
-            if not _check_id(x):
-                raise ValueError(f"bad {kind} id {x!r}")
-            index[x] = len(index)
-    return index
+    """First-appearance index of ``ids``, each distinct id checked once."""
+    index = dict.fromkeys(ids)
+    for x in index:
+        if not _check_id(x):
+            raise ValueError(f"bad {kind} id {x!r}")
+    return dict(zip(index, range(len(index))))
 
 
 def id_rows(index, ids, prefix=""):
@@ -82,33 +80,34 @@ class InteractionSet:
                  "_pair_u", "_pair_i", "_indptr")
 
     def __init__(self, pairs, users=None, items=None):
-        pairs = list(pairs)
-        pair_users, pair_items = zip(*pairs) if pairs else ((), ())
-        uindex = _id_index(pair_users if users is None else users, "user")
-        iindex = _id_index(pair_items if items is None else items, "item")
-        self._init(tuple(uindex), tuple(iindex),
-                   [uindex[u] for u in pair_users],
-                   [iindex[i] for i in pair_items])
+        self._init_columns(*(list(zip(*pairs)) or ((), ())), users, items)
 
     @classmethod
     def _from_indices(cls, user_ids, item_ids, pair_u, pair_i):
         """The set over ``user_ids`` x ``item_ids`` holding the index pairs
         ``(pair_u[k], pair_i[k])``; ids must be distinct and valid."""
         obj = cls.__new__(cls)
-        obj._init(tuple(user_ids), tuple(item_ids), pair_u, pair_i)
+        obj._init(dict(zip(user_ids, range(len(user_ids)))),
+                  dict(zip(item_ids, range(len(item_ids)))), pair_u, pair_i)
         return obj
 
-    def _init(self, user_ids, item_ids, pair_u, pair_i):
-        self.user_ids = user_ids
-        self.item_ids = item_ids
-        self._uindex = {u: k for k, u in enumerate(user_ids)}
-        self._iindex = {i: k for k, i in enumerate(item_ids)}
-        n_items = max(len(item_ids), 1)
-        codes = np.unique(np.asarray(pair_u, dtype=np.int64) * n_items
-                          + np.asarray(pair_i, dtype=np.int64))
+    def _init_columns(self, pair_users, pair_items, users=None, items=None):
+        uindex = _id_index(pair_users if users is None else users, "user")
+        iindex = _id_index(pair_items if items is None else items, "item")
+        self._init(uindex, iindex, list(map(uindex.__getitem__, pair_users)),
+                   list(map(iindex.__getitem__, pair_items)))
+
+    def _init(self, uindex, iindex, pair_u, pair_i):
+        self._uindex, self._iindex = uindex, iindex
+        self.user_ids, self.item_ids = tuple(uindex), tuple(iindex)
+        n_items = max(len(iindex), 1)
+        codes = np.sort(np.asarray(pair_u, dtype=np.int64) * n_items
+                        + np.asarray(pair_i, dtype=np.int64))
+        # np.unique hashes before it sorts; deduping sorted codes is faster
+        codes = codes[np.diff(codes, prepend=-1) > 0]
         self._pair_u, self._pair_i = np.divmod(codes, n_items)
         self._indptr = np.searchsorted(self._pair_u,
-                                       np.arange(len(user_ids) + 1))
+                                       np.arange(len(uindex) + 1))
         for a in (self._pair_u, self._pair_i, self._indptr):
             a.setflags(write=False)
 
@@ -235,32 +234,52 @@ class CrossDomainScenario:
     min_other_interactions: int = DEFAULT_MIN_OTHER_INTERACTIONS
 
 
+def _load_plain(body):
+    """``body`` as an :class:`InteractionSet` if it has no ``#``, its tabs
+    and newlines alternate from a tab and its ids are valid; else None."""
+    code = np.frombuffer(body.encode("utf-8"), np.uint8)
+    seps = code[(code == 9) | (code == 10)]
+    if ("#" in body or seps.shape[0] % 2 or (seps[0::2] != 9).any()
+            or (seps[1::2] != 10).any()):
+        return None
+    fields = body.replace("\n", "\t").split("\t")
+    inter = InteractionSet.__new__(InteractionSet)
+    try:
+        inter._init_columns(fields[0:-1:2], fields[1::2])
+    except ValueError:
+        return None  # a bad id, or a blank line: the line rules tell which
+    return inter
+
+
+def _load_lines(path, body):
+    """``body`` parsed one line at a time, as :func:`load_interactions`."""
+    pairs = []
+    for lineno, line in enumerate(body.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise MalformedLine(path, lineno, "expected user<TAB>item")
+        if not _check_id(fields[0]) or not _check_id(fields[1]):
+            raise MalformedLine(path, lineno, f"bad id in {fields[:2]!r}")
+        pairs.append(fields[:2])
+    if not pairs:
+        raise EmptyDataset(f"no interactions in {path}")
+    return InteractionSet(pairs)
+
+
 def load_interactions(path):
     """Parse a ``user<TAB>item`` file into an :class:`InteractionSet`.
 
     Lines starting with ``#`` and blank lines are skipped.  Extra fields
     after the second are ignored.  Raises :class:`MalformedLine` on rows
     that do not carry two usable ids, :class:`EmptyDataset` if nothing is
-    left.
+    left.  Plain files, one ``user<TAB>item`` per line, are split in bulk.
     """
-    pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise MalformedLine(path, lineno,
-                                    "expected user<TAB>item")
-            user, item = fields[0], fields[1]
-            if not _check_id(user) or not _check_id(item):
-                raise MalformedLine(path, lineno,
-                                    f"bad id in {fields[:2]!r}")
-            pairs.append((user, item))
-    if not pairs:
-        raise EmptyDataset(f"no interactions in {path}")
-    return InteractionSet(pairs)
+        body = fh.read()
+    return (_load_plain(body if body.endswith("\n") else body + "\n")
+            or _load_lines(path, body))
 
 
 def _filter_domains(source, target, min_overlap, min_other):
@@ -442,11 +461,17 @@ _META = {"phi": float, "seed": int, "test_fraction": float,
          "train_overlap_users": _ids}
 
 
-def write_interactions(path, interactions):
-    """Write ``user<TAB>item`` lines, sorted, one per pair."""
-    lines = sorted(f"{u}\t{i}\n" for u, i in interactions.pairs())
+def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
+
+
+def write_interactions(path, interactions):
+    """Write ``user<TAB>item`` lines, sorted, one per pair."""
+    pair_u, pair_i = interactions.pair_arrays()
+    users = np.array([u + "\t" for u in interactions.user_ids], object)
+    items = np.array([i + "\n" for i in interactions.item_ids], object)
+    _write_lines(path, sorted(users[pair_u] + items[pair_i]))
 
 
 def save_scenario(scenario, out_dir):
@@ -454,21 +479,15 @@ def save_scenario(scenario, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_interactions(os.path.join(out_dir, _SOURCE_FILE), scenario.source)
     write_interactions(os.path.join(out_dir, _TARGET_FILE), scenario.target)
-    with open(os.path.join(out_dir, _OVERLAP_FILE), "w",
-              encoding="utf-8") as fh:
-        fh.writelines(f"{u}\n" for u in sorted(scenario.overlap_users))
-    with open(os.path.join(out_dir, _TEST_FILE), "w",
-              encoding="utf-8") as fh:
-        for u in sorted(scenario.heldout):
-            t, v = scenario.heldout[u]
-            fh.write(f"{u}\t{t}\t{v}\n")
-    with open(os.path.join(out_dir, _META_FILE), "w",
-              encoding="utf-8") as fh:
-        for key in _META:
-            value = getattr(scenario, key)
-            if isinstance(value, tuple):
-                value = ",".join(sorted(value))
-            fh.write(f"{key}={value}\n")
+    _write_lines(os.path.join(out_dir, _OVERLAP_FILE),
+                 (f"{u}\n" for u in sorted(scenario.overlap_users)))
+    _write_lines(os.path.join(out_dir, _TEST_FILE),
+                 (f"{u}\t{t}\t{v}\n"
+                  for u, (t, v) in sorted(scenario.heldout.items())))
+    meta = {key: getattr(scenario, key) for key in _META}
+    _write_lines(os.path.join(out_dir, _META_FILE), (
+        f"{key}={','.join(sorted(v)) if isinstance(v, tuple) else v}\n"
+        for key, v in meta.items()))
 
 
 def read_key_values(path, error):
@@ -510,15 +529,16 @@ def load_scenario(in_dir):
     with open(os.path.join(in_dir, _OVERLAP_FILE), encoding="utf-8") as fh:
         overlap = tuple(line.strip() for line in fh if line.strip())
     heldout = {}
-    with open(os.path.join(in_dir, _TEST_FILE), encoding="utf-8") as fh:
+    test_path = os.path.join(in_dir, _TEST_FILE)
+    with open(test_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
                 continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedLine(os.path.join(in_dir, _TEST_FILE),
-                                    lineno, "expected user, test, valid")
+            if (len(fields) != 3 or not all(map(_check_id, fields))
+                    or fields[0] in heldout):
+                raise MalformedLine(test_path, lineno, "expected a new user "
+                                    f"and two items, got {fields!r}")
             heldout[fields[0]] = (fields[1], fields[2])
 
     train = load_interactions(os.path.join(in_dir, _TARGET_FILE))

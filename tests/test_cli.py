@@ -377,6 +377,26 @@ def test_scenario_meta_missing_a_key_exits_3(chain, tmp_path, capsys, key):
         "status=failed\nerror=DataError\n")
 
 
+@pytest.mark.parametrize("case", ["repeated user", "id with a space"])
+def test_scenario_malformed_test_file_exits_3(chain, tmp_path, capsys, case):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    test = scen / "test.tsv"
+    lines = test.read_text(encoding="utf-8").splitlines(True)
+    if case == "repeated user":
+        lines.insert(1, lines[0])
+    else:
+        user, _, valid = lines[1].split("\t")
+        lines[1] = f"{user}\tz z\t{valid}"
+    test.write_text("".join(lines), encoding="utf-8")
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{test}:2: " in err
+    assert not report.exists()
+
+
 def test_failed_run_marks_its_manifest(tmp_path, capsys):
     src = tmp_path / "src.tsv"
     src.write_text("u1\ti1\nnot_a_pair\n", encoding="utf-8")

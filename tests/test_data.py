@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +16,18 @@ from crossrec.data import (
     load_scenario,
     sample_negatives,
     save_scenario,
+    write_interactions,
 )
 from crossrec.errors import (
     ConfigError,
+    DataError,
     DegenerateScenario,
     EmptyDataset,
     InsufficientCandidates,
     MalformedLine,
     NoOverlap,
 )
+from crossrec.synth import generate_synthetic
 
 
 # -- InteractionSet ------------------------------------------------------
@@ -111,6 +116,123 @@ def test_load_interactions_empty_file(tmp_path):
     p.write_text("# nothing but comments\n\n")
     with pytest.raises(EmptyDataset):
         load_interactions(p)
+
+
+def _reference_load(path):
+    """The line-by-line parser that preceded the bulk loader, with the
+    index layout computed independently: the oracle for the loader."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) < 2:
+                raise MalformedLine(path, lineno, "expected user<TAB>item")
+            user, item = fields[0], fields[1]
+            if not data._check_id(user) or not data._check_id(item):
+                raise MalformedLine(path, lineno,
+                                    f"bad id in {fields[:2]!r}")
+            pairs.append((user, item))
+    if not pairs:
+        raise EmptyDataset(f"no interactions in {path}")
+    uindex, iindex = {}, {}
+    for u, i in pairs:
+        uindex.setdefault(u, len(uindex))
+        iindex.setdefault(i, len(iindex))
+    codes = sorted({(uindex[u], iindex[i]) for u, i in pairs})
+    pair_u = [a for a, _ in codes]
+    return (tuple(uindex), tuple(iindex), pair_u, [b for _, b in codes],
+            [bisect.bisect_left(pair_u, k) for k in range(len(uindex) + 1)])
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives, in a form two loaders can be compared
+    by: the id tuples and index arrays, or the error's class and text."""
+    try:
+        got = load(path)
+    except DataError as exc:
+        return type(exc), getattr(exc, "lineno", None), str(exc)
+    if isinstance(got, InteractionSet):
+        pair_u, pair_i = got.pair_arrays()
+        return (got.user_ids, got.item_ids, pair_u.tolist(),
+                pair_i.tolist(), got._indptr.tolist())
+    return got
+
+
+_LOADER_CASES = {
+    "plain": "u1\ti1\nu2\ti2\nu1\ti2\n",
+    "comments": "# head\nu1\ti1\n   # indented\n\t# tab first\nu2\ti1\n",
+    "blank_lines": "\nu1\ti1\n\n   \n\t\n\t\t\n \t \nu2\ti2\n",
+    "extra_fields": "u1\ti1\tx\ty\nu2\ti2\t\n",
+    "crlf": "u1\ti1\r\nu2\ti2\r\n",
+    "lone_cr": "u1\ti1\ru2\ti2\r",
+    "mixed_endings": "u1\ti1\r\nu2\ti2\ru3\ti3\n",
+    "no_final_newline": "u1\ti1\nu2\ti2",
+    "hash_in_id": "u#1\ti1\nu2\ti#2\n",
+    "duplicate_pairs": "u1\ti1\nu1\ti1\nu2\ti1\nu1\ti1\n",
+    "no_tab": "u1\ti1\nu2\n",
+    "empty_user": "u1\ti1\n\ti2\n",
+    "empty_item": "u1\ti1\nu2\t\n",
+    "space_in_id": "u1\ti1\nu 2\ti2\n",
+    "nbsp_in_id": "u1\ti1\nu2\ti\u00a02\n",
+    "file_separator_in_id": "u1\ti1\nu2\ti\x1c2\n",
+    "file_separator_line": "\x1c\t\x1c\nu1\ti1\n",
+    "line_separator_in_id": "u1\ti1\u2028u2\ti2\n",
+    "bad_line_after_comment": "# c\nu1\ti1\n# c2\nbad\n",
+    # as many tabs as lines, but not one per line: (a,b),(c,x) is wrong
+    "tabs_equal_lines": "a\tb\tc\nx\n",
+    "crlf_bad_line": "u1\ti1\r\nu2\r\n",
+    "only_comments": "# a\n\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADER_CASES))
+def test_load_interactions_matches_the_line_parser(tmp_path, name):
+    p = tmp_path / "inter.tsv"
+    p.write_bytes(_LOADER_CASES[name].encode("utf-8"))
+    assert _outcome(load_interactions, p) == _outcome(_reference_load, p)
+
+
+_LINE_PIECES = ("u1\ti1", "u2\ti2", "u1\ti2", "u3\ti1\textra", "# note",
+                "  # note", "", " ", "\t", "bad", "u 4\ti4", "u5\t",
+                "u#6\ti#6", "\x1c\ti7", "u8\ti\u00a08")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=8),
+       st.sampled_from(("\n", "\r\n", "\r")), st.booleans())
+def test_load_interactions_matches_the_line_parser_on_any_mix(
+        tmp_path_factory, lines, newline, final_newline):
+    p = tmp_path_factory.mktemp("mix") / "inter.tsv"
+    text = newline.join(lines) + (newline if final_newline else "")
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_interactions, p) == _outcome(_reference_load, p)
+
+
+def test_load_interactions_matches_the_line_parser_at_scale(tmp_path):
+    source, _ = generate_synthetic(2000, 15000, 15000, 8, 0.3, 0.004, 0)
+    p = tmp_path / "source.tsv"
+    write_interactions(p, source)
+    expected = _outcome(_reference_load, p)
+    assert len(expected[2]) == source.n_interactions > 50000
+    assert _outcome(load_interactions, p) == expected
+    # the writer's bytes are those of sorted formatted pairs
+    assert p.read_text(encoding="utf-8") == "".join(
+        sorted(f"{u}\t{i}\n" for u, i in source.pairs()))
+
+
+def test_write_interactions_sorts_whole_lines_not_id_pairs(tmp_path):
+    # "\x01" sorts before the tab, so "a\x01"'s line comes before "a"'s,
+    # and "x\x01" before the newline, so item "x\x01" comes before "x"
+    s = InteractionSet([("a", "x"), ("a\x01", "x"), ("b", "x"),
+                        ("b", "x\x01")])
+    p = tmp_path / "inter.tsv"
+    write_interactions(p, s)
+    assert p.read_bytes() == b"a\x01\tx\na\tx\nb\tx\x01\nb\tx\n"
+    assert set(load_interactions(p).pairs()) == set(s.pairs())
 
 
 # -- build_scenario ------------------------------------------------------
@@ -403,6 +525,33 @@ def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
     for name in ("source.tsv", "target_train.tsv", "overlap.txt",
                  "test.tsv", "meta.txt"):
         assert (d1 / name).read_bytes() == (d3 / name).read_bytes()
+
+
+def _saved_test_file(out_dir):
+    source, target = _filter_toy()
+    save_scenario(build_scenario(source, target, SplitSeedConfig(seed=13)),
+                  out_dir)
+    return out_dir / "test.tsv"
+
+
+def test_load_scenario_rejects_a_repeated_test_user(tmp_path):
+    test = _saved_test_file(tmp_path)
+    lines = test.read_text(encoding="utf-8").splitlines(True)
+    test.write_text(lines[0] + "".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_scenario(tmp_path)
+    assert (exc.value.path, exc.value.lineno) == (str(test), 2)
+
+
+def test_load_scenario_rejects_a_held_out_id_with_a_space(tmp_path):
+    test = _saved_test_file(tmp_path)
+    lines = test.read_text(encoding="utf-8").splitlines(True)
+    user, _, valid = lines[1].split("\t")
+    lines[1] = f"{user}\tz z\t{valid}"
+    test.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_scenario(tmp_path)
+    assert (exc.value.path, exc.value.lineno) == (str(test), 2)
 
 
 def test_build_scenario_is_deterministic():
