@@ -321,8 +321,9 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
 
 # -- embedding file format ----------------------------------------------
 
-def _fmt(x):
-    return format(float(x), ".9g")
+def _fmt_row(row):
+    """A row of floats, space-separated at nine significant digits."""
+    return " ".join(["%.9g"] * len(row)) % tuple(row.tolist())
 
 
 def save_embeddings(space, path):
@@ -335,12 +336,10 @@ def save_embeddings(space, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"K {space.dim} users {len(space.user_ids)} "
                  f"items {len(space.item_ids)} kind {space.kind}\n")
-        for uid, row in zip(space.user_ids, space.U):
-            fh.write("U " + uid + " " + " ".join(_fmt(x) for x in row)
-                     + "\n")
-        for iid, row in zip(space.item_ids, space.V):
-            fh.write("V " + iid + " " + " ".join(_fmt(x) for x in row)
-                     + "\n")
+        for tag, ids, mat in (("U", space.user_ids, space.U),
+                              ("V", space.item_ids, space.V)):
+            for x, row in zip(ids, mat):
+                fh.write(f"{tag} {x} {_fmt_row(row)}\n")
 
 
 def parse_floats(fields, path, lineno):

@@ -45,13 +45,10 @@ def ranking(scores, keys):
 def rank_of_test_item(scores, keys):
     """Position of candidate 0 in the :func:`ranking` of ``scores``: one
     plus the number of strictly better candidates plus the number of
-    equal-scored candidates with a smaller key.  Candidates scored below
-    candidate 0 rank after it anyway, so only the others are ranked."""
-    scores = np.asarray(scores, dtype=float)
-    contenders = scores >= scores[0]
-    contenders[0] = True
-    return 1 + int(np.flatnonzero(ranking(
-        scores[contenders], np.asarray(keys)[contenders]) == 0)[0])
+    equal-scored candidates with a smaller key."""
+    scores, keys = np.asarray(scores, dtype=float), np.asarray(keys)
+    return 1 + int(np.count_nonzero(scores > scores[0])) + int(
+        np.count_nonzero((scores == scores[0]) & (keys < keys[0])))
 
 
 def hit_at(rank, n):
@@ -167,10 +164,11 @@ def evaluate(scorer, scenario, cfg, positive="test"):
     """Rank every held-out user's positive against sampled negatives.
 
     ``scorer(k, rows) -> scores`` (higher is better) is called once per
-    user and repeat with ``k`` the position in ``scenario.test_users`` and
-    ``rows`` target item rows, the positive first.  ``positive`` selects
-    the test item (default) or the validation item; both held-out items
-    are always excluded from the negative pool.
+    user and repeat, all of a user's repeats before the next user, with
+    ``k`` the position in ``scenario.test_users`` and ``rows`` target item
+    rows, the positive first.  ``positive`` selects the test item
+    (default) or the validation item; both held-out items are always
+    excluded from the negative pool.
     """
     if positive not in POSITIVES:
         raise ConfigError(f"positive must be one of {', '.join(POSITIVES)}")
@@ -178,15 +176,14 @@ def evaluate(scorer, scenario, cfg, positive="test"):
     keys = id_keys(scenario.target.item_ids)
     n_items = scenario.target.n_items
     col = POSITIVES.index(positive)
-    report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.phi)
-    for r in range(cfg.repeats):
-        ranks = np.empty(len(held), dtype=np.int64)
-        for k, (pair, blocked) in enumerate(held):
+    ranks = np.empty((cfg.repeats, len(held)), dtype=np.int64)
+    for k, (pair, blocked) in enumerate(held):
+        user = scenario.test_users[k]
+        for r in range(cfg.repeats):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed + r, k]))
             rows = np.concatenate((pair[col:col + 1], sample_negatives(
                 n_items, blocked, cfg.negatives, rng)))
-            user = scenario.test_users[k]
             try:
                 scores = np.asarray(scorer(k, rows), dtype=float)
             except Exception as exc:
@@ -198,7 +195,7 @@ def evaluate(scorer, scenario, cfg, positive="test"):
                     f"{user}, expected {rows.shape}")
             if not np.all(np.isfinite(scores)):
                 raise ScorerFailure(f"non-finite score for user {user}")
-            ranks[k] = rank_of_test_item(scores, keys[rows])
-        report.ranks.append(ranks)
-        report.per_repeat.append(metrics_from_ranks(ranks, cfg.cutoffs))
-    return report
+            ranks[r, k] = rank_of_test_item(scores, keys[rows])
+    return EvalReport(
+        cutoffs=tuple(cfg.cutoffs), phi=scenario.phi, ranks=list(ranks),
+        per_repeat=[metrics_from_ranks(r, cfg.cutoffs) for r in ranks])

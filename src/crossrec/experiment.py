@@ -318,7 +318,13 @@ def make_scorer(scenario, cfg, art):
     Every target item (``t:``-prefixed in a unified space), test user and,
     with hops, source user and item needs a row, found by id; a missing
     one raises :class:`IndexMismatch`, and a space of the wrong kind
-    :class:`DataError`, before anything is scored.
+    :class:`DataError`, before anything is scored.  With ``cfg``'s repeats
+    over 1 and its draw covering half the catalogue or more, consecutive
+    calls for one user score each target row at most once.  An inner-space
+    score is then equal to scoring ``rows`` in one block only up to
+    rounding (the matrix-vector product's last bit depends on a row's
+    place in the block), so a positive and a negative within one ulp can
+    rank apart.
     """
     _check_space_kinds(cfg, art)
     objective, mode = _PLAN[cfg.method]
@@ -336,7 +342,18 @@ def make_scorer(scenario, cfg, art):
         queries = coldstart.cold_start_queries(
             art.source_space, scenario.source, art.net, art.hops, users)
     item_rows = data.id_rows(space.item_index, target.item_ids, prefix)
-    return lambda k, rows: space.scores(item_rows[rows], queries[k])
+    if cfg.eval_repeats < 2 or 2 * (cfg.eval_negatives + 1) < target.n_items:
+        # a user's draws overlap too little for a memo to pay
+        return lambda k, rows: space.scores(item_rows[rows], queries[k])
+    # each row's last score and the user it was scored for
+    scores, owner = np.empty(target.n_items), np.full(target.n_items, -1)
+
+    def scorer(k, rows):
+        new = rows[owner[rows] != k]
+        scores[new] = space.scores(item_rows[new], queries[k])
+        owner[new] = k
+        return scores[rows]
+    return scorer
 
 
 def evaluate_method(scenario, cfg, art):

@@ -33,7 +33,7 @@ from .errors import (
     NoOverlapUsers,
 )
 from .data import id_rows
-from .embed import (_fmt, header_count, metric_hinge, parse_floats,
+from .embed import (_fmt_row, header_count, metric_hinge, parse_floats,
                     project_rows)
 from .optim import Adam
 
@@ -384,7 +384,7 @@ def save_mapping(net, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"K {net.dim}\n")
         for row in (*net.w1, net.b1, *net.w2, net.b2):
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+            fh.write(_fmt_row(row) + "\n")
 
 
 def load_mapping(path):

@@ -171,6 +171,9 @@ _LOADER_CASES = {
     "mixed_endings": "u1\ti1\r\nu2\ti2\ru3\ti3\n",
     "no_final_newline": "u1\ti1\nu2\ti2",
     "hash_in_id": "u#1\ti1\nu2\ti#2\n",
+    "header_comment": "# user\titem\nu1\ti1\nu2\ti2\n",
+    "comment_with_tab": "#c\tx\nu1\ti1\n",
+    "comment_and_hash_in_id": "# c\nu#1\ti1\n\nu2\ti2\n",
     "duplicate_pairs": "u1\ti1\nu1\ti1\nu2\ti1\nu1\ti1\n",
     "no_tab": "u1\ti1\nu2\n",
     "empty_user": "u1\ti1\n\ti2\n",

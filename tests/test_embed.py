@@ -336,6 +336,35 @@ def test_embedding_save_load_round_trip(tmp_path):
     assert (tmp_path / "emb2.txt").read_bytes() == path.read_bytes()
 
 
+# signed zeros, subnormals, the largest and smallest normal magnitudes,
+# values at the edge of nine digits and of exponent notation, thirds
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -4.9e-322, 2.2250738585072014e-308,
+                -1e-308, 1e308, -1.7976931348623157e308, 1e16, -1e16,
+                1e15, 123456789.0, 1234567890.5, 9.9999999995e-5, 1e-4,
+                0.1, 1 / 3, -2 / 3, 12345.6789012345, 1e-7]
+
+
+def _per_float_row(row):
+    """A saved row as each float formatted on its own."""
+    return " ".join(format(float(x), ".9g") for x in row)
+
+
+def test_saved_rows_match_the_per_float_format(tmp_path):
+    mat = np.array(_EDGE_FLOATS).reshape(4, 5)
+    space = EmbeddingSpace(["a", "b"], ["x", "y"], mat[:2], mat[2:],
+                           "inner")
+    path = tmp_path / "emb.txt"
+    save_embeddings(space, path)
+    assert path.read_text(encoding="utf-8") == (
+        "K 5 users 2 items 2 kind inner\n"
+        + "".join(f"{tag} {x} {_per_float_row(row)}\n" for tag, x, row in
+                  zip("UUVV", ("a", "b", "x", "y"), mat)))
+    back = load_embeddings(path)
+    parsed = np.array([float(format(x, ".9g")) for x in _EDGE_FLOATS])
+    assert np.vstack((back.U, back.V)).tobytes() == \
+        parsed.reshape(4, 5).tobytes()
+
+
 def test_load_embeddings_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("not a header\n")

@@ -3,16 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossrec.data import CrossDomainScenario, InteractionSet
+from crossrec.data import (
+    CrossDomainScenario,
+    InteractionSet,
+    sample_negatives,
+)
 from crossrec.errors import ConfigError, ScorerFailure
 from crossrec.evaluation import (
+    POSITIVES,
     EvalConfig,
+    EvalReport,
     evaluate,
+    heldout_rows,
     hit_at,
+    id_keys,
     metrics_from_ranks,
     mrr_at,
     ndcg_at,
     rank_of_test_item,
+    ranking,
 )
 
 # frozen oracle values (mpmath, 30 digits): log(2)/log(3), log(2)/log(11)
@@ -59,6 +68,25 @@ def test_rank_is_a_permutation_position(scores):
     scores = {k: float(v) for k, v in scores.items()}
     ranks = sorted(_rank(scores, item) for item in scores)
     assert ranks == list(range(1, len(scores) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 4.0]),
+                min_size=1, max_size=40),
+       st.sampled_from(["smallest", "middle", "largest"]), st.randoms())
+def test_counted_rank_is_the_position_in_ranking(scores, key0, rnd):
+    # heavy ties, signed zeros, and the positive's key at either end or in
+    # the middle of the keys, which are spread out and shuffled
+    keys = [3 * j + 7 for j in range(len(scores))]
+    rnd.shuffle(keys)
+    want = sorted(keys)[{"smallest": 0, "middle": len(keys) // 2,
+                         "largest": -1}[key0]]
+    j = keys.index(want)
+    keys[0], keys[j] = keys[j], keys[0]
+    scores, keys = np.array(scores), np.array(keys)
+    order = ranking(scores, keys)
+    assert rank_of_test_item(scores, keys) == \
+        1 + int(np.flatnonzero(order == 0)[0])
 
 
 # -- pointwise metrics -------------------------------------------------------
@@ -181,7 +209,7 @@ def test_evaluate_is_deterministic_and_repeats_differ():
 
     def scorer(k, rows):
         candidates = _ids(scen, rows)
-        seen.append(tuple(candidates))
+        seen.append((k, tuple(candidates)))
         return np.array([float(int(c[1:])) for c in candidates])
 
     a = evaluate(scorer, scen, cfg)
@@ -190,13 +218,52 @@ def test_evaluate_is_deterministic_and_repeats_differ():
         np.testing.assert_array_equal(ra, rb)
     assert a.per_repeat == b.per_repeat
     # each repeat draws fresh negatives for the same user
-    per_user_first = seen[0]
-    per_user_second = seen[8]   # same user, next repeat
-    assert per_user_first != per_user_second
+    first_run = seen[:cfg.repeats * len(scen.test_users)]
+    user_0 = [candidates for k, candidates in first_run if k == 0]
+    assert len(user_0) == cfg.repeats
+    assert user_0[0] != user_0[1]
     # and a different seed changes the candidate sets
     c = evaluate(scorer, scen, EvalConfig(cutoffs=(10,), repeats=3,
                                           negatives=25, seed=10))
     assert any(not np.array_equal(x, y) for x, y in zip(a.ranks, c.ranks))
+
+
+def _repeat_major_evaluate(scorer, scenario, cfg, positive="test"):
+    """The evaluation loop with repeats outside and users inside, ranking
+    by a full sort: the oracle for :func:`evaluate`'s user-major loop."""
+    held = heldout_rows(scenario, cfg.negatives)
+    keys = id_keys(scenario.target.item_ids)
+    col = POSITIVES.index(positive)
+    report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.phi)
+    for r in range(cfg.repeats):
+        ranks = np.empty(len(held), dtype=np.int64)
+        for k, (pair, blocked) in enumerate(held):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed + r, k]))
+            rows = np.concatenate((pair[col:col + 1], sample_negatives(
+                scenario.target.n_items, blocked, cfg.negatives, rng)))
+            scores = np.asarray(scorer(k, rows), dtype=float)
+            order = ranking(scores, keys[rows])
+            ranks[k] = 1 + int(np.flatnonzero(order == 0)[0])
+        report.ranks.append(ranks)
+        report.per_repeat.append(metrics_from_ranks(ranks, cfg.cutoffs))
+    return report
+
+
+@pytest.mark.parametrize("positive", POSITIVES)
+def test_evaluate_matches_the_repeat_major_loop(positive):
+    scen = _eval_scenario(n_test=12, n_items=80)
+    # a fixed score per (user, item), five levels and signed zeros: ties
+    # everywhere, so the id tie-break decides many ranks
+    levels = np.array([0.0, -0.0, 1.0, 2.0, 3.0, 4.0])
+    table = levels[np.random.default_rng(4).integers(0, 6, size=(12, 80))]
+    cfg = EvalConfig(cutoffs=(1, 5, 10), repeats=4, negatives=40, seed=3)
+    got = evaluate(lambda k, rows: table[k, rows], scen, cfg, positive)
+    want = _repeat_major_evaluate(lambda k, rows: table[k, rows], scen,
+                                  cfg, positive)
+    assert [r.tolist() for r in got.ranks] == \
+        [r.tolist() for r in want.ranks]
+    assert got.to_tsv("M") == want.to_tsv("M")
 
 
 def test_evaluate_excludes_both_heldout_items_from_negatives():

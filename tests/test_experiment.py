@@ -5,12 +5,18 @@ import os
 import numpy as np
 import pytest
 
+from crossrec import data
+from crossrec.data import CrossDomainScenario, InteractionSet
+from crossrec.embed import EmbeddingSpace
 from crossrec.errors import ConfigError
+from crossrec.evaluation import id_keys, rank_of_test_item
 from crossrec.experiment import (
     METHODS,
     ExperimentConfig,
+    MethodArtifacts,
     config_from_mapping,
     derive_seed,
+    make_scorer,
     parse_config_file,
     run_experiment,
 )
@@ -218,3 +224,85 @@ def test_phi_controls_supervision_size(tmp_path):
     assert len(scen_lo.train_overlap_users) == math.floor(0.25 * pool + 0.5)
     assert set(scen_lo.train_overlap_users) <= \
         set(scen_hi.train_overlap_users)
+
+
+# -- scorer -------------------------------------------------------------------
+
+def _unified_case(kind, n_users=4, n_items=70, dim=6):
+    """A scenario whose test users and target items all have rows in one
+    space of ``kind``, its item rows in reverse id order."""
+    items = [f"i{k:03d}" for k in range(n_items)]
+    users = tuple(f"u{k}" for k in range(n_users))
+    target = InteractionSet([("other", items[0])], items=items)
+    scen = CrossDomainScenario(
+        source=target, target=target, overlap_users=users,
+        test_users=users, train_overlap_users=(),
+        heldout={u: (items[1], items[2]) for u in users}, phi=1.0, seed=0)
+    rng = np.random.default_rng(8)
+    U, V = rng.normal(size=(n_users, dim)), rng.normal(size=(n_items, dim))
+    if kind == "metric":  # inside the unit ball
+        U, V = (m / (1.5 * np.linalg.norm(m, axis=1, keepdims=True))
+                for m in (U, V))
+    space = EmbeddingSpace(users, [data.TARGET_PREFIX + i
+                                   for i in reversed(items)], U, V, kind)
+    return scen, space
+
+
+@pytest.mark.parametrize("method", ["CML", "BPR"])
+def test_make_scorer_scores_each_row_once_per_user(monkeypatch, method):
+    kind = "metric" if method == "CML" else "inner"
+    scen, space = _unified_case(kind)
+    real, scored = EmbeddingSpace.scores, []
+
+    def counted(self, rows, q):
+        scored.extend(rows.tolist())
+        return real(self, rows, q)
+
+    monkeypatch.setattr(EmbeddingSpace, "scores", counted)
+    scorer = make_scorer(scen, ExperimentConfig(method=method),
+                         MethodArtifacts(unified_space=space))
+    item_rows = data.id_rows(space.item_index, scen.target.item_ids,
+                             data.TARGET_PREFIX)
+    keys = id_keys(scen.target.item_ids)
+    rng = np.random.default_rng(2)
+    # runs of calls for one user, alternating users, overlapping row sets
+    for k, calls in ((0, 3), (1, 2), (0, 2), (2, 4), (1, 1), (0, 1)):
+        del scored[:]
+        q = space.U[k]
+        for _ in range(calls):
+            rows = rng.choice(scen.target.n_items, size=40, replace=False)
+            got = scorer(k, rows)
+            want = real(space, item_rows[rows], q)
+            if kind == "metric":
+                assert got.tobytes() == want.tobytes()
+            else:  # a gemv's last bit depends on the row's place in it
+                scale = np.abs(space.V[item_rows[rows]]) @ np.abs(q)
+                assert np.all(np.abs(got - want) <= 1e-15 * scale)
+                assert rank_of_test_item(got, keys[rows]) == \
+                    rank_of_test_item(want, keys[rows])
+        assert len(scored) == len(set(scored))
+
+
+@pytest.mark.parametrize("evals", [dict(eval_repeats=1),
+                                   dict(eval_negatives=30)])
+def test_make_scorer_scores_whole_blocks_where_draws_barely_overlap(
+        monkeypatch, evals):
+    # one repeat, or a draw of 31 rows over 70 items: no memo
+    scen, space = _unified_case("inner")
+    real, scored = EmbeddingSpace.scores, []
+
+    def counted(self, rows, q):
+        scored.extend(rows.tolist())
+        return real(self, rows, q)
+
+    monkeypatch.setattr(EmbeddingSpace, "scores", counted)
+    scorer = make_scorer(scen, ExperimentConfig(method="BPR", **evals),
+                         MethodArtifacts(unified_space=space))
+    item_rows = data.id_rows(space.item_index, scen.target.item_ids,
+                             data.TARGET_PREFIX)
+    rows = np.random.default_rng(3).choice(scen.target.n_items, size=40,
+                                           replace=False)
+    for k in (0, 0, 1):
+        want = real(space, item_rows[rows], space.U[k])
+        assert scorer(k, rows).tobytes() == want.tobytes()
+    assert scored == 3 * item_rows[rows].tolist()

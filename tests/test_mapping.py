@@ -388,6 +388,23 @@ def test_mapping_save_load_round_trip(tmp_path):
     assert (tmp_path / "map2.txt").read_bytes() == path.read_bytes()
 
 
+def test_saved_mapping_rows_match_the_per_float_format(tmp_path):
+    edge = [0.0, -0.0, 5e-324, -1e-308, 1e308, -1.7976931348623157e308,
+            1e16, 1 / 3, -2 / 3, 9.9999999995e-5]
+    values = np.resize(edge, 22)  # K = 2: W1 4x2, b1 4, W2 2x4, b2 2
+    w1, b1, w2, b2 = np.split(values, [8, 12, 20])
+    net = MappingNetwork(w1.reshape(4, 2), b1, w2.reshape(2, 4), b2)
+    path = tmp_path / "map.txt"
+    save_mapping(net, path)
+    assert path.read_text(encoding="utf-8") == "K 2\n" + "".join(
+        " ".join(format(float(x), ".9g") for x in row) + "\n"
+        for row in (*net.w1, net.b1, *net.w2, net.b2))
+    back = load_mapping(path)
+    parsed = [float(format(x, ".9g")) for x in values]
+    assert np.concatenate([back.w1.ravel(), back.b1, back.w2.ravel(),
+                           back.b2]).tobytes() == np.array(parsed).tobytes()
+
+
 def test_load_mapping_rejects_wrong_row_count(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("K 2\n1 2\n")
