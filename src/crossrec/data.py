@@ -56,6 +56,12 @@ def _id_index(ids, kind):
     return dict(zip(index, range(len(index))))
 
 
+def id_keys(ids):
+    """Each id's position in Python's sorted order of ``ids``: integer tie
+    keys that order like the id strings themselves."""
+    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+
+
 def id_rows(index, ids, prefix=""):
     """``index(prefix + id)`` of every id as an int64 array: how a saved
     space lines up with scenario ids, whatever its row order.  The first
@@ -80,7 +86,11 @@ class InteractionSet:
                  "_pair_u", "_pair_i", "_indptr")
 
     def __init__(self, pairs, users=None, items=None):
-        self._init_columns(*(list(zip(*pairs)) or ((), ())), users, items)
+        pair_users, pair_items = list(zip(*pairs)) or ((), ())
+        uindex = _id_index(pair_users if users is None else users, "user")
+        iindex = _id_index(pair_items if items is None else items, "item")
+        self._init(uindex, iindex, list(map(uindex.__getitem__, pair_users)),
+                   list(map(iindex.__getitem__, pair_items)))
 
     @classmethod
     def _from_indices(cls, user_ids, item_ids, pair_u, pair_i):
@@ -90,12 +100,6 @@ class InteractionSet:
         obj._init(dict(zip(user_ids, range(len(user_ids)))),
                   dict(zip(item_ids, range(len(item_ids)))), pair_u, pair_i)
         return obj
-
-    def _init_columns(self, pair_users, pair_items, users=None, items=None):
-        uindex = _id_index(pair_users if users is None else users, "user")
-        iindex = _id_index(pair_items if items is None else items, "item")
-        self._init(uindex, iindex, list(map(uindex.__getitem__, pair_users)),
-                   list(map(iindex.__getitem__, pair_items)))
 
     def _init(self, uindex, iindex, pair_u, pair_i):
         self._uindex, self._iindex = uindex, iindex
@@ -234,35 +238,47 @@ class CrossDomainScenario:
     min_other_interactions: int = DEFAULT_MIN_OTHER_INTERACTIONS
 
 
-def _load_plain(body):
-    """``body`` as an :class:`InteractionSet` if it has no ``#``, its tabs
-    and newlines alternate from a tab and its ids are valid; else None."""
-    code = np.frombuffer(body.encode("utf-8"), np.uint8)
-    seps = code[(code == 9) | (code == 10)]
-    if ("#" in body or seps.shape[0] % 2 or (seps[0::2] != 9).any()
-            or (seps[1::2] != 10).any()):
-        return None
-    fields = body.replace("\n", "\t").split("\t")
-    inter = InteractionSet.__new__(InteractionSet)
-    try:
-        inter._init_columns(fields[0:-1:2], fields[1::2])
-    except ValueError:
-        return None  # a bad id, or a blank line: the line rules tell which
-    return inter
+def _field_codes(code, before, after):
+    """Codes of the fields ``code[before[k] + 1:after[k]]`` by first
+    appearance, and the distinct fields decoded in that order.  Fields sort
+    a width at a time (as an integer up to 8 bytes): memory follows bytes."""
+    counts = np.bincount(after - before - 1)
+    by_width = np.argsort(after - before - 1, kind="stable")
+    group, firsts, ids = np.empty_like(by_width), [], []
+    for w, hi in zip(np.flatnonzero(counts), np.cumsum(counts[counts > 0])):
+        rows = by_width[hi - counts[w]:hi]
+        keys = np.lib.stride_tricks.sliding_window_view(code, w)[
+            before[rows] + 1]
+        keys = (keys.view(f"S{w}") if w > 8 else
+                np.pad(keys, ((0, 0), (0, 8 - w))).view(np.uint64)).ravel()
+        order = np.argsort(keys)
+        keys, rows = keys[order], rows[order]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        group[rows] = np.cumsum(new) + (len(ids) - 1)
+        at = np.flatnonzero(new)
+        firsts.append(np.minimum.reduceat(rows, at))
+        # the distinct fields, each ending in a TAB, decoded at once
+        keys = keys[at].view(np.uint8).reshape(at.shape[0], -1)[:, :w]
+        ids += np.pad(keys, ((0, 0), (0, 1)), constant_values=9).tobytes(
+            ).decode("utf-8").split("\t")[:-1]
+    order = np.argsort(np.concatenate(firsts))
+    return np.argsort(order)[group], [ids[k] for k in order]
 
 
-def _load_lines(path, body):
-    """``body`` parsed one line at a time, as :func:`load_interactions`."""
+def _load_lines(path):
+    """``path`` parsed one line at a time, as :func:`load_interactions`."""
     pairs = []
-    for lineno, line in enumerate(body.split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise MalformedLine(path, lineno, "expected user<TAB>item")
-        if not _check_id(fields[0]) or not _check_id(fields[1]):
-            raise MalformedLine(path, lineno, f"bad id in {fields[:2]!r}")
-        pairs.append(fields[:2])
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) < 2:
+                raise MalformedLine(path, lineno, "expected user<TAB>item")
+            if not _check_id(fields[0]) or not _check_id(fields[1]):
+                raise MalformedLine(path, lineno, f"bad id in {fields[:2]!r}")
+            pairs.append(fields[:2])
     if not pairs:
         raise EmptyDataset(f"no interactions in {path}")
     return InteractionSet(pairs)
@@ -274,12 +290,25 @@ def load_interactions(path):
     Lines starting with ``#`` and blank lines are skipped.  Extra fields
     after the second are ignored.  Raises :class:`MalformedLine` on rows
     that do not carry two usable ids, :class:`EmptyDataset` if nothing is
-    left.  Plain files, one ``user<TAB>item`` per line, are split in bulk.
+    left.  Plain files (``user<TAB>item<LF>`` lines, no ``#``, NUL or CR)
+    are parsed as bytes, decoding each distinct id once; others as text.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        body = fh.read()
-    return (_load_plain(body if body.endswith("\n") else body + "\n")
-            or _load_lines(path, body))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    code = np.frombuffer(raw, np.uint8)
+    tabs, ends = np.flatnonzero(code == 9), np.flatnonzero(code == 10)
+    if (not raw.endswith(b"\n") or any(c in raw for c in (b"#", b"\0", b"\r"))
+            or tabs.shape != ends.shape or np.diff(np.column_stack(
+                (tabs, ends)).ravel(), prepend=-1).min() < 2):
+        return _load_lines(path)  # not one user<TAB>item<LF> per line
+    try:
+        pair_u, users = _field_codes(code, np.append(-1, ends[:-1]), tabs)
+        pair_i, items = _field_codes(code, tabs, ends)
+    except UnicodeDecodeError:
+        return _load_lines(path)
+    if any("\t".join(ids).split() != ids for ids in (users, items)):
+        return _load_lines(path)  # a bad id: the line rules tell which line
+    return InteractionSet._from_indices(users, items, pair_u, pair_i)
 
 
 def _filter_domains(source, target, min_overlap, min_other):
@@ -467,11 +496,17 @@ def _write_lines(path, lines):
 
 
 def write_interactions(path, interactions):
-    """Write ``user<TAB>item`` lines, sorted, one per pair."""
+    """Write ``user<TAB>item`` lines, sorted, one per pair.  Ids hold no
+    TAB or LF, so ordering pairs by ``user + TAB``, then ``item + LF``,
+    sorts whole lines; they are joined from the ids in blocks."""
     pair_u, pair_i = interactions.pair_arrays()
     users = np.array([u + "\t" for u in interactions.user_ids], object)
     items = np.array([i + "\n" for i in interactions.item_ids], object)
-    _write_lines(path, sorted(users[pair_u] + items[pair_i]))
+    order = np.argsort(id_keys(users)[pair_u] * len(items)
+                       + id_keys(items)[pair_i])
+    blocks = np.split(order, range(4096, len(order), 4096))
+    _write_lines(path, ("".join(np.stack((users[pair_u[r]], items[pair_i[r]]),
+                                         1).ravel().tolist()) for r in blocks))
 
 
 def save_scenario(scenario, out_dir):

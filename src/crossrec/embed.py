@@ -285,8 +285,8 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
     pos_u, pos_i = interactions.pair_arrays()
     codes = pos_u * n_items + pos_i  # sorted because pairs are
     n_pairs = pos_u.shape[0]
-    if np.any(interactions.user_degrees()[np.unique(pos_u)] >= n_items):
-        raise InsufficientCandidates(0, 1)  # some user has no negatives
+    if np.any(interactions.user_degrees() >= n_items):
+        raise InsufficientCandidates(0, 1)  # some user holds every item
 
     opt_u = Adam(U.shape, cfg.learning_rate)
     opt_v = Adam(V.shape, cfg.learning_rate)

@@ -23,18 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import id_rows, sample_negatives
+from .data import id_keys, id_rows, sample_negatives
 from .errors import ConfigError, InsufficientCandidates, ScorerFailure
 
 _DEFAULT_CUTOFFS = (10, 20)
 # which held-out item :func:`evaluate` ranks
 POSITIVES = ("test", "valid")
-
-
-def id_keys(ids):
-    """Each id's position in Python's sorted order of ``ids``: integer tie
-    keys that order like the id strings themselves."""
-    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
 
 def ranking(scores, keys):
@@ -152,7 +146,8 @@ def heldout_rows(scenario, negatives):
         held = id_rows(target.item_index, scenario.heldout[user])
         seen = (target.item_neighbors(target.user_index(user))
                 if target.has_user(user) else held[:0])
-        blocked = np.union1d(seen, held)
+        blocked = np.sort(np.concatenate([seen, held]))
+        blocked = blocked[np.diff(blocked, prepend=-1) > 0]
         pool = target.n_items - blocked.shape[0]
         if pool < negatives:
             raise InsufficientCandidates(pool, negatives)

@@ -6,8 +6,11 @@ invocation with the same seed, then the tests compare artifacts byte for
 byte.  Exit-code tests poke each error path.
 """
 
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import tempfile
 import textwrap
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossrec
 from crossrec import embed
 from crossrec.cli import main
 from crossrec.data import load_scenario
@@ -866,3 +870,33 @@ def test_scenario_meta_junk_exits_3(chain, tmp_path, capsys, extra, message):
     err = capsys.readouterr().err
     assert err == "error: " + message.format(meta=meta) + "\n"
     assert not report.exists()
+
+
+def _modules_after(args):
+    """Exit code of ``crossrec args`` in a new interpreter, and whether
+    it imported ``numpy.ma``."""
+    script = ("import sys\nfrom crossrec.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print('numpy.ma' in sys.modules)\nsys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(crossrec.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, (proc.stdout.splitlines() or [proc.stderr])[-1]
+
+
+@pytest.mark.parametrize("method", ["ITEMPOP", "SSCDR"])
+def test_run_does_not_import_numpy_ma(tmp_path, method):
+    # np.unique and np.union1d import numpy.ma, costing every process
+    # time and memory it does not need
+    run_cfg = _write(tmp_path / "run.cfg", RUN_CFG + f"method={method}\n")
+    assert _modules_after(["run", "--config", run_cfg, "--out",
+                           str(tmp_path / "run")]) == (0, "False")
+
+
+def test_eval_does_not_import_numpy_ma(chain, tmp_path):
+    assert _modules_after([
+        "eval", "--config", chain["pipe_cfg"], "--scenario",
+        str(chain["scen"]), "--method", "SSCDR", "--source-emb",
+        chain["src_emb"], "--target-emb", chain["tgt_emb"], "--mapping",
+        chain["net"], "--out", str(tmp_path / "r.tsv")]) == (0, "False")

@@ -1,4 +1,5 @@
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ def test_load_interactions_malformed_line(tmp_path):
     assert exc.value.lineno == 2
 
 
+def test_load_interactions_reports_invalid_utf8_at_its_file_offset(
+        tmp_path):
+    # the line reader reports it, not the byte parser's decode of one id
+    p = tmp_path / "bad.tsv"
+    p.write_bytes(b"u1\ti1\nu2\ti\xff2\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_interactions(p)
+    assert exc.value.start == 10
+
+
 def test_load_interactions_rejects_id_with_space(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("user one\ti1\n")
@@ -154,6 +165,8 @@ def _outcome(load, path):
         got = load(path)
     except DataError as exc:
         return type(exc), getattr(exc, "lineno", None), str(exc)
+    except UnicodeDecodeError as exc:
+        return type(exc)  # where decoding stops depends on the reader
     if isinstance(got, InteractionSet):
         pair_u, pair_i = got.pair_arrays()
         return (got.user_ids, got.item_ids, pair_u.tolist(),
@@ -189,42 +202,106 @@ _LOADER_CASES = {
     "crlf_bad_line": "u1\ti1\r\nu2\r\n",
     "only_comments": "# a\n\n",
     "empty": "",
+    "nul_in_id": "u1\ti1\nu\x002\ti\x00\n",
+    "multibyte_utf8": "u\u00e9\ti\u4e2d\nu\U0001f600\ti\u00e9\nu\u00e9\ti1\n",
+    "invalid_utf8": b"u1\ti1\nu\xff2\ti2\n",
+    "truncated_utf8": b"u1\ti\xe4\xb8\nu2\ti2\n",
+    # one 4,096-byte id among 50,000 short ones
+    "long_id": "".join(f"u{k % 997}\ti{k % 89}\n" for k in range(25000))
+    + "u" * 4096 + "\ti1\n"
+    + "".join(f"u{k % 991}\ti{k % 83}\n" for k in range(25000)),
+    # widths 1 to 40, on both sides of 8 bytes, many sharing prefixes
+    "many_widths": "".join(f"{'u' * (k % 40 + 1)}{k % 3}\t"
+                           f"{'i' * (k % 23)}{k % 7}\n" for k in range(600)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_LOADER_CASES))
 def test_load_interactions_matches_the_line_parser(tmp_path, name):
+    case = _LOADER_CASES[name]
     p = tmp_path / "inter.tsv"
-    p.write_bytes(_LOADER_CASES[name].encode("utf-8"))
+    p.write_bytes(case if isinstance(case, bytes) else case.encode("utf-8"))
     assert _outcome(load_interactions, p) == _outcome(_reference_load, p)
 
 
-_LINE_PIECES = ("u1\ti1", "u2\ti2", "u1\ti2", "u3\ti1\textra", "# note",
-                "  # note", "", " ", "\t", "bad", "u 4\ti4", "u5\t",
-                "u#6\ti#6", "\x1c\ti7", "u8\ti\u00a08")
+_LINE_PIECES = tuple(x.encode("utf-8") for x in (
+    "u1\ti1", "u2\ti2", "u1\ti2", "u3\ti1\textra", "# note", "  # note",
+    "", " ", "\t", "bad", "u 4\ti4", "u5\t", "u#6\ti#6", "\x1c\ti7",
+    "u8\ti\u00a08", "u\x009\ti9", "u\u00e9\ti\u4e2d", "u1\t\U0001f600",
+    "a_user_id_longer_than_8\ti1", "u1\tan_item_longer_than_8"
+)) + (b"u\xff\ti1", b"u1\ti\xe4\xb8")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(_LINE_PIECES), max_size=8),
-       st.sampled_from(("\n", "\r\n", "\r")), st.booleans())
+       st.sampled_from((b"\n", b"\r\n", b"\r")), st.booleans())
 def test_load_interactions_matches_the_line_parser_on_any_mix(
         tmp_path_factory, lines, newline, final_newline):
     p = tmp_path_factory.mktemp("mix") / "inter.tsv"
-    text = newline.join(lines) + (newline if final_newline else "")
-    p.write_bytes(text.encode("utf-8"))
+    p.write_bytes(newline.join(lines) + (newline if final_newline else b""))
     assert _outcome(load_interactions, p) == _outcome(_reference_load, p)
 
 
-def test_load_interactions_matches_the_line_parser_at_scale(tmp_path):
+@pytest.fixture(scope="module")
+def scale_file(tmp_path_factory):
+    """A 78,000-pair source domain and the file it is written to."""
     source, _ = generate_synthetic(2000, 15000, 15000, 8, 0.3, 0.004, 0)
-    p = tmp_path / "source.tsv"
+    p = tmp_path_factory.mktemp("scale") / "source.tsv"
     write_interactions(p, source)
+    return source, p
+
+
+def test_load_interactions_matches_the_line_parser_at_scale(scale_file):
+    source, p = scale_file
     expected = _outcome(_reference_load, p)
     assert len(expected[2]) == source.n_interactions > 50000
     assert _outcome(load_interactions, p) == expected
     # the writer's bytes are those of sorted formatted pairs
     assert p.read_text(encoding="utf-8") == "".join(
         sorted(f"{u}\t{i}\n" for u, i in source.pairs()))
+
+
+def _traced_peak(call):
+    """Bytes ``call()`` holds at its peak, by tracemalloc, after a warm-up
+    call has paid for one-off imports and caches."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_peaks_within_eight_file_sizes(scale_file):
+    # the peak includes the loaded set, about three file sizes
+    _, p = scale_file
+    assert _traced_peak(lambda: load_interactions(p)) \
+        <= 8 * p.stat().st_size
+
+
+def test_writing_peaks_within_four_file_sizes(scale_file, tmp_path):
+    source, p = scale_file
+    out = tmp_path / "out.tsv"
+    assert _traced_peak(lambda: write_interactions(out, source)) \
+        <= 4 * p.stat().st_size
+
+
+_IDS = st.text(alphabet=("a", "b", "\x00", "\x01", "\x08", "\u00e9",
+                         "\u4e2d", "\U0001f600"), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_IDS, _IDS), min_size=1, max_size=30))
+def test_write_interactions_sorts_formatted_pairs(tmp_path_factory, pairs):
+    # ids below the TAB, ids that prefix others and non-ASCII ids
+    s = InteractionSet(pairs)
+    p = tmp_path_factory.mktemp("write") / "inter.tsv"
+    write_interactions(p, s)
+    assert p.read_text(encoding="utf-8") == "".join(
+        sorted(f"{u}\t{i}\n" for u, i in s.pairs()))
+    assert set(load_interactions(p).pairs()) == set(s.pairs())
 
 
 def test_write_interactions_sorts_whole_lines_not_id_pairs(tmp_path):
