@@ -38,8 +38,8 @@ DEFAULT_TEST_FRACTION = 0.5
 
 
 def _check_id(token):
-    # ids are embedded in whitespace-delimited text formats downstream
-    return [token] == token.split()
+    # ids go into whitespace-delimited text, where "#" starts a comment
+    return [token] == token.split() and token[0] != "#"
 
 
 def _round_half_up(x):
@@ -91,27 +91,26 @@ class InteractionSet:
         iindex = _id_index(pair_items if items is None else items, "item")
         self._init(uindex, iindex, list(map(uindex.__getitem__, pair_users)),
                    list(map(iindex.__getitem__, pair_items)))
+        self._uindex, self._iindex = uindex, iindex
 
     @classmethod
     def _from_indices(cls, user_ids, item_ids, pair_u, pair_i):
         """The set over ``user_ids`` x ``item_ids`` holding the index pairs
         ``(pair_u[k], pair_i[k])``; ids must be distinct and valid."""
         obj = cls.__new__(cls)
-        obj._init(dict(zip(user_ids, range(len(user_ids)))),
-                  dict(zip(item_ids, range(len(item_ids)))), pair_u, pair_i)
+        obj._init(user_ids, item_ids, pair_u, pair_i)
         return obj
 
-    def _init(self, uindex, iindex, pair_u, pair_i):
-        self._uindex, self._iindex = uindex, iindex
-        self.user_ids, self.item_ids = tuple(uindex), tuple(iindex)
-        n_items = max(len(iindex), 1)
+    def _init(self, user_ids, item_ids, pair_u, pair_i):
+        self.user_ids, self.item_ids = tuple(user_ids), tuple(item_ids)
+        n_items = max(len(self.item_ids), 1)
         codes = np.sort(np.asarray(pair_u, dtype=np.int64) * n_items
                         + np.asarray(pair_i, dtype=np.int64))
         # np.unique hashes before it sorts; deduping sorted codes is faster
         codes = codes[np.diff(codes, prepend=-1) > 0]
         self._pair_u, self._pair_i = np.divmod(codes, n_items)
         self._indptr = np.searchsorted(self._pair_u,
-                                       np.arange(len(uindex) + 1))
+                                       np.arange(len(self.user_ids) + 1))
         for a in (self._pair_u, self._pair_i, self._indptr):
             a.setflags(write=False)
 
@@ -130,6 +129,14 @@ class InteractionSet:
         return int(self._pair_i.shape[0])
 
     # -- id-level access -----------------------------------------------
+
+    def __getattr__(self, name):
+        # an unset _uindex or _iindex (id -> index) is built on first use
+        if name not in ("_uindex", "_iindex"):
+            raise AttributeError(f"no attribute {name!r}")
+        ids = self.user_ids if name == "_uindex" else self.item_ids
+        setattr(self, name, dict(zip(ids, range(len(ids)))))
+        return getattr(self, name)
 
     def has_user(self, user):
         return user in self._uindex
@@ -238,31 +245,38 @@ class CrossDomainScenario:
     min_other_interactions: int = DEFAULT_MIN_OTHER_INTERACTIONS
 
 
-def _field_codes(code, before, after):
-    """Codes of the fields ``code[before[k] + 1:after[k]]`` by first
+def _field_codes(code, starts, stops):
+    """Codes of the fields ``code[starts[k] + 1:stops[k]]`` by first
     appearance, and the distinct fields decoded in that order.  Fields sort
     a width at a time (as an integer up to 8 bytes): memory follows bytes."""
-    counts = np.bincount(after - before - 1)
-    by_width = np.argsort(after - before - 1, kind="stable")
+    width = stops - starts - 1
+    counts = np.bincount(width)
+    by_width = np.argsort(width, kind="stable").astype(starts.dtype)
     group, firsts, ids = np.empty_like(by_width), [], []
+    del width
     for w, hi in zip(np.flatnonzero(counts), np.cumsum(counts[counts > 0])):
         rows = by_width[hi - counts[w]:hi]
-        keys = np.lib.stride_tricks.sliding_window_view(code, w)[
-            before[rows] + 1]
+        keys = np.lib.stride_tricks.sliding_window_view(code[1:], w)[
+            starts[rows]]
         keys = (keys.view(f"S{w}") if w > 8 else
                 np.pad(keys, ((0, 0), (0, 8 - w))).view(np.uint64)).ravel()
         order = np.argsort(keys)
-        keys, rows = keys[order], rows[order]
+        keys.sort()  # keys[order], without a third array
         new = np.concatenate(([True], keys[1:] != keys[:-1]))
-        group[rows] = np.cumsum(new) + (len(ids) - 1)
-        at = np.flatnonzero(new)
-        firsts.append(np.minimum.reduceat(rows, at))
+        keys = keys[new]  # the sorted copy goes before rows[order] comes
+        rows = rows[order]
+        del order
+        group[rows] = np.cumsum(new, dtype=group.dtype) + (len(ids) - 1)
+        firsts.append(np.minimum.reduceat(rows, np.flatnonzero(new)))
+        del rows
         # the distinct fields, each ending in a TAB, decoded at once
-        keys = keys[at].view(np.uint8).reshape(at.shape[0], -1)[:, :w]
+        keys = keys.view(np.uint8).reshape(keys.shape[0], -1)[:, :w]
         ids += np.pad(keys, ((0, 0), (0, 1)), constant_values=9).tobytes(
             ).decode("utf-8").split("\t")[:-1]
+    del by_width
     order = np.argsort(np.concatenate(firsts))
-    return np.argsort(order)[group], [ids[k] for k in order]
+    return (np.argsort(order).astype(np.min_scalar_type(len(ids)))[group],
+            [ids[k] for k in order])
 
 
 def _load_lines(path):
@@ -294,18 +308,21 @@ def load_interactions(path):
     are parsed as bytes, decoding each distinct id once; others as text.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = b"\n" + fh.read()  # so that every line follows an LF
     code = np.frombuffer(raw, np.uint8)
-    tabs, ends = np.flatnonzero(code == 9), np.flatnonzero(code == 10)
-    if (not raw.endswith(b"\n") or any(c in raw for c in (b"#", b"\0", b"\r"))
-            or tabs.shape != ends.shape or np.diff(np.column_stack(
-                (tabs, ends)).ravel(), prepend=-1).min() < 2):
+    # the added LF, then a TAB and an LF per line; int32 below 2 GiB
+    seps = np.flatnonzero((code == 9) | (code == 10)).astype(
+        np.int64 if code.shape[0] >> 31 else np.int32)
+    if (any(c in raw for c in (b"#", b"\0", b"\r")) or not raw.endswith(b"\n")
+            or seps.shape[0] < 3 or (code[seps[::2]] != 10).any()
+            or (code[seps[1::2]] != 9).any() or np.diff(seps).min() < 2):
         return _load_lines(path)  # not one user<TAB>item<LF> per line
     try:
-        pair_u, users = _field_codes(code, np.append(-1, ends[:-1]), tabs)
-        pair_i, items = _field_codes(code, tabs, ends)
+        pair_u, users = _field_codes(code, seps[:-1:2], seps[1::2])
+        pair_i, items = _field_codes(code, seps[1::2], seps[2::2])
     except UnicodeDecodeError:
         return _load_lines(path)
+    del raw, code, seps  # parsed: free the text before the set is built
     if any("\t".join(ids).split() != ids for ids in (users, items)):
         return _load_lines(path)  # a bad id: the line rules tell which line
     return InteractionSet._from_indices(users, items, pair_u, pair_i)
@@ -578,8 +595,7 @@ def load_scenario(in_dir):
 
     train = load_interactions(os.path.join(in_dir, _TARGET_FILE))
     # held-out items the training pairs never touch join the universe
-    extra = {i for pair in heldout.values() for i in pair
-             if not train.has_item(i)}
+    extra = {i for p in heldout.values() for i in p}.difference(train.item_ids)
     target = InteractionSet._from_indices(
         train.user_ids, train.item_ids + tuple(sorted(extra)),
         *train.pair_arrays())

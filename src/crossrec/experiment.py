@@ -400,11 +400,10 @@ def run_experiment(cfg):
     _write_manifest(cfg, out, "running", {})
     artifacts = {}  # each file, once it is complete
     try:
-        scenario = prepare_scenario(cfg)
         scen_dir = os.path.join(out, "scenario")
-        data.save_scenario(scenario, scen_dir)
         # the disk copy is canonical: continue from exactly what a
-        # separate process would load
+        # separate process would load, holding one copy at a time
+        data.save_scenario(prepare_scenario(cfg), scen_dir)
         scenario = data.load_scenario(scen_dir)
         # fail on a too-small negative pool before any training
         evaluation.heldout_rows(scenario, cfg.eval_negatives)

@@ -218,6 +218,19 @@ def test_malformed_line_exits_3(tmp_path, capsys):
     assert "2" in capsys.readouterr().err
 
 
+def test_item_id_starting_with_hash_exits_3(tmp_path, capsys):
+    # a line starting with "#" is a comment, so no id may start with one
+    src = tmp_path / "src.tsv"
+    src.write_text("u1\ti1\nu2\t#i2\n", encoding="utf-8")
+    tgt = tmp_path / "tgt.tsv"
+    tgt.write_text("u1\tj1\n", encoding="utf-8")
+    code = main(["build-scenario", "--source", str(src),
+                 "--target", str(tgt), "--out", str(tmp_path / "scen")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}:2: ") and err.count("\n") == 1
+
+
 def test_method_flag_overrides_config(tmp_path):
     cfg = _write(tmp_path / "r.cfg", GEN_CFG + "method=SSCDR\nphi=1.0\n"
                  + "min_overlap=2\nmin_other=2\n"
@@ -381,7 +394,8 @@ def test_scenario_meta_missing_a_key_exits_3(chain, tmp_path, capsys, key):
         "status=failed\nerror=DataError\n")
 
 
-@pytest.mark.parametrize("case", ["repeated user", "id with a space"])
+@pytest.mark.parametrize("case", ["repeated user", "id with a space",
+                                  "id starting with #"])
 def test_scenario_malformed_test_file_exits_3(chain, tmp_path, capsys, case):
     scen = tmp_path / "scen"
     shutil.copytree(chain["scen"], scen)
@@ -391,7 +405,8 @@ def test_scenario_malformed_test_file_exits_3(chain, tmp_path, capsys, case):
         lines.insert(1, lines[0])
     else:
         user, _, valid = lines[1].split("\t")
-        lines[1] = f"{user}\tz z\t{valid}"
+        bad = "z z" if case == "id with a space" else "#z"
+        lines[1] = f"{user}\t{bad}\t{valid}"
     test.write_text("".join(lines), encoding="utf-8")
     report = tmp_path / "r.tsv"
     assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",

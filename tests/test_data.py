@@ -28,6 +28,7 @@ from crossrec.errors import (
     MalformedLine,
     NoOverlap,
 )
+from crossrec.experiment import ExperimentConfig, run_experiment
 from crossrec.synth import generate_synthetic
 
 
@@ -62,6 +63,94 @@ def test_interaction_set_rejects_whitespace_ids():
         InteractionSet([("a\u2003b", "x")])  # em space
     with pytest.raises(ValueError):
         InteractionSet([("a", "x\x1cy")])  # file separator
+
+
+@pytest.mark.parametrize("pairs, items", [
+    ([("#u", "a"), ("v", "a")], None), ([("u", "#a")], None),
+    ([("u", "a")], ["a", "#b"])], ids=["user", "item", "universe"])
+def test_interaction_set_rejects_ids_starting_with_hash(pairs, items):
+    # written out, such a user's line would read back as a comment
+    with pytest.raises(ValueError, match="bad (user|item) id '#"):
+        InteractionSet(pairs, items=items)
+    assert InteractionSet([("u#", "a#b")]).pairs() == [("u#", "a#b")]
+
+
+def _built_indexes(s):
+    """The id -> index dicts ``s`` holds, read without building one."""
+    held = []
+    for name in ("_uindex", "_iindex"):
+        try:
+            getattr(InteractionSet, name).__get__(s)
+        except AttributeError:
+            continue
+        held.append(name)
+    return held
+
+
+_LOOKUPS = ("has_user", "user_index", "has_item", "item_index", "has_pair",
+            "items_of", "users_of")
+
+
+def _made(how, pairs, seed, tmp_path_factory):
+    """A fresh set made the way ``how`` names, before any id lookup."""
+    if how in ("pairs", "indices", "file"):
+        s = InteractionSet(pairs)
+        if how == "indices":
+            s = InteractionSet._from_indices(s.user_ids, s.item_ids,
+                                             *s.pair_arrays())
+        elif how == "file":
+            p = tmp_path_factory.mktemp("lookups") / "inter.tsv"
+            write_interactions(p, s)
+            s = load_interactions(p)
+        return s
+    scen = build_scenario(*_filter_toy(), SplitSeedConfig(seed=seed))
+    return build_unified(scen) if how == "unified" else getattr(scen, how)
+
+
+def _outcome_of(call, *args):
+    try:
+        return call(*args)
+    except KeyError:
+        return KeyError
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("pairs", "indices", "file", "source", "target",
+                        "unified")),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=1, max_size=30),
+       st.integers(0, 40),
+       st.lists(st.tuples(st.sampled_from(_LOOKUPS), st.integers(0, 99),
+                          st.integers(0, 99)), min_size=1, max_size=12))
+def test_id_lookups_match_eagerly_built_dicts(tmp_path_factory, how, raw,
+                                              seed, calls):
+    s = _made(how, [(f"u{a}", f"i{b}") for a, b in raw], seed,
+              tmp_path_factory)
+    # only a set built from id pairs keeps the dicts it mapped them with
+    assert _built_indexes(s) == (["_uindex", "_iindex"] if how == "pairs"
+                                 else [])
+    uidx = {u: k for k, u in enumerate(s.user_ids)}
+    iidx = {i: k for k, i in enumerate(s.item_ids)}
+    held = set(zip(*(a.tolist() for a in s.pair_arrays())))
+    expected = {
+        "has_user": lambda u: u in uidx,
+        "user_index": lambda u: uidx[u],
+        "has_item": lambda i: i in iidx,
+        "item_index": lambda i: iidx[i],
+        "has_pair": lambda u, i: (uidx.get(u), iidx.get(i)) in held,
+        "items_of": lambda u: tuple(s.item_ids[i] for v, i in sorted(held)
+                                    if v == uidx.get(u)),
+        "users_of": lambda i: tuple(s.user_ids[u] for u, j in sorted(held)
+                                    if j == iidx.get(i)),
+    }
+    users = s.user_ids + ("nobody", "s:u0", "#u0")
+    items = s.item_ids + ("nothing", "t:i0", "#i0")
+    for name, a, b in calls:
+        u, i = users[a % len(users)], items[b % len(items)]
+        args = {"has_pair": (u, i), "has_user": (u,), "user_index": (u,),
+                "items_of": (u,)}.get(name, (i,))
+        assert _outcome_of(getattr(s, name), *args) \
+            == _outcome_of(expected[name], *args), (name, args)
 
 
 @settings(max_examples=60)
@@ -184,6 +273,7 @@ _LOADER_CASES = {
     "mixed_endings": "u1\ti1\r\nu2\ti2\ru3\ti3\n",
     "no_final_newline": "u1\ti1\nu2\ti2",
     "hash_in_id": "u#1\ti1\nu2\ti#2\n",
+    "hash_first_item": "u1\t#i1\n",
     "header_comment": "# user\titem\nu1\ti1\nu2\ti2\n",
     "comment_with_tab": "#c\tx\nu1\ti1\n",
     "comment_and_hash_in_id": "# c\nu#1\ti1\n\nu2\ti2\n",
@@ -244,10 +334,12 @@ def test_load_interactions_matches_the_line_parser_on_any_mix(
 
 @pytest.fixture(scope="module")
 def scale_file(tmp_path_factory):
-    """A 78,000-pair source domain and the file it is written to."""
-    source, _ = generate_synthetic(2000, 15000, 15000, 8, 0.3, 0.004, 0)
+    """A 78,000-pair source domain and the file it is written to, next to
+    its target domain's ``target.tsv``."""
+    source, target = generate_synthetic(2000, 15000, 15000, 8, 0.3, 0.004, 0)
     p = tmp_path_factory.mktemp("scale") / "source.tsv"
     write_interactions(p, source)
+    write_interactions(p.with_name("target.tsv"), target)
     return source, p
 
 
@@ -274,11 +366,37 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_loading_peaks_within_eight_file_sizes(scale_file):
-    # the peak includes the loaded set, about three file sizes
+def test_loading_peaks_within_four_file_sizes(scale_file):
+    # the peak includes the loaded set, about two file sizes
     _, p = scale_file
     assert _traced_peak(lambda: load_interactions(p)) \
-        <= 8 * p.stat().st_size
+        <= 4 * p.stat().st_size
+
+
+def test_a_set_loaded_and_saved_builds_no_id_index(scale_file, tmp_path):
+    _, p = scale_file
+    s = load_interactions(p)
+    write_interactions(tmp_path / "out.tsv", s)
+    assert _built_indexes(s) == []
+    source, target = _filter_toy()
+    save_scenario(build_scenario(source, target, SplitSeedConfig(seed=3)),
+                  tmp_path / "scen")
+    scen = load_scenario(tmp_path / "scen")
+    save_scenario(scen, tmp_path / "again")
+    assert _built_indexes(scen.source) == _built_indexes(scen.target) == []
+
+
+def test_an_itempop_run_peaks_within_five_input_sizes(scale_file, tmp_path):
+    # it holds one copy of the data at a time: the two loaded domains
+    # while it builds the scenario, then the saved scenario reloaded
+    _, p = scale_file
+    cfg = ExperimentConfig(
+        method="ITEMPOP", out_dir=str(tmp_path / "run"), phi=1.0,
+        source_path=str(p), target_path=str(p.with_name("target.tsv")),
+        min_overlap_interactions=3, min_other_interactions=3,
+        eval_cutoffs=(10,), eval_repeats=1, eval_negatives=999)
+    assert _traced_peak(lambda: run_experiment(cfg)) <= 5 * (
+        p.stat().st_size + p.with_name("target.tsv").stat().st_size)
 
 
 def test_writing_peaks_within_four_file_sizes(scale_file, tmp_path):

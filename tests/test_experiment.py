@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from crossrec import data
+from crossrec import data, experiment
 from crossrec.data import CrossDomainScenario, InteractionSet
 from crossrec.embed import EmbeddingSpace
 from crossrec.errors import ConfigError
@@ -187,6 +188,27 @@ def test_every_trained_method_runs_end_to_end(tmp_path, method):
         assert (out / "source_embeddings.txt").exists()
         assert (out / "target_embeddings.txt").exists()
         assert (out / "mapping.txt").exists()
+
+
+def test_run_lets_the_built_scenario_go_before_reloading_it(tmp_path,
+                                                           monkeypatch):
+    built, loads = [], []
+    prepare, load = experiment.prepare_scenario, data.load_scenario
+
+    def remembered(cfg):
+        scenario = prepare(cfg)
+        built.append(weakref.ref(scenario))
+        return scenario
+
+    def checked(path):
+        # one copy of the data at a time: the saved one replaces it
+        loads.append(built[-1]() is None)
+        return load(path)
+
+    monkeypatch.setattr(experiment, "prepare_scenario", remembered)
+    monkeypatch.setattr(data, "load_scenario", checked)
+    run_experiment(tiny_config("ITEMPOP", tmp_path / "pop"))
+    assert loads == [True]
 
 
 def test_sscdr_with_lambda_zero_reduces_to_emcdr_cml(tmp_path):
