@@ -251,14 +251,17 @@ class EmbeddingSpace:
         return -np.einsum("ij,ij->i", diff, diff)
 
 
+def _in_sorted(sorted_codes, c):
+    """Whether each of ``c`` is in the sorted array ``sorted_codes``."""
+    k = np.searchsorted(sorted_codes, c)
+    return sorted_codes[np.minimum(k, sorted_codes.shape[0] - 1)] == c
+
+
 def _sample_negatives_array(rng, pos_u, codes, n_items):
     """One negative item index per positive pair, rejecting seen pairs."""
     neg = rng.integers(0, n_items, size=pos_u.shape[0])
     while True:
-        cand = pos_u * n_items + neg
-        pos = np.searchsorted(codes, cand)
-        pos = np.minimum(pos, codes.shape[0] - 1)
-        bad = codes[pos] == cand
+        bad = _in_sorted(codes, pos_u * n_items + neg)
         if not np.any(bad):
             return neg
         neg[bad] = rng.integers(0, n_items, size=int(bad.sum()))

@@ -7,11 +7,11 @@ constraint as trained target vectors for any input.
 
 Two training signals:
 
-* supervised: for users known in both domains, pull the mapped source
-  vector onto the user's target vector (squared distance).
-* unsupervised: for any source user, require items they interacted with,
-  once mapped, to sit closer to the mapped-user target anchor than random
-  non-interacted items, via a margin hinge.
+* supervised: for the linked (train-overlap) users, pull the mapped
+  source vector onto the user's target vector (squared distance).
+* unsupervised: for the same users, require a source item the user
+  interacted with, once mapped, to sit closer to the user's target vector
+  than a random source item the user did not touch (a margin hinge).
 
 The total objective is ``L_sup + lam * L_unsup``.  ``lam = 0`` (or mode
 ``supervised-only``) makes both signals collapse onto the identical
@@ -33,8 +33,8 @@ from .errors import (
     NoOverlapUsers,
 )
 from .data import id_rows
-from .embed import (_fmt_row, header_count, metric_hinge, parse_floats,
-                    project_rows)
+from .embed import (_fmt_row, _in_sorted, header_count, metric_hinge,
+                    parse_floats, project_rows)
 from .optim import Adam
 
 MODE_SUPERVISED = "supervised-only"
@@ -226,22 +226,6 @@ def mapping_loss_and_grads(net, sup_src, sup_tgt, margin=1.0, lam=0.0,
     return loss, bp.grads(dY), info
 
 
-def _lemire(words, bound):
-    """numpy's draw from ``range(bound)`` for each 32-bit word in ``words``
-    (Lemire's method): the value, and whether numpy rejects the word and
-    draws another."""
-    bound = np.asarray(bound, dtype=np.uint64)
-    prod = words.astype(np.uint64) * bound
-    reject = (prod & np.uint64(2 ** 32 - 1)) < (2 ** 32 - bound) % bound
-    return (prod >> np.uint64(32)).astype(np.int64), reject
-
-
-def _in_sorted(sorted_codes, c):
-    """Whether each of ``c`` is in the sorted array ``sorted_codes``."""
-    k = np.searchsorted(sorted_codes, c)
-    return sorted_codes[np.minimum(k, sorted_codes.shape[0] - 1)] == c
-
-
 def _sample_excluding(rng, n, users, starts, codes):
     """One (positive, negative) source item pair per entry of ``users``.
 
@@ -254,48 +238,34 @@ def _sample_excluding(rng, n, users, starts, codes):
 
     return, and ``rng`` ends in the state those calls leave it in.
 
-    The calls are replayed in bulk from numpy's own stream.  A draw from
-    ``range(L)``, ``L <= 2**32``, takes one 32-bit word ``w`` (none when
-    ``L == 1``) and is ``(w * L) >> 32``, unless the word is rejected and
-    another taken; the words are the generator's ``next_uint32`` outputs,
-    which ``integers(0, 2**32, dtype=uint32)`` returns one for one (for
-    the PCG64 of ``default_rng``: a buffered high half first, then each
-    64-bit output, low half first).  The users up to the first rejected
-    word or blocked negative are accepted at once; the generator is then
-    rewound to the words they took, that one user is replayed with the
-    scalar calls, and the rest go on in bulk.  A numpy release that draws
-    bounded integers differently fails ``tests/test_mapping.py``.
+    ``rng.integers(0, bounds)`` with an array of bounds draws one value
+    per bound, as that many scalar calls would.  Every user's pair is
+    drawn at once with bounds ``[deg(u0), n, deg(u1), n, ...]``.  At the
+    first blocked negative the generator is rewound and drawn again up
+    to that negative, which is then redrawn alone until it is free, and
+    the users after it go on in bulk.
     """
-    lens = starts[users + 1] - starts[users]
+    bounds = np.full(2 * users.shape[0], n, dtype=np.int64)
+    bounds[::2] = starts[users + 1] - starts[users]
     pos = np.empty(users.shape[0], dtype=np.int64)
     neg = np.empty(users.shape[0], dtype=np.int64)
-    r0 = 0
-    while r0 < users.shape[0]:
-        u, ln = users[r0:], lens[r0:]
-        end = np.cumsum((ln > 1) + 1)  # words per user if none is rejected
+    r = 0
+    while r < users.shape[0]:
+        u = users[r:]
         state = rng.bit_generator.state
-        words = rng.integers(0, 2 ** 32, size=end[-1], dtype=np.uint32)
-        # a one-item user's first word is its negative's: it maps to item
-        # 0 unrejected, as if no word were taken
-        k, bad = _lemire(words[end - (ln > 1) - 1], ln)
-        x, bad_x = _lemire(words[end - 1], n)
-        bad |= bad_x | _in_sorted(codes, u * n + x)
-        f = int(np.argmax(bad)) if bad.any() else u.shape[0]
-        pos[r0:r0 + f] = codes[starts[u[:f]] + k[:f]] - u[:f] * n
-        neg[r0:r0 + f] = x[:f]
-        if f == u.shape[0]:
+        k, x = rng.integers(0, bounds[2 * r:]).reshape(-1, 2).T
+        pos[r:] = codes[starts[u] + k] - u * n
+        neg[r:] = x
+        blocked = _in_sorted(codes, u * n + x)
+        if not blocked.any():
             break
-        # take back the words past the accepted users; replay user f alone
+        f = int(np.argmax(blocked))
         rng.bit_generator.state = state
-        rng.integers(0, 2 ** 32, size=end[f - 1] if f else 0,
-                     dtype=np.uint32)
-        r = r0 + f
-        ur = int(users[r])
-        pos[r] = codes[starts[ur] + rng.integers(0, int(lens[r]))] - ur * n
-        neg[r] = rng.integers(0, n)
-        while _in_sorted(codes, ur * n + neg[r]):
+        rng.integers(0, bounds[2 * r:2 * (r + f + 1)])
+        r += f
+        while _in_sorted(codes, users[r] * n + neg[r]):
             neg[r] = rng.integers(0, n)
-        r0 = r + 1
+        r += 1
     return pos, neg
 
 
@@ -335,17 +305,17 @@ def train_mapping(source_space, target_space, scenario, cfg,
     if semi:
         src = scenario.source
         u_rows = id_rows(src.user_index, linked)
-        deg = src.user_degrees()[u_rows]
+        # sorted ``row * n_items + item`` codes of the source pairs, row
+        # r's at codes[starts[r]:starts[r + 1]]
+        pair_u, pair_i = src.pair_arrays()
+        codes = pair_u * src.n_items + pair_i
+        starts = np.searchsorted(pair_u, np.arange(src.n_users + 1))
+        deg = np.diff(starts)[u_rows]
         if np.any(deg == 0):
             user = src.user_ids[u_rows[deg.argmin()]]
             raise EmptyBatch(f"linked user {user} has no source items")
         if np.any(deg >= src.n_items):
             raise EmptyBatch("no negative source items to sample")
-        # sorted ``linked position * n_items + item`` codes of the linked
-        # users' source items: the positive pool and the blocked negatives
-        starts = np.concatenate([[0], np.cumsum(deg)])
-        codes = np.repeat(np.arange(n), deg) * src.n_items + np.concatenate(
-            [src.item_neighbors(r) for r in u_rows])
         Vsrc = source_space.V[id_rows(source_space.item_index, src.item_ids)]
 
     for epoch in range(1, cfg.epochs + 1):
@@ -355,8 +325,8 @@ def train_mapping(source_space, target_space, scenario, cfg,
             b = order[start:start + cfg.batch_size]
             Sb, Tb = S[b], T[b]
             if semi:
-                pj, nk = _sample_excluding(rng_neg, src.n_items, b, starts,
-                                           codes)
+                pj, nk = _sample_excluding(rng_neg, src.n_items, u_rows[b],
+                                           starts, codes)
                 loss, grads, _ = mapping_loss_and_grads(
                     net, Sb, Tb, margin=cfg.margin, lam=cfg.lam,
                     pos_vecs=Vsrc[pj], neg_vecs=Vsrc[nk], anchor_vecs=Tb)

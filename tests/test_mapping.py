@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crossrec import mapping
 from crossrec.data import CrossDomainScenario, InteractionSet
 from crossrec.embed import EmbeddingSpace
 from crossrec.errors import (
@@ -265,7 +266,7 @@ def test_semi_supervised_differs_from_supervised():
 
 def _draw_one_by_one(rng, n, users, item_lists):
     """The per-user scalar calls whose draws and generator state the bulk
-    replay in ``_sample_excluding`` must reproduce."""
+    draws in ``_sample_excluding`` must reproduce."""
     pos, neg = [], []
     for u in users:
         items = item_lists[u]
@@ -278,13 +279,15 @@ def _draw_one_by_one(rng, n, users, item_lists):
     return pos, neg
 
 
-# 3 * 2**30 and 2**31 + 1 reject a quarter and half of numpy's 32-bit words
-@pytest.mark.parametrize("n", [2, 7, 50, 3 * 2 ** 30, 2 ** 31 + 1])
+# numpy redraws about a quarter and a half of its draws from 3 * 2**30 and
+# 2**31 + 1, and draws from 2**33 + 1 through 64-bit words
+@pytest.mark.parametrize("n", [2, 7, 50, 3 * 2 ** 30, 2 ** 31 + 1,
+                               2 ** 33 + 1])
 def test_bulk_negative_draws_replay_the_scalar_calls(n):
     meta = np.random.default_rng(n)
     for case in range(30):
         n_users = int(meta.integers(1, 10))
-        # a third of the users have one item: their positive takes no word
+        # a third of the users have one item: their positive draws nothing
         counts = np.where(meta.random(n_users) < 0.3, 1,
                           meta.integers(1, min(n, 9), size=n_users))
         item_lists = [np.sort(meta.choice(min(n, 10 ** 6), size=c,
@@ -296,7 +299,7 @@ def test_bulk_negative_draws_replay_the_scalar_calls(n):
         users = meta.integers(0, n_users, size=int(meta.integers(1, 40)))
         seed = int(meta.integers(2 ** 32))
         ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
-        if case % 2:  # start with a buffered 32-bit half
+        if case % 2:  # start with half of a 64-bit output kept back
             ref.integers(0, 5)
             got.integers(0, 5)
             assert got.bit_generator.state["has_uint32"] == 1
@@ -305,6 +308,46 @@ def test_bulk_negative_draws_replay_the_scalar_calls(n):
         np.testing.assert_array_equal(pos, want_pos)
         np.testing.assert_array_equal(neg, want_neg)
         assert got.bit_generator.state == ref.bit_generator.state
+
+
+def test_semi_supervised_triplets_are_drawn_for_linked_users(monkeypatch):
+    # user a holds items 3a..3a+2 only; the linked users sit at source rows
+    # 7, 5, 3, 1, so a batch position is never the user's source row
+    users = [f"u{a}" for a in range(8)]
+    items = [f"s{i:02d}" for i in range(24)]
+    source = InteractionSet([(u, items[3 * a + j])
+                             for a, u in enumerate(users) for j in range(3)],
+                            items=items)
+    linked = ("u7", "u5", "u3", "u1")
+    scen = CrossDomainScenario(
+        source=source, target=InteractionSet([(u, "t0") for u in users]),
+        overlap_users=linked, test_users=(), train_overlap_users=linked,
+        heldout={}, phi=1.0, seed=0)
+    src, tgt = _paired_spaces(scen, 4, seed=3)
+    user_of = {tuple(row): u for u, row in zip(src.user_ids, src.U)}
+    item_of = {tuple(row): i for i, row in zip(src.item_ids, src.V)}
+    assert len(user_of) == len(users) and len(item_of) == len(items)
+
+    triplets = []
+    real = mapping.mapping_loss_and_grads
+
+    def capture(net, Sb, Tb, **kw):
+        for s, p, n, a in zip(Sb, kw["pos_vecs"], kw["neg_vecs"],
+                              kw["anchor_vecs"]):
+            user = user_of[tuple(s)]
+            np.testing.assert_array_equal(a, tgt.U[tgt.user_index(user)])
+            triplets.append((user, item_of[tuple(p)], item_of[tuple(n)]))
+        return real(net, Sb, Tb, **kw)
+
+    monkeypatch.setattr(mapping, "mapping_loss_and_grads", capture)
+    train_mapping(src, tgt, scen, MapTrainConfig(
+        lam=0.5, learning_rate=0.01, epochs=20, batch_size=3, seed=4))
+    assert len(triplets) == 20 * len(linked)
+    for user, pos, neg in triplets:
+        assert user in linked
+        assert pos in source.items_of(user)
+        assert neg not in source.items_of(user)
+    assert {u for u, _, _ in triplets} == set(linked)
 
 
 def test_train_mapping_recovers_a_rotation():
