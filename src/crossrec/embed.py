@@ -10,7 +10,12 @@ Two objectives over the same (user, item, negative item) triplets:
 
 Training walks the observed pairs once per epoch in shuffled mini-batches,
 pairing each with one freshly sampled negative item, and applies Adam to
-the touched rows.
+the touched rows.  A metric triplet whose hinge is inactive has a zero
+subgradient, so it adds no gradient row; the rows it touches still take
+their lazy Adam step with a zero gradient (and are projected).  Leaving
+the zero rows out changes no byte, because each row's gradient sum starts
+at +0.0 and adds its terms in input order, and ``x + (±0.0) == x`` for
+every value such a sum can hold.
 """
 
 from __future__ import annotations
@@ -78,15 +83,18 @@ def _sigmoid(x):
 
 def metric_hinge(A, P, N, margin):
     """``max(0, margin + |A - P|^2 - |A - N|^2)`` per row, with subgradient
-    zero at an exactly-zero argument.  Returns ``(args, loss, gA, gP, gN)``:
-    the hinge arguments, the summed hinge and its gradients."""
+    zero at an exactly-zero argument.  Returns ``(args, loss, rows, gA,
+    gP, gN)``: the hinge arguments, the summed hinge, the active rows
+    (``args > 0``) in ascending order and the gradients of those rows;
+    an inactive row's gradient is zero and is left out."""
     pa, an = P - A, A - N  # |P - A| is |A - P| bit for bit
     dp = np.einsum("ij,ij->i", pa, pa)
     dn = np.einsum("ij,ij->i", an, an)
     arg = margin + dp - dn
     loss = float(np.sum(np.maximum(arg, 0.0)))
-    w = 2.0 * (arg > 0.0)[:, None]
-    return arg, loss, w * (N - P), w * pa, w * an
+    rows = np.flatnonzero(arg > 0.0)
+    return (arg, loss, rows, 2.0 * (N[rows] - P[rows]), 2.0 * pa[rows],
+            2.0 * an[rows])
 
 
 def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
@@ -97,7 +105,10 @@ def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
     squared distances, whose subgradient at an exactly-zero hinge argument
     is zero; ``inner`` is the logistic loss on the score gap plus
     ``l2`` times the squared norms of the three rows (``l2`` applies to
-    ``inner`` only).  Returns ``(loss, gU, gVp, gVn)``.
+    ``inner`` only).  Returns ``(loss, rows, gU, gVp, gVn)``: the triplet
+    rows that have a gradient, and row ``j`` of each gradient belongs to
+    triplet ``rows[j]``.  ``rows`` is every row for ``inner`` and the
+    active hinges for ``metric`` (see :func:`metric_hinge`).
     """
     if kind == KIND_METRIC:
         return metric_hinge(U, Vp, Vn, margin)[1:]
@@ -110,16 +121,18 @@ def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
         gu += 2.0 * l2 * U
         gp += 2.0 * l2 * Vp
         gn += 2.0 * l2 * Vn
-    return loss, gu, gp, gn
+    return loss, np.arange(U.shape[0]), gu, gp, gn
 
 
 def _one_triplet(kind, u, v_pos, v_neg, margin=1.0):
     rows = [np.asarray(x, dtype=float) for x in (u, v_pos, v_neg)]
     if rows[0].shape != rows[1].shape or rows[0].shape != rows[2].shape:
         raise DimensionMismatch("triplet vectors must share one shape")
-    loss, gu, gp, gn = triplet_loss_and_grads(
+    loss, active, *grads = triplet_loss_and_grads(
         kind, *(x[None] for x in rows), margin=margin)
-    return loss, (gu[0], gp[0], gn[0])
+    dense = np.zeros((3, 1) + rows[0].shape)
+    dense[:, active] = grads
+    return loss, tuple(dense[:, 0])
 
 
 def cml_triplet_loss(u, v_pos, v_neg, margin):
@@ -258,13 +271,16 @@ def _in_sorted(sorted_codes, c):
 
 
 def _sample_negatives_array(rng, pos_u, codes, n_items):
-    """One negative item index per positive pair, rejecting seen pairs."""
+    """One negative item index per positive pair, rejecting seen pairs.
+
+    Each round redraws the entries still blocked, in ascending order, and
+    checks only those again: a free entry is never redrawn."""
     neg = rng.integers(0, n_items, size=pos_u.shape[0])
-    while True:
-        bad = _in_sorted(codes, pos_u * n_items + neg)
-        if not np.any(bad):
-            return neg
-        neg[bad] = rng.integers(0, n_items, size=int(bad.sum()))
+    bad = np.flatnonzero(_in_sorted(codes, pos_u * n_items + neg))
+    while bad.shape[0]:
+        neg[bad] = rng.integers(0, n_items, size=bad.shape[0])
+        bad = bad[_in_sorted(codes, pos_u[bad] * n_items + neg[bad])]
+    return neg
 
 
 def train_embeddings(interactions, cfg, objective=KIND_METRIC,
@@ -302,12 +318,13 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
         for start in range(0, n_pairs, cfg.batch_size):
             b = order[start:start + cfg.batch_size]
             bu, bi, bk = pos_u[b], pos_i[b], neg_i[b]
-            loss, gu, gp, gn = triplet_loss_and_grads(
+            loss, live, gu, gp, gn = triplet_loss_and_grads(
                 objective, U[bu], V[bi], V[bk], cfg.margin, cfg.l2_reg)
             epoch_loss += loss
 
-            rows_u = opt_u.step_rows(U, bu, gu)
+            rows_u = opt_u.step_rows(U, bu, bu[live], gu)
             rows_v = opt_v.step_rows(V, np.concatenate([bi, bk]),
+                                     np.concatenate([bi[live], bk[live]]),
                                      np.concatenate([gp, gn]))
             if metric:
                 project_rows(U, rows_u)

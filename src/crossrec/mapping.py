@@ -188,7 +188,10 @@ def mapping_loss_and_grads(net, sup_src, sup_tgt, margin=1.0, lam=0.0,
     item distances, weighted by ``lam``.  Returns ``(loss, grads, info)``
     with ``grads = (dw1, db1, dw2, db2)`` and ``info`` carrying the raw
     output norms and hinge arguments (useful to keep finite-difference
-    checks away from the kinks).
+    checks away from the kinks).  Only the active hinges write their
+    gradients into ``dL/dY``.  An inactive one's rows stay +0.0 where a
+    dense subgradient would hold ±0.0; a signed zero term changes no
+    nonzero sum, so the parameter gradients keep their bits.
     """
     S = np.asarray(sup_src, dtype=float)
     T = np.asarray(sup_tgt, dtype=float)
@@ -216,11 +219,11 @@ def mapping_loss_and_grads(net, sup_src, sup_tgt, margin=1.0, lam=0.0,
     hinge_args = np.empty(0)
     if semi:
         t = P.shape[0]
-        hinge_args, hinge, _, gP, gN = metric_hinge(
+        hinge_args, hinge, live, _, gP, gN = metric_hinge(
             A, Y[m:m + t], Y[m + t:], margin)
         loss += lam * hinge
-        dY[m:m + t] = lam * gP
-        dY[m + t:] = lam * gN
+        dY[m + live] = lam * gP
+        dY[m + t + live] = lam * gN
 
     info = {"raw_norms": bp.norms.copy(), "hinge_args": hinge_args}
     return loss, bp.grads(dY), info

@@ -8,7 +8,13 @@ parameters (the mapping network) use the ordinary update.
 The lazy variant sums a repeated row's gradients with one weighted
 ``np.bincount`` over the touched rows' compact positions.  Each bin adds
 its gradients in input order starting from 0.0, as ``np.add.at`` does, so
-the sums are bit for bit the same; the cost is O(rows + batch * columns).
+the sums are bit for bit the same; the cost is O(rows + gradient rows *
+columns).  The rows a step touches are given apart from the rows that
+carry a gradient, so a caller can leave out gradient rows that are all
+zero, such as those of inactive hinges; a touched row left with no
+gradient still takes its lazy step with a zero gradient.  Leaving them
+out changes no bit: a bin starts at +0.0, a sum that starts there is
+never -0.0, and adding ±0.0 to any other value leaves it as it was.
 """
 
 import numpy as np
@@ -48,13 +54,15 @@ class Adam:
         """In-place dense update of ``param``."""
         param -= self._advance(self.m, self.v, grad)
 
-    def step_rows(self, param, idx, grads):
-        """In-place update of the rows ``idx`` of ``param`` only, with
-        ``grads[j]`` the gradient of row ``idx[j]``: a repeated row's
-        gradients are summed.  Rows never touched keep their values and
-        zero moments.  Returns the touched rows in ascending order."""
+    def step_rows(self, param, touched, idx, grads):
+        """In-place update of the rows ``touched`` of ``param`` only, with
+        ``grads[j]`` a gradient of row ``idx[j]``, each of ``idx`` also in
+        ``touched``: a repeated row's gradients are summed, and a touched
+        row without one steps with a zero gradient.  Rows never touched
+        keep their values and zero moments.  Returns the touched rows in
+        ascending order."""
         n = param.shape[0]
-        rows = np.flatnonzero(np.bincount(idx, minlength=n) > 0)
+        rows = np.flatnonzero(np.bincount(touched, minlength=n) > 0)
         pos = np.empty(n, dtype=np.intp)
         pos[rows] = np.arange(rows.shape[0])
         width = param[0].size

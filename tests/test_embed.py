@@ -4,16 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from crossrec import optim
 from crossrec.data import InteractionSet
 from crossrec.embed import (
     EmbeddingSpace,
     EmbedTrainConfig,
+    _sample_negatives_array,
     bpr_triplet_grad,
     bpr_triplet_loss,
     cml_triplet_grad,
     cml_triplet_loss,
     distance,
     load_embeddings,
+    metric_hinge,
+    project_rows,
     project_unit_ball,
     save_embeddings,
     train_embeddings,
@@ -163,6 +167,17 @@ def test_bpr_gradients_match_finite_differences():
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
 
 
+def _dense(rows, grads, n):
+    """The kernel's gradients of the triplet rows ``rows`` scattered into
+    ``n`` zero rows."""
+    out = []
+    for g in grads:
+        full = np.zeros((n, g.shape[1]))
+        full[rows] = g
+        out.append(full)
+    return out
+
+
 @pytest.mark.parametrize("kind, l2", [("metric", 0.0), ("inner", 0.0),
                                       ("inner", 0.05)])
 def test_batched_kernel_matches_finite_differences(kind, l2):
@@ -171,7 +186,8 @@ def test_batched_kernel_matches_finite_differences(kind, l2):
     U, Vp, Vn = rng.uniform(-0.6, 0.6, size=(3, n, k))
     # row 0 sits exactly on the hinge: d_pos = 0, d_neg = margin
     U[0], Vp[0], Vn[0] = 0.0, 0.0, [1.0, 0.0, 0.0, 0.0]
-    loss, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, margin, l2)
+    loss, rows, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, margin, l2)
+    grads = _dense(rows, grads, n)
     if kind == "metric":
         for g in grads:
             assert not g[0].any()
@@ -201,7 +217,8 @@ def test_scalar_triplet_functions_wrap_the_batched_kernel():
     for kind, loss_fn, grad_fn, extra in (
             ("metric", cml_triplet_loss, cml_triplet_grad, (1.0,)),
             ("inner", bpr_triplet_loss, bpr_triplet_grad, ())):
-        _, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, 1.0)
+        _, rows, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, 1.0)
+        grads = _dense(rows, grads, 5)
         for r in range(5):
             row_loss = triplet_loss_and_grads(
                 kind, U[r:r + 1], Vp[r:r + 1], Vn[r:r + 1], 1.0)[0]
@@ -217,6 +234,25 @@ def test_hinge_subgradient_is_zero_at_the_boundary():
     vn = np.array([1.0, 0.0])
     gu, gp, gn = cml_triplet_grad(u, vp, vn, 1.0)
     assert not gu.any() and not gp.any() and not gn.any()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_metric_hinge_returns_the_active_rows_and_their_gradients(seed):
+    rng = np.random.default_rng(seed)
+    n, k, margin = 64, 5, 0.25
+    A, P, N = rng.uniform(-0.5, 0.5, size=(3, n, k))
+    # rows 0 and 1 sit exactly on the hinge: d_pos = 0, d_neg = margin
+    A[:2], P[:2], N[:2] = 0.0, 0.0, 0.0
+    N[:2, 0] = 0.5
+    arg, loss, rows, gA, gP, gN = metric_hinge(A, P, N, margin)
+    assert arg[0] == arg[1] == 0.0
+    assert 0 < rows.shape[0] < n - 2
+    np.testing.assert_array_equal(rows, np.flatnonzero(arg > 0))
+    assert loss == float(np.sum(np.maximum(arg, 0.0)))
+    w = 2.0 * (arg > 0)[:, None]
+    for full, dense in zip(_dense(rows, (gA, gP, gN), n),
+                           (w * (N - P), w * (P - A), w * (A - N))):
+        assert np.array_equal(full, dense)
 
 
 # -- config and space types ----------------------------------------------
@@ -309,6 +345,134 @@ def test_negative_sampling_never_hits_observed_pairs():
                            batch_size=4, seed=0)
     space = train_embeddings(data, cfg)  # would loop forever on a bug
     assert space.U.shape == (4, 3)
+
+
+def _negatives_rechecking_all(rng, pos_u, codes, n_items):
+    """The sampler that checks every entry again after each round."""
+    neg = rng.integers(0, n_items, size=pos_u.shape[0])
+    while True:
+        bad = np.isin(pos_u * n_items + neg, codes)
+        if not bad.any():
+            return neg
+        neg[bad] = rng.integers(0, n_items, size=int(bad.sum()))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_negative_sampler_rechecks_only_redrawn_entries(seed):
+    """The draws and the generator state it leaves match a sampler that
+    checks every entry in every round."""
+    rng = np.random.default_rng(seed)
+    n_items = 40
+    degrees = [37, 30, 3, 1, 12, 39]
+    pos_u = np.repeat(np.arange(len(degrees)), degrees)
+    pos_i = np.concatenate([np.sort(rng.choice(n_items, d, replace=False))
+                            for d in degrees])
+    codes = pos_u * n_items + pos_i
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = _sample_negatives_array(ours, pos_u, codes, n_items)
+        np.testing.assert_array_equal(
+            got, _negatives_rechecking_all(ref, pos_u, codes, n_items))
+        assert not np.isin(pos_u * n_items + got, codes).any()
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _dense_lazy_adam(opt, param, idx, grads):
+    """Sum the gradients of ``idx`` with ``np.add.at`` into a dense array
+    and take one lazy Adam step on the rows ``idx`` names."""
+    acc = np.zeros_like(param)
+    np.add.at(acc, idx, grads)
+    rows = np.unique(idx)
+    g = acc[rows]
+    opt.t += 1
+    opt.m[rows] = optim.BETA1 * opt.m[rows] + (1.0 - optim.BETA1) * g
+    opt.v[rows] = (optim.BETA2 * opt.v[rows]
+                   + (1.0 - optim.BETA2) * g * g)
+    m_hat = opt.m[rows] / (1.0 - optim.BETA1 ** opt.t)
+    v_hat = opt.v[rows] / (1.0 - optim.BETA2 ** opt.t)
+    param[rows] -= m_hat * opt.lr / (np.sqrt(v_hat) + optim.EPS)
+    return rows
+
+
+def _reference_train(data, cfg, objective):
+    """Training as a dense loop: a gradient row for every triplet, active
+    or not, summed with ``np.add.at``, and every negative checked again
+    in each sampling round.  Returns ``(U, V, loss_history, share of
+    active hinges in the last epoch, most sampling rounds in one
+    epoch)``."""
+    rng = np.random.default_rng(cfg.seed)
+    n_items = data.n_items
+    scale = 1.0 / np.sqrt(cfg.dim)
+    U = rng.uniform(-scale, scale, size=(data.n_users, cfg.dim))
+    V = rng.uniform(-scale, scale, size=(n_items, cfg.dim))
+    pos_u, pos_i = data.pair_arrays()
+    codes = pos_u * n_items + pos_i
+    opt_u = optim.Adam(U.shape, cfg.learning_rate)
+    opt_v = optim.Adam(V.shape, cfg.learning_rate)
+    history, active, rounds = [], 0.0, 0
+    for _ in range(cfg.epochs):
+        neg = rng.integers(0, n_items, size=pos_u.shape[0])
+        n_rounds = 0
+        while True:
+            bad = np.isin(pos_u * n_items + neg, codes)
+            if not bad.any():
+                break
+            neg[bad] = rng.integers(0, n_items, size=int(bad.sum()))
+            n_rounds += 1
+        rounds = max(rounds, n_rounds)
+        order = rng.permutation(pos_u.shape[0])
+        epoch_loss, n_active = 0.0, 0
+        for start in range(0, order.shape[0], cfg.batch_size):
+            b = order[start:start + cfg.batch_size]
+            bu, bi, bk = pos_u[b], pos_i[b], neg[b]
+            A, P, N = U[bu], V[bi], V[bk]
+            if objective == "metric":
+                pa, an = P - A, A - N
+                arg = (cfg.margin + np.einsum("ij,ij->i", pa, pa)
+                       - np.einsum("ij,ij->i", an, an))
+                loss = float(np.sum(np.maximum(arg, 0.0)))
+                w = 2.0 * (arg > 0.0)[:, None]
+                gu, gp, gn = w * (N - P), w * pa, w * an
+                n_active += int(np.sum(arg > 0.0))
+            else:
+                loss, _, gu, gp, gn = triplet_loss_and_grads(
+                    "inner", A, P, N, l2=cfg.l2_reg)
+            epoch_loss += loss
+            rows_u = _dense_lazy_adam(opt_u, U, bu, gu)
+            rows_v = _dense_lazy_adam(opt_v, V, np.concatenate([bi, bk]),
+                                      np.concatenate([gp, gn]))
+            if objective == "metric":
+                project_rows(U, rows_u)
+                project_rows(V, rows_v)
+        history.append(epoch_loss / pos_u.shape[0])
+        active = n_active / pos_u.shape[0]
+    return U, V, history, active, rounds
+
+
+@pytest.mark.parametrize("objective, l2", [("metric", 0.0),
+                                           ("inner", 0.001)])
+def test_training_matches_the_dense_loop_bit_for_bit(objective, l2):
+    n_items = 40
+    rng = np.random.default_rng(5)
+    # user u0 holds 36 of the 40 items, so its negatives are redrawn in
+    # several rounds
+    pairs = [("u0", f"i{j}") for j in range(36)]
+    pairs += [(f"u{a}", f"i{j}") for a in range(1, 25)
+              for j in rng.choice(n_items, 5, replace=False)]
+    data = InteractionSet(pairs, items=[f"i{j}" for j in range(n_items)])
+    cfg = EmbedTrainConfig(dim=6, learning_rate=0.05, l2_reg=l2,
+                           epochs=80, batch_size=32, seed=9)
+    U, V, ref_history, active, rounds = _reference_train(data, cfg,
+                                                         objective)
+    assert rounds >= 3
+    if objective == "metric":
+        assert active < 0.5
+    history = []
+    space = train_embeddings(data, cfg, objective=objective,
+                             loss_history=history)
+    np.testing.assert_array_equal(space.U, U)
+    np.testing.assert_array_equal(space.V, V)
+    assert history == ref_history
 
 
 # -- file format ---------------------------------------------------------

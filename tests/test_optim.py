@@ -25,8 +25,8 @@ def test_step_rows_sums_the_gradients_of_repeated_rows():
         acc = np.zeros((rows.shape[0], 3))
         for i, g in zip(idx, grads):
             acc[np.searchsorted(rows, i)] += g
-        got = opt_raw.step_rows(raw, idx, grads)
-        opt_sum.step_rows(summed, rows, acc)
+        got = opt_raw.step_rows(raw, idx, idx, grads)
+        opt_sum.step_rows(summed, rows, rows, acc)
         np.testing.assert_array_equal(got, rows)
     np.testing.assert_array_equal(raw, summed)
     np.testing.assert_array_equal(opt_raw.m, opt_sum.m)
@@ -40,7 +40,7 @@ def test_rows_never_touched_keep_their_values_and_zero_moments():
     param = start.copy()
     opt = Adam(param.shape, 0.01)
     for idx, grads in _steps(rng, 7, 4):  # rows 7, 8 and 9 never appear
-        opt.step_rows(param, idx, grads)
+        opt.step_rows(param, idx, idx, grads)
     np.testing.assert_array_equal(param[7:], start[7:])
     assert not opt.m[7:].any() and not opt.v[7:].any()
     assert opt.m[:7].any() and not np.array_equal(param[:7], start[:7])
@@ -55,7 +55,7 @@ def test_step_and_step_rows_over_every_row_agree_bitwise():
     for _ in range(6):
         grad = rng.normal(size=start.shape)
         opt_dense.step(dense, grad)
-        opt_sparse.step_rows(sparse, every[::-1], grad[::-1])
+        opt_sparse.step_rows(sparse, every, every[::-1], grad[::-1])
     np.testing.assert_array_equal(dense, sparse)
     np.testing.assert_array_equal(opt_dense.m, opt_sparse.m)
     np.testing.assert_array_equal(opt_dense.v, opt_sparse.v)
@@ -81,9 +81,51 @@ def test_step_rows_sums_repeated_rows_in_input_order_like_add_at():
         np.add.at(acc, idx, grads)
         assert not np.array_equal(acc[7], grads[idx == 7][::-1].sum(0))
         rows = np.unique(idx)
-        np.testing.assert_array_equal(opt.step_rows(param, idx, grads),
+        np.testing.assert_array_equal(opt.step_rows(param, idx, idx, grads),
                                       rows)
-        opt_ref.step_rows(ref, rows, acc[rows])
+        opt_ref.step_rows(ref, rows, rows, acc[rows])
     np.testing.assert_array_equal(param, ref)
     np.testing.assert_array_equal(opt.m, opt_ref.m)
     np.testing.assert_array_equal(opt.v, opt_ref.v)
+
+
+def test_touched_rows_without_a_gradient_step_as_with_zero_gradients():
+    """Leaving out ±0.0 gradient rows changes no bit: the touched rows
+    they name still step, with the same param, moments and step count."""
+    rng = np.random.default_rng(4)
+    start = rng.normal(size=(10, 3))
+    sparse, dense = start.copy(), start.copy()
+    opt_sparse, opt_dense = Adam(start.shape, 0.01), Adam(start.shape, 0.01)
+    for idx, grads in _steps(rng, 8, 6):  # rows 8 and 9 never appear
+        live = rng.random(idx.shape[0]) < 0.4
+        zeros = np.copysign(0.0, rng.normal(size=grads.shape))
+        got = opt_sparse.step_rows(sparse, idx, idx[live], grads[live])
+        want = opt_dense.step_rows(dense, idx, idx,
+                                   np.where(live[:, None], grads, zeros))
+        np.testing.assert_array_equal(got, want)
+    for a, b in ((sparse, dense), (opt_sparse.m, opt_dense.m),
+                 (opt_sparse.v, opt_dense.v)):
+        assert a.tobytes() == b.tobytes()
+    assert opt_sparse.t == opt_dense.t == 6
+    np.testing.assert_array_equal(sparse[8:], start[8:])
+    assert not opt_sparse.m[8:].any() and not opt_sparse.v[8:].any()
+
+
+def test_a_step_with_no_gradient_rows_still_steps_every_touched_row():
+    rng = np.random.default_rng(5)
+    start = rng.normal(size=(6, 3))
+    param = start.copy()
+    opt = Adam(start.shape, 0.01)
+    opt.step_rows(param, np.arange(4), np.arange(4), rng.normal(size=(4, 3)))
+    before, m_before = param.copy(), opt.m.copy()
+    touched = np.array([3, 1, 3, 5])
+    rows = opt.step_rows(param, touched, touched[:0], np.empty((0, 3)))
+    np.testing.assert_array_equal(rows, [1, 3, 5])
+    assert opt.t == 2
+    for r in (1, 3):  # carried momentum moves them
+        assert not np.array_equal(param[r], before[r])
+        np.testing.assert_array_equal(opt.m[r], m_before[r] * 0.9)
+    # a first step with a zero gradient leaves row 5 where it was
+    np.testing.assert_array_equal(param[5], start[5])
+    np.testing.assert_array_equal(param[[0, 2, 4]], before[[0, 2, 4]])
+    assert not opt.m[[4, 5]].any() and not opt.v[[4, 5]].any()
