@@ -1,56 +1,1 @@
 """Cross-domain cold-start recommendation toolkit."""
-
-from .data import (
-    CrossDomainScenario,
-    InteractionSet,
-    SplitSeedConfig,
-    build_scenario,
-    build_unified,
-    load_interactions,
-    load_scenario,
-    sample_negatives,
-    save_scenario,
-)
-from .embed import (
-    EmbeddingSpace,
-    EmbedTrainConfig,
-    bpr_triplet_loss,
-    cml_triplet_loss,
-    distance,
-    load_embeddings,
-    project_unit_ball,
-    save_embeddings,
-    train_embeddings,
-)
-from .mapping import (
-    MappingNetwork,
-    MapTrainConfig,
-    load_mapping,
-    mlp_forward,
-    save_mapping,
-    supervised_loss,
-    total_mapping_loss,
-    train_mapping,
-    unsupervised_triplet_loss,
-)
-from .coldstart import (
-    AggregatedVectors,
-    aggregate_step,
-    infer_cold_start,
-    itempop_rank,
-    multi_hop_user,
-    recommend_topn,
-)
-from .evaluation import (
-    EvalConfig,
-    EvalReport,
-    evaluate,
-    hit_at,
-    mrr_at,
-    ndcg_at,
-    rank_of_test_item,
-)
-from .experiment import ExperimentConfig, run_experiment
-from .synth import generate_synthetic
-
-__version__ = "0.1.0"

@@ -127,7 +127,7 @@ def _cmd_eval(args):
     scenario = data.load_scenario(args.scenario)
     # a too-small negative pool fails before any artifact is read
     evaluation.heldout_rows(scenario, cfg.eval_negatives)
-    art = experiment.MethodArtifacts.for_method(cfg)
+    art = experiment.MethodArtifacts()
     for name, flag in _ARTIFACT_FLAGS.items():
         path = getattr(args, flag[2:].replace("-", "_"))
         if path:

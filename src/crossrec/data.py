@@ -72,7 +72,33 @@ def id_rows(index, ids, prefix=""):
         raise IndexMismatch(f"no row for id {exc.args[0]!r}") from None
 
 
-class InteractionSet:
+class IdLookup:
+    """Users and items by id: ``user_ids`` and ``item_ids`` in row order,
+    and their id -> row dicts, each built on first use unless set."""
+
+    __slots__ = ("user_ids", "item_ids", "_uindex", "_iindex")
+
+    def __getattr__(self, name):
+        if name not in ("_uindex", "_iindex"):
+            raise AttributeError(f"no attribute {name!r}")
+        ids = self.user_ids if name == "_uindex" else self.item_ids
+        setattr(self, name, dict(zip(ids, range(len(ids)))))
+        return getattr(self, name)
+
+    def has_user(self, user):
+        return user in self._uindex
+
+    def has_item(self, item):
+        return item in self._iindex
+
+    def user_index(self, user):
+        return self._uindex[user]
+
+    def item_index(self, item):
+        return self._iindex[item]
+
+
+class InteractionSet(IdLookup):
     """Immutable set of (user, item) pairs with index-level views.
 
     Users and items keep their first-appearance order, which makes every
@@ -82,8 +108,7 @@ class InteractionSet:
     item) index, with per-user offsets into them (compressed sparse rows).
     """
 
-    __slots__ = ("user_ids", "item_ids", "_uindex", "_iindex",
-                 "_pair_u", "_pair_i", "_indptr")
+    __slots__ = ("_pair_u", "_pair_i", "_indptr")
 
     def __init__(self, pairs, users=None, items=None):
         pair_users, pair_items = list(zip(*pairs)) or ((), ())
@@ -129,26 +154,6 @@ class InteractionSet:
         return int(self._pair_i.shape[0])
 
     # -- id-level access -----------------------------------------------
-
-    def __getattr__(self, name):
-        # an unset _uindex or _iindex (id -> index) is built on first use
-        if name not in ("_uindex", "_iindex"):
-            raise AttributeError(f"no attribute {name!r}")
-        ids = self.user_ids if name == "_uindex" else self.item_ids
-        setattr(self, name, dict(zip(ids, range(len(ids)))))
-        return getattr(self, name)
-
-    def has_user(self, user):
-        return user in self._uindex
-
-    def has_item(self, item):
-        return item in self._iindex
-
-    def user_index(self, user):
-        return self._uindex[user]
-
-    def item_index(self, item):
-        return self._iindex[item]
 
     def has_pair(self, user, item):
         u = self._uindex.get(user)
@@ -378,6 +383,11 @@ def _used_items(interactions, pair_mask):
                        minlength=interactions.n_items) > 0
 
 
+def _check_thresholds(min_overlap, min_other):
+    if min_overlap < 1 or min_other < 1:
+        raise ConfigError("filter thresholds must be >= 1")
+
+
 def build_scenario(source, target,
                    cfg,
                    min_overlap_interactions=DEFAULT_MIN_OVERLAP_INTERACTIONS,
@@ -392,9 +402,7 @@ def build_scenario(source, target,
     test split and held-out items do not depend on phi, so scenarios that
     differ only in phi are directly comparable.
     """
-    if min_overlap_interactions < 1 or min_other_interactions < 1:
-        raise ConfigError("filter thresholds must be >= 1")
-
+    _check_thresholds(min_overlap_interactions, min_other_interactions)
     src_alive, src_keep, tgt_alive, tgt_keep, shared = _filter_domains(
         source, target, min_overlap_interactions, min_other_interactions)
     overlap = sorted(target.user_ids[k] for k in shared)
@@ -577,6 +585,12 @@ def load_scenario(in_dir):
         except ValueError as exc:
             raise DataError(f"{meta_path}: bad value {meta[key]!r} for key "
                             f"{key}") from exc
+    try:  # the values build_scenario would accept
+        SplitSeedConfig(parsed["seed"], parsed["test_fraction"], parsed["phi"])
+        _check_thresholds(parsed["min_overlap_interactions"],
+                          parsed["min_other_interactions"])
+    except ConfigError as exc:
+        raise DataError(f"{meta_path}: {exc}") from exc
     source = load_interactions(os.path.join(in_dir, _SOURCE_FILE))
     with open(os.path.join(in_dir, _OVERLAP_FILE), encoding="utf-8") as fh:
         overlap = tuple(line.strip() for line in fh if line.strip())
@@ -592,6 +606,8 @@ def load_scenario(in_dir):
                 raise MalformedLine(test_path, lineno, "expected a new user "
                                     f"and two items, got {fields!r}")
             heldout[fields[0]] = (fields[1], fields[2])
+    if not heldout:
+        raise DegenerateScenario(f"{test_path}: no test users")
 
     train = load_interactions(os.path.join(in_dir, _TARGET_FILE))
     # held-out items the training pairs never touch join the universe

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import IdLookup
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -197,7 +198,7 @@ def _unique_index(ids, kind):
     return index
 
 
-class EmbeddingSpace:
+class EmbeddingSpace(IdLookup):
     """Learned user and item vectors plus the id bookkeeping.
 
     ``kind`` records which score orientation applies: ``metric`` spaces
@@ -206,8 +207,7 @@ class EmbeddingSpace:
     dot product.
     """
 
-    __slots__ = ("user_ids", "item_ids", "U", "V", "kind",
-                 "_uindex", "_iindex")
+    __slots__ = ("U", "V", "kind")
 
     def __init__(self, user_ids, item_ids, U, V, kind):
         if kind not in _KINDS:
@@ -238,20 +238,11 @@ class EmbeddingSpace:
     def dim(self):
         return self.U.shape[1] if self.U.size else self.V.shape[1]
 
-    def has_user(self, user):
-        return user in self._uindex
-
     def user_vec(self, user):
         return self.U[self._uindex[user]]
 
     def item_vec(self, item):
         return self.V[self._iindex[item]]
-
-    def user_index(self, user):
-        return self._uindex[user]
-
-    def item_index(self, item):
-        return self._iindex[item]
 
     def scores(self, rows, q):
         """Scores of the item rows ``rows`` for query ``q``, higher is

@@ -27,7 +27,6 @@ from .data import id_keys, id_rows, sample_negatives
 from .errors import ConfigError, InsufficientCandidates, ScorerFailure
 
 _DEFAULT_CUTOFFS = (10, 20)
-# which held-out item :func:`evaluate` ranks
 POSITIVES = ("test", "valid")
 
 
@@ -63,6 +62,7 @@ class EvalConfig:
     repeats: int = 5
     negatives: int = 999
     seed: int = 0
+    positive: str = "test"  # which held-out item is ranked
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -71,6 +71,9 @@ class EvalConfig:
             raise ConfigError("negatives must be >= 1")
         if not self.cutoffs or any(n < 1 for n in self.cutoffs):
             raise ConfigError("cutoffs must be positive")
+        if self.positive not in POSITIVES:
+            raise ConfigError(f"positive must be one of "
+                              f"{', '.join(POSITIVES)}, got {self.positive!r}")
 
 
 _METRICS = ("HR", "NDCG", "MRR")
@@ -155,22 +158,20 @@ def heldout_rows(scenario, negatives):
     return out
 
 
-def evaluate(scorer, scenario, cfg, positive="test"):
+def evaluate(scorer, scenario, cfg):
     """Rank every held-out user's positive against sampled negatives.
 
     ``scorer(k, rows) -> scores`` (higher is better) is called once per
     user and repeat, all of a user's repeats before the next user, with
     ``k`` the position in ``scenario.test_users`` and ``rows`` target item
-    rows, the positive first.  ``positive`` selects the test item
+    rows, the positive first.  ``cfg.positive`` selects the test item
     (default) or the validation item; both held-out items are always
     excluded from the negative pool.
     """
-    if positive not in POSITIVES:
-        raise ConfigError(f"positive must be one of {', '.join(POSITIVES)}")
     held = heldout_rows(scenario, cfg.negatives)
     keys = id_keys(scenario.target.item_ids)
     n_items = scenario.target.n_items
-    col = POSITIVES.index(positive)
+    col = POSITIVES.index(cfg.positive)
     ranks = np.empty((cfg.repeats, len(held)), dtype=np.int64)
     for k, (pair, blocked) in enumerate(held):
         user = scenario.test_users[k]

@@ -135,10 +135,6 @@ class ExperimentConfig:
         if mode is not None:
             map_config(self)
         eval_config(self)
-        if self.eval_positive not in evaluation.POSITIVES:
-            raise ConfigError(f"eval.positive must be one of "
-                              f"{', '.join(evaluation.POSITIVES)}, got "
-                              f"{self.eval_positive!r}")
 
     def check_hops(self):
         """Reject a negative ``hops``; every command that reads it
@@ -237,7 +233,7 @@ def map_config(cfg):
 def eval_config(cfg):
     return evaluation.EvalConfig(
         cutoffs=cfg.eval_cutoffs, repeats=cfg.eval_repeats,
-        negatives=cfg.eval_negatives,
+        negatives=cfg.eval_negatives, positive=cfg.eval_positive,
         seed=derive_seed(cfg.seed, _SLOT_EVAL))
 
 
@@ -259,13 +255,6 @@ class MethodArtifacts:
     target_space: object = None
     unified_space: object = None
     net: object = None
-    hops: int = 0
-
-    @classmethod
-    def for_method(cls, cfg):
-        """Empty artifacts carrying ``cfg.hops`` where the method
-        aggregates (SSCDR only)."""
-        return cls(hops=cfg.hops if cfg.method == METHOD_SSCDR else 0)
 
 
 def _check_space_kinds(cfg, art):
@@ -315,16 +304,17 @@ def make_scorer(scenario, cfg, art):
     """Build ``scorer(k, rows) -> scores`` (higher is better) for test user
     ``scenario.test_users[k]`` and the target item rows ``rows``.
 
-    Every target item (``t:``-prefixed in a unified space), test user and,
-    with hops, source user and item needs a row, found by id; a missing
-    one raises :class:`IndexMismatch`, and a space of the wrong kind
-    :class:`DataError`, before anything is scored.  With ``cfg``'s repeats
-    over 1 and its draw covering half the catalogue or more, consecutive
-    calls for one user score each target row at most once.  An inner-space
-    score is then equal to scoring ``rows`` in one block only up to
-    rounding (the matrix-vector product's last bit depends on a row's
-    place in the block), so a positive and a negative within one ulp can
-    rank apart.
+    Only SSCDR aggregates: it runs ``cfg.hops`` steps before the mapping,
+    every other method none.  Every target item (``t:``-prefixed in a
+    unified space), test user and, with hops, source user and item needs
+    a row, found by id; a missing one raises :class:`IndexMismatch`, and a
+    space of the wrong kind :class:`DataError`, before anything is scored.
+    With ``cfg``'s repeats over 1 and its draw covering half the catalogue
+    or more, consecutive calls for one user score each target row at most
+    once.  An inner-space score is then equal to scoring ``rows`` in one
+    block only up to rounding (the matrix-vector product's last bit
+    depends on a row's place in the block), so a positive and a negative
+    within one ulp can rank apart.
     """
     _check_space_kinds(cfg, art)
     objective, mode = _PLAN[cfg.method]
@@ -340,7 +330,8 @@ def make_scorer(scenario, cfg, art):
     else:  # translate the (aggregated) source user vectors
         space, prefix = art.target_space, ""
         queries = coldstart.cold_start_queries(
-            art.source_space, scenario.source, art.net, art.hops, users)
+            art.source_space, scenario.source, art.net,
+            cfg.hops if cfg.method == METHOD_SSCDR else 0, users)
     item_rows = data.id_rows(space.item_index, target.item_ids, prefix)
     if cfg.eval_repeats < 2 or 2 * (cfg.eval_negatives + 1) < target.n_items:
         # a user's draws overlap too little for a memo to pay
@@ -360,7 +351,7 @@ def evaluate_method(scenario, cfg, art):
     """The report of ``cfg.method`` scored with ``art`` on ``scenario``,
     and its ``report.tsv`` text, labelled with the scenario's phi."""
     report = evaluation.evaluate(make_scorer(scenario, cfg, art), scenario,
-                                 eval_config(cfg), positive=cfg.eval_positive)
+                                 eval_config(cfg))
     return report, report.to_tsv(cfg.method)
 
 
@@ -407,12 +398,15 @@ def run_experiment(cfg):
         scenario = data.load_scenario(scen_dir)
         # fail on a too-small negative pool before any training
         evaluation.heldout_rows(scenario, cfg.eval_negatives)
-        # a saved scenario brings its own phi
-        cfg = replace(cfg, phi=scenario.phi)
+        # a saved scenario brings its own split settings, the fields
+        # ExperimentConfig and CrossDomainScenario share
+        cfg = replace(cfg, **{k: getattr(scenario, k) for k in (
+            "phi", "test_fraction", "min_overlap_interactions",
+            "min_other_interactions")})
         for name in os.listdir(scen_dir):
             artifacts[f"scenario/{name}"] = os.path.join(scen_dir, name)
 
-        art = MethodArtifacts.for_method(cfg)
+        art = MethodArtifacts()
         for name in required_artifacts(cfg.method):
             fname, save, load = artifact_io(name)
             path = os.path.join(out, fname)

@@ -712,8 +712,8 @@ def _bench_seed_results(seed):
     ecfg = evaluation.EvalConfig(cutoffs=(10,), repeats=5, negatives=999,
                                  seed=d(seed, 6))
 
-    def h10(method, scenario, **art_kw):
-        cfg = experiment.ExperimentConfig(method=method)
+    def h10(method, scenario, hops=0, **art_kw):
+        cfg = experiment.ExperimentConfig(method=method, hops=hops)
         art = experiment.MethodArtifacts(**art_kw)
         scorer = experiment.make_scorer(scenario, cfg, art)
         return evaluation.evaluate(scorer, scenario,

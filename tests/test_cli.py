@@ -306,6 +306,20 @@ def test_run_over_saved_scenario_reports_its_phi(chain, tmp_path):
     assert "\nconfig.phi=0.3\n" in manifest
 
 
+def test_run_over_saved_scenario_records_its_split_settings(chain, tmp_path):
+    # the chain's scenario: phi 1, test_fraction 0.5, both thresholds 2
+    run_cfg = _write(tmp_path / "r.cfg", _with(
+        PIPE_CFG, "phi=0.2", "test_fraction=0.3", "min_overlap=7",
+        "min_other=9", f"scenario={chain['scen']}", "method=ITEMPOP"))
+    assert main(["run", "--config", run_cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    manifest = (tmp_path / "o" / "manifest.txt").read_text()
+    for line in ("config.phi=1.0", "config.test_fraction=0.5",
+                 "config.min_overlap_interactions=2",
+                 "config.min_other_interactions=2"):
+        assert f"\n{line}\n" in manifest
+
+
 def test_export_vectors_takes_hops_from_the_config(chain, tmp_path,
                                                     capsys):
     # PIPE_CFG sets hops=1
@@ -413,6 +427,18 @@ def test_scenario_malformed_test_file_exits_3(chain, tmp_path, capsys, case):
                  str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{test}:2: " in err
+    assert not report.exists()
+
+
+def test_scenario_without_test_users_exits_3(chain, tmp_path, capsys):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    (scen / "test.tsv").write_text("", encoding="utf-8")
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {scen / 'test.tsv'}: no test users\n"
     assert not report.exists()
 
 
@@ -865,6 +891,35 @@ def test_bad_header_count_exits_3_naming_the_file(chain, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"error: {bad}: header field K is 'x', not a count\n"
     assert not (tmp_path / "r.tsv").exists()
+
+
+_META_OUT_OF_RANGE = [
+    ("phi", "nan", "phi must be in (0, 1], got nan"),
+    ("phi", "5", "phi must be in (0, 1], got 5.0"),
+    ("phi", "-1", "phi must be in (0, 1], got -1.0"),
+    ("phi", "inf", "phi must be in (0, 1], got inf"),
+    ("test_fraction", "nan", "test_fraction must be in (0, 1), got nan"),
+    ("test_fraction", "7", "test_fraction must be in (0, 1), got 7.0"),
+    ("min_overlap_interactions", "0", "filter thresholds must be >= 1"),
+    ("min_other_interactions", "-2", "filter thresholds must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", _META_OUT_OF_RANGE,
+                         ids=[f"{k}={v}" for k, v, _ in _META_OUT_OF_RANGE])
+def test_scenario_meta_value_out_of_range_exits_3(chain, tmp_path, capsys,
+                                                  key, value, message):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    meta = scen / "meta.txt"
+    lines = [f"{key}={value}\n" if line.startswith(key + "=") else line
+             for line in meta.read_text(encoding="utf-8").splitlines(True)]
+    meta.write_text("".join(lines), encoding="utf-8")
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("extra, message", [

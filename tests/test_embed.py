@@ -556,3 +556,17 @@ def test_space_rejects_repeated_ids(users, items, repeated):
     with pytest.raises(ValueError, match=f"repeated .* id {repeated}"):
         EmbeddingSpace(users, items, np.zeros((len(users), 2)),
                        np.zeros((len(items), 2)), "inner")
+
+
+def test_space_looks_ids_up_as_an_interaction_set_does():
+    inter = InteractionSet([("u", "i"), ("w", "j"), ("u", "k")])
+    space = EmbeddingSpace(inter.user_ids, inter.item_ids,
+                           np.zeros((2, 2)), np.zeros((3, 2)), "inner")
+    probes = {"user": ("u", "w", "x"), "item": ("i", "j", "k", "u")}
+    for name, ids in probes.items():
+        for x in ids:
+            has = getattr(space, f"has_{name}")(x)
+            assert has == getattr(inter, f"has_{name}")(x)
+            if has:
+                assert getattr(space, f"{name}_index")(x) == \
+                    getattr(inter, f"{name}_index")(x)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,9 +181,9 @@ def test_evaluate_hopeless_scorer_scores_zero():
 
 def test_evaluate_validation_mode_targets_the_validation_item():
     scen = _eval_scenario()
-    cfg = EvalConfig(cutoffs=(10,), repeats=2, negatives=20, seed=3)
-    report = evaluate(_oracle_scorer(scen, "valid"), scen, cfg,
-                      positive="valid")
+    cfg = EvalConfig(cutoffs=(10,), repeats=2, negatives=20, seed=3,
+                     positive="valid")
+    report = evaluate(_oracle_scorer(scen, "valid"), scen, cfg)
     assert report.averaged()[("HR", 10)] == 1.0
 
     # the candidate set carries the validation item and never the test item
@@ -191,7 +193,7 @@ def test_evaluate_validation_mode_targets_the_validation_item():
         assert v in candidates and t not in candidates
         return np.arange(len(candidates), dtype=float)
 
-    evaluate(probing, scen, cfg, positive="valid")
+    evaluate(probing, scen, cfg)
 
     def probing_test(k, rows):
         t, v = scen.heldout[scen.test_users[k]]
@@ -199,7 +201,7 @@ def test_evaluate_validation_mode_targets_the_validation_item():
         assert t in candidates and v not in candidates
         return np.arange(len(candidates), dtype=float)
 
-    evaluate(probing_test, scen, cfg, positive="test")
+    evaluate(probing_test, scen, replace(cfg, positive="test"))
 
 
 def test_evaluate_is_deterministic_and_repeats_differ():
@@ -228,12 +230,12 @@ def test_evaluate_is_deterministic_and_repeats_differ():
     assert any(not np.array_equal(x, y) for x, y in zip(a.ranks, c.ranks))
 
 
-def _repeat_major_evaluate(scorer, scenario, cfg, positive="test"):
+def _repeat_major_evaluate(scorer, scenario, cfg):
     """The evaluation loop with repeats outside and users inside, ranking
     by a full sort: the oracle for :func:`evaluate`'s user-major loop."""
     held = heldout_rows(scenario, cfg.negatives)
     keys = id_keys(scenario.target.item_ids)
-    col = POSITIVES.index(positive)
+    col = POSITIVES.index(cfg.positive)
     report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.phi)
     for r in range(cfg.repeats):
         ranks = np.empty(len(held), dtype=np.int64)
@@ -257,10 +259,10 @@ def test_evaluate_matches_the_repeat_major_loop(positive):
     # everywhere, so the id tie-break decides many ranks
     levels = np.array([0.0, -0.0, 1.0, 2.0, 3.0, 4.0])
     table = levels[np.random.default_rng(4).integers(0, 6, size=(12, 80))]
-    cfg = EvalConfig(cutoffs=(1, 5, 10), repeats=4, negatives=40, seed=3)
-    got = evaluate(lambda k, rows: table[k, rows], scen, cfg, positive)
-    want = _repeat_major_evaluate(lambda k, rows: table[k, rows], scen,
-                                  cfg, positive)
+    cfg = EvalConfig(cutoffs=(1, 5, 10), repeats=4, negatives=40, seed=3,
+                     positive=positive)
+    got = evaluate(lambda k, rows: table[k, rows], scen, cfg)
+    want = _repeat_major_evaluate(lambda k, rows: table[k, rows], scen, cfg)
     assert [r.tolist() for r in got.ranks] == \
         [r.tolist() for r in want.ranks]
     assert got.to_tsv("M") == want.to_tsv("M")
@@ -297,9 +299,8 @@ def test_evaluate_wraps_scorer_errors():
 
 
 def test_evaluate_rejects_bad_positive_mode():
-    scen = _eval_scenario()
-    with pytest.raises(ConfigError):
-        evaluate(_oracle_scorer(scen), scen, EvalConfig(), positive="x")
+    with pytest.raises(ConfigError, match="positive"):
+        EvalConfig(positive="x")
 
 
 def test_eval_config_validation():
@@ -386,8 +387,9 @@ def _string_ranks(scen, table, cfg, positive):
                 min_size=3, max_size=3))
 def test_row_ranks_match_the_string_path(seed, positive, table):
     scen = _pin_scenario()
-    cfg = EvalConfig(cutoffs=(3,), repeats=2, negatives=6, seed=seed)
+    cfg = EvalConfig(cutoffs=(3,), repeats=2, negatives=6, seed=seed,
+                     positive=positive)
     rows = np.array(table)
-    report = evaluate(lambda k, r: rows[k, r], scen, cfg, positive=positive)
+    report = evaluate(lambda k, r: rows[k, r], scen, cfg)
     assert [list(r) for r in report.ranks] == \
         _string_ranks(scen, table, cfg, positive)
