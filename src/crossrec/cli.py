@@ -28,13 +28,13 @@ import sys
 
 import numpy as np
 
-from . import coldstart, data, embed, evaluation, experiment, mapping
+from . import coldstart, data, embed, evaluation, experiment
 from .errors import ConfigError, DataError, NumericError
 
 
 def _resolve_config(args):
     # a flag's dest is the config key it overrides, parsed the same way
-    kv = experiment.parse_config_file(args.config) if args.config else {}
+    kv = data.read_key_values(args.config, ConfigError) if args.config else {}
     kv.update({key: value for key, value in vars(args).items()
                if key in experiment.KEYS and value is not None})
     return experiment.config_from_mapping(kv)
@@ -82,42 +82,38 @@ def _cmd_build_scenario(args):
     return 0
 
 
-def _cmd_train_embed(args):
-    cfg = _resolve_config(args)
-    cfg.validate()
-    scenario = data.load_scenario(args.scenario)
-    history = []
-    space = experiment.train_artifact(
-        f"{args.domain}_space", scenario, cfg, experiment.MethodArtifacts(),
-        loss_history=history)
-    embed.save_embeddings(space, args.out)
-    print(f"trained {args.domain} {space.kind} space for {cfg.method} "
-          f"({space.U.shape[0]} users, {space.V.shape[0]} items, "
-          f"K={space.dim}); final epoch loss {history[-1]:.6f}")
-    return 0
-
-
-def _cmd_train_map(args):
-    cfg = _resolve_config(args)
-    cfg.validate()
-    scenario = data.load_scenario(args.scenario)
-    art = experiment.MethodArtifacts(
-        source_space=embed.load_embeddings(args.source_emb),
-        target_space=embed.load_embeddings(args.target_emb))
-    history = []
-    net = experiment.train_artifact("net", scenario, cfg, art,
-                                    loss_history=history)
-    mapping.save_mapping(net, args.out)
-    print(f"trained {experiment.map_config(cfg).mode} mapping for "
-          f"{cfg.method} (K={net.dim}); final epoch loss {history[-1]:.6f}")
-    return 0
-
-
-# MethodArtifacts field -> the eval flag that loads it
+# MethodArtifacts field -> the flag that loads it
 _ARTIFACT_FLAGS = {"unified_space": "--unified-emb",
                    "source_space": "--source-emb",
                    "target_space": "--target-emb",
                    "net": "--mapping"}
+
+
+def _load_artifacts(args):
+    """The artifacts the command's flags name, loaded in flag order."""
+    art = experiment.MethodArtifacts()
+    for name, flag in _ARTIFACT_FLAGS.items():
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path:
+            _, _, load = experiment.artifact_io(name)
+            setattr(art, name, load(path))
+    return art
+
+
+def _train_step(args, name):
+    """Train the :class:`MethodArtifacts` field ``name``, save to ``--out``."""
+    cfg = _resolve_config(args)
+    cfg.validate()
+    scenario = data.load_scenario(args.scenario)
+    history = []
+    artifact = experiment.train_artifact(name, scenario, cfg,
+                                         _load_artifacts(args),
+                                         loss_history=history)
+    _, save, _ = experiment.artifact_io(name)
+    save(artifact, args.out)
+    print(f"trained {name} for {cfg.method} (K={artifact.dim}); "
+          f"final epoch loss {history[-1]:.6f}")
+    return 0
 
 
 def _cmd_eval(args):
@@ -127,12 +123,7 @@ def _cmd_eval(args):
     scenario = data.load_scenario(args.scenario)
     # a too-small negative pool fails before any artifact is read
     evaluation.heldout_rows(scenario, cfg.eval_negatives)
-    art = experiment.MethodArtifacts()
-    for name, flag in _ARTIFACT_FLAGS.items():
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path:
-            _, _, load = experiment.artifact_io(name)
-            setattr(art, name, load(path))
+    art = _load_artifacts(args)
     missing = [flag for name, flag in _ARTIFACT_FLAGS.items()
                if name in experiment.required_artifacts(cfg.method)
                and getattr(art, name) is None]
@@ -158,13 +149,12 @@ def _cmd_export_vectors(args):
     cfg = _resolve_config(args)
     cfg.check_hops()
     scenario = data.load_scenario(args.scenario)
-    source_space = embed.load_embeddings(args.source_emb)
-    net = mapping.load_mapping(args.mapping)
+    art = _load_artifacts(args)
     users = scenario.test_users
     inferred = coldstart.cold_start_queries(
-        source_space, scenario.source, net, cfg.hops, users)
+        art.source_space, scenario.source, art.net, cfg.hops, users)
     space = embed.EmbeddingSpace(users, (), inferred,
-                                 np.zeros((0, net.dim)),
+                                 np.zeros((0, art.net.dim)),
                                  embed.KIND_INFERRED)
     embed.save_embeddings(space, args.out)
     print(f"exported {len(users)} inferred vectors (hops={cfg.hops})")
@@ -194,7 +184,7 @@ def build_parser():
     p.add_argument("--method")
     p.add_argument("--domain", required=True,
                    choices=("source", "target", "unified"))
-    p.set_defaults(func=_cmd_train_embed)
+    p.set_defaults(func=lambda args: _train_step(args, f"{args.domain}_space"))
 
     p = sub.add_parser("train-map", help="train the cross-domain mapping")
     _add_common(p, out_required=True)
@@ -203,7 +193,7 @@ def build_parser():
     p.add_argument("--target-emb", required=True)
     p.add_argument("--method")
     p.add_argument("--lambda", help="weight of the unsupervised term")
-    p.set_defaults(func=_cmd_train_map)
+    p.set_defaults(func=lambda args: _train_step(args, "net"))
 
     p = sub.add_parser("eval", help="evaluate saved artifacts")
     _add_common(p, out_required=True)

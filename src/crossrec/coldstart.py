@@ -23,22 +23,8 @@ from .evaluation import id_keys, ranking
 from .mapping import mlp_forward
 
 
-class AggregatedVectors:
-    """User and item matrices after some number of hops."""
-
-    __slots__ = ("hop", "user_vectors", "item_vectors")
-
-    def __init__(self, hop, user_vectors, item_vectors):
-        if hop < 0:
-            raise ValueError(f"hop must be >= 0, got {hop}")
-        self.hop = hop
-        self.user_vectors = np.asarray(user_vectors, dtype=float)
-        self.item_vectors = np.asarray(item_vectors, dtype=float)
-
-
-def aggregate_step(prev, interactions):
-    """One synchronous averaging hop over the interaction graph."""
-    U, V = prev.user_vectors, prev.item_vectors
+def aggregate_step(U, V, interactions):
+    """One synchronous averaging hop of ``(U, V)`` over the graph."""
     if U.shape[0] != interactions.n_users \
             or V.shape[0] != interactions.n_items:
         raise IndexMismatch(
@@ -54,26 +40,25 @@ def aggregate_step(prev, interactions):
     np.add.at(new_u, pos_u, V[pos_i])
     new_u /= (interactions.user_degrees() + 1)[:, None]
 
-    return AggregatedVectors(prev.hop + 1, new_u, new_v)
+    return new_u, new_v
 
 
 def aggregate_hops(space, interactions, hops):
-    """Run ``hops`` averaging steps from a space holding a row for every
-    user and item of ``interactions``; the result follows their order."""
-    agg = AggregatedVectors(
-        0, space.U[id_rows(space.user_index, interactions.user_ids)],
-        space.V[id_rows(space.item_index, interactions.item_ids)])
+    """``(U, V)`` after ``hops`` averaging steps from a space holding a row
+    for every user and item of ``interactions``, rows in their order."""
+    U = space.U[id_rows(space.user_index, interactions.user_ids)]
+    V = space.V[id_rows(space.item_index, interactions.item_ids)]
     for _ in range(hops):
-        agg = aggregate_step(agg, interactions)
-    return agg
+        U, V = aggregate_step(U, V, interactions)
+    return U, V
 
 
 def multi_hop_user(space, interactions, user, hops):
     """The ``user`` row after ``hops`` aggregation steps."""
     if not interactions.has_user(user):
         raise UnknownUser(user)
-    agg = aggregate_hops(space, interactions, hops)
-    return agg.user_vectors[interactions.user_index(user)]
+    U, _ = aggregate_hops(space, interactions, hops)
+    return U[interactions.user_index(user)]
 
 
 def infer_cold_start(net, source_user_vec):
@@ -86,7 +71,7 @@ def cold_start_queries(source_space, interactions, net, hops, users):
     user's row after ``hops`` aggregation steps, translated by ``net``."""
     U, index = source_space.U, source_space.user_index
     if hops > 0:  # aggregated rows follow the interactions' order
-        U = aggregate_hops(source_space, interactions, hops).user_vectors
+        U, _ = aggregate_hops(source_space, interactions, hops)
         index = interactions.user_index
     return np.stack([infer_cold_start(net, U[r])
                      for r in id_rows(index, users)])

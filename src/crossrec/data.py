@@ -74,16 +74,22 @@ def id_rows(index, ids, prefix=""):
 
 class IdLookup:
     """Users and items by id: ``user_ids`` and ``item_ids`` in row order,
-    and their id -> row dicts, each built on first use unless set."""
+    and their id -> row dicts, each built on first use unless set.  A
+    repeated id fails the build with a ``ValueError`` naming it."""
 
     __slots__ = ("user_ids", "item_ids", "_uindex", "_iindex")
 
     def __getattr__(self, name):
         if name not in ("_uindex", "_iindex"):
             raise AttributeError(f"no attribute {name!r}")
-        ids = self.user_ids if name == "_uindex" else self.item_ids
-        setattr(self, name, dict(zip(ids, range(len(ids)))))
-        return getattr(self, name)
+        kind = "user" if name == "_uindex" else "item"
+        ids = getattr(self, f"{kind}_ids")
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            dup = next(x for k, x in enumerate(ids) if index[x] != k)
+            raise ValueError(f"repeated {kind} id {dup!r}")
+        setattr(self, name, index)
+        return index
 
     def has_user(self, user):
         return user in self._uindex
@@ -551,21 +557,25 @@ def save_scenario(scenario, out_dir):
 
 
 def read_key_values(path, error):
-    """Flat ``key=value`` file, ``#`` comments allowed, each key once; a
-    line breaking these rules raises ``error`` naming ``path:line``."""
+    """Flat UTF-8 ``key=value`` file, ``#`` comments allowed, each key once;
+    breaking a rule raises ``error`` naming ``path`` (and the line)."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise error(f"{path}:{lineno}: expected key=value")
-            if key in out:
-                raise error(f"{path}:{lineno}: key {key!r} is set twice")
-            out[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise error(f"{path}:{lineno}: expected key=value")
+        if key in out:
+            raise error(f"{path}:{lineno}: key {key!r} is set twice")
+        out[key] = value.strip()
     return out
 
 

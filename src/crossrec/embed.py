@@ -162,7 +162,7 @@ class EmbedTrainConfig:
     margin: float = 1.0
     learning_rate: float = 0.001
     l2_reg: float = 0.0
-    epochs: int = 500
+    epochs: int = 100
     batch_size: int = 1024
     seed: int = 0
 
@@ -187,15 +187,6 @@ def check_objective(objective, cfg):
     if objective == KIND_METRIC and cfg.l2_reg > 0:
         raise ConfigError(f"embed.l2 = {cfg.l2_reg}, but metric spaces "
                           f"are not regularized")
-
-
-def _unique_index(ids, kind):
-    """Row of each id; ``ValueError`` naming a repeated one."""
-    index = {x: k for k, x in enumerate(ids)}
-    if len(index) < len(ids):
-        dup = next(x for k, x in enumerate(ids) if index[x] != k)
-        raise ValueError(f"repeated {kind} id {dup!r}")
-    return index
 
 
 class EmbeddingSpace(IdLookup):
@@ -229,8 +220,7 @@ class EmbeddingSpace(IdLookup):
         self.U = U
         self.V = V
         self.kind = kind
-        self._uindex = _unique_index(self.user_ids, "user")
-        self._iindex = _unique_index(self.item_ids, "item")
+        self._uindex, self._iindex  # built now: a repeated id fails here
         self.U.setflags(write=False)
         self.V.setflags(write=False)
 

@@ -128,13 +128,17 @@ class ExperimentConfig:
         if self.source_path and not self.target_path \
                 or self.target_path and not self.source_path:
             raise ConfigError("source and target files go together")
-        # the train configs check their values (the seed too) before work
-        objective, mode = _PLAN[self.method]
+        # every config checks its values (the seed too) before work,
+        # whatever the method; only embed.l2 has a rule per objective
+        objective = _PLAN[self.method][0]
+        embed_cfg = embed_config(self, "source")
         if objective is not None:
-            embed.check_objective(objective, embed_config(self, "source"))
-        if mode is not None:
-            map_config(self)
+            embed.check_objective(objective, embed_cfg)
+        map_config(self)
         eval_config(self)
+        split_config(self)
+        data._check_thresholds(self.min_overlap_interactions,
+                               self.min_other_interactions)
 
     def check_hops(self):
         """Reject a negative ``hops``; every command that reads it
@@ -168,11 +172,6 @@ KEYS = {_key(f.name): (f.name, _csv_ints if isinstance(f.default, tuple)
         for f in fields(ExperimentConfig)}
 
 
-def parse_config_file(path):
-    """Flat ``key=value`` file, ``#`` comments allowed, each key once."""
-    return data.read_key_values(path, ConfigError)
-
-
 def config_from_mapping(kv):
     cfg = ExperimentConfig()
     for key, value in kv.items():
@@ -203,13 +202,15 @@ def prepare_scenario(cfg):
     else:
         source = data.load_interactions(cfg.source_path)
         target = data.load_interactions(cfg.target_path)
-    split = data.SplitSeedConfig(seed=derive_seed(cfg.seed, _SLOT_SPLIT),
-                                 test_fraction=cfg.test_fraction,
-                                 phi=cfg.phi)
     return data.build_scenario(
-        source, target, split,
+        source, target, split_config(cfg),
         min_overlap_interactions=cfg.min_overlap_interactions,
         min_other_interactions=cfg.min_other_interactions)
+
+
+def split_config(cfg):
+    return data.SplitSeedConfig(seed=derive_seed(cfg.seed, _SLOT_SPLIT),
+                                test_fraction=cfg.test_fraction, phi=cfg.phi)
 
 
 def embed_config(cfg, domain):
@@ -222,11 +223,12 @@ def embed_config(cfg, domain):
 
 
 def map_config(cfg):
-    """Training config of the mapping, in ``cfg.method``'s mode."""
+    """Training config of the mapping, in ``cfg.method``'s mode (the
+    semi-supervised one for a method without a mapping)."""
     return mapping.MapTrainConfig(
         lam=cfg.map_lam, margin=cfg.map_margin, learning_rate=cfg.map_lr,
         epochs=cfg.map_epochs, batch_size=cfg.map_batch,
-        mode=_PLAN[cfg.method][1],
+        mode=_PLAN[cfg.method][1] or mapping.MODE_SEMI,
         seed=derive_seed(cfg.seed, _SLOT_MAPPING))
 
 

@@ -242,16 +242,16 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     V = np.array([[0.0, 1.0], [0.0, -1.0]])
     space = embed.EmbeddingSpace(inter.user_ids, inter.item_ids, U, V,
                                  embed.KIND_METRIC)
-    hop = coldstart.aggregate_hops(space, inter, 1)
-    _vec_close(hop.user_vectors[0], [1.0 / 3.0, 0.0])
-    _vec_close(hop.user_vectors[1], U[1])  # no neighbors: unchanged
+    U1, _ = coldstart.aggregate_hops(space, inter, 1)
+    _vec_close(U1[0], [1.0 / 3.0, 0.0])
+    _vec_close(U1[1], U[1])  # no neighbors: unchanged
     inter = data.InteractionSet([("a", "j"), ("b", "j"), ("c", "j")])
     space = embed.EmbeddingSpace(
         inter.user_ids, inter.item_ids,
         np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
         np.zeros((1, 2)), embed.KIND_METRIC)
-    hop = coldstart.aggregate_hops(space, inter, 1)
-    _vec_close(hop.item_vectors[0], [0.0, 0.25])
+    _, V1 = coldstart.aggregate_hops(space, inter, 1)
+    _vec_close(V1[0], [0.0, 0.25])
 
     # multi-hop user inference: identity at H=0, closed form at H=1
     inter = data.InteractionSet([("a", "i1"), ("a", "i2"), ("a", "i3")])
@@ -573,15 +573,15 @@ def test_criterion_4_oracle_equivalence():
         items_of = [sorted(ii[ui == k]) for k in range(n_u)]
         users_of = [sorted(ui[ii == k]) for k in range(n_v)]
         for h in range(5):
-            agg = coldstart.aggregate_hops(space, inter, h)
+            Uh, Vh = coldstart.aggregate_hops(space, inter, h)
             for k, u in enumerate(users):
                 want = _brute_hop(U0, V0, items_of, users_of, "u", k, h)
                 got = coldstart.multi_hop_user(space, inter, u, h)
                 assert np.max(np.abs(got - want)) < 1e-12
-                assert np.max(np.abs(agg.user_vectors[k] - want)) < 1e-12
+                assert np.max(np.abs(Uh[k] - want)) < 1e-12
             for k in range(n_v):
                 want = _brute_hop(U0, V0, items_of, users_of, "v", k, h)
-                assert np.max(np.abs(agg.item_vectors[k] - want)) < 1e-12
+                assert np.max(np.abs(Vh[k] - want)) < 1e-12
 
     # ranking vs exhaustive sort
     for trial in range(500):

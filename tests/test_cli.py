@@ -477,6 +477,29 @@ def test_bad_eval_setting_is_rejected_before_any_file(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# a bad value for a setting the method does not train with, or for the
+# split, which `run` uses only after making its output directory
+_CHECKED_WHATEVER_THE_METHOD = [
+    *(("ITEMPOP", v) for v in ("lambda=nan", "embed.lr=inf", "map.margin=-1",
+                               "embed.dim=0", "map.lr=nan", "embed.l2=nan")),
+    *((m, v) for m in ("BPR", "CML") for v in ("lambda=nan", "map.lr=inf")),
+    ("ITEMPOP", "phi=inf"), ("SSCDR", "phi=nan"),
+    ("BPR", "test_fraction=nan"), ("ITEMPOP", "min_other=0"),
+]
+
+
+@pytest.mark.parametrize("method, setting", _CHECKED_WHATEVER_THE_METHOD)
+def test_every_value_is_checked_whatever_the_method(tmp_path, capsys, method,
+                                                    setting):
+    cfg = _write(tmp_path / "r.cfg", _with(RUN_CFG, setting))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--method", method,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_hops_flag_needs_sscdr(chain, tmp_path, capsys):
     run_cfg = _write(tmp_path / "r.cfg", RUN_CFG)
     out = tmp_path / "o"
@@ -820,6 +843,32 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {cfg}:8: key 'seed' is set twice\n"
     assert not out.exists()
+
+
+def test_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_bytes(GEN_CFG.encode() + b"# \xff\n")
+    out = tmp_path / "raw"
+    assert main(["gen-synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not UTF-8 text (")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_utf8_scenario_meta_exits_3_naming_the_file(chain, tmp_path,
+                                                        capsys):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    meta = scen / "meta.txt"
+    meta.write_bytes(meta.read_bytes() + b"# \xff\n")
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta}: not UTF-8 text (")
+    assert err.count("\n") == 1
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("key", [k for k in _META_KEYS

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossrec.coldstart import (
-    AggregatedVectors,
     aggregate_hops,
     aggregate_step,
     infer_cold_start,
@@ -30,13 +29,11 @@ def test_aggregate_step_hand_example():
     data = InteractionSet([("u0", "i0"), ("u1", "i0")])
     U = np.array([[1.0, 0.0], [0.0, 1.0]])
     V = np.array([[0.0, 0.0]])
-    out = aggregate_step(AggregatedVectors(0, U, V), data)
-    assert out.hop == 1
+    U1, V1 = aggregate_step(U, V, data)
     # item: (v + u0 + u1) / 3
-    np.testing.assert_allclose(out.item_vectors, [[1 / 3, 1 / 3]],
-                               atol=1e-15)
+    np.testing.assert_allclose(V1, [[1 / 3, 1 / 3]], atol=1e-15)
     # users: (u + v) / 2 with the old item vector
-    np.testing.assert_allclose(out.user_vectors,
+    np.testing.assert_allclose(U1,
                                [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
 
 
@@ -45,10 +42,10 @@ def test_aggregate_step_is_synchronous():
     data = InteractionSet([("u0", "i0")])
     U = np.array([[0.0]])
     V = np.array([[1.0]])
-    out = aggregate_step(AggregatedVectors(0, U, V), data)
+    U1, V1 = aggregate_step(U, V, data)
     # synchronous: u = (0 + 1)/2; an in-place bug would give (0 + 0.5)/2
-    np.testing.assert_allclose(out.user_vectors, [[0.5]])
-    np.testing.assert_allclose(out.item_vectors, [[0.5]])
+    np.testing.assert_allclose(U1, [[0.5]])
+    np.testing.assert_allclose(V1, [[0.5]])
 
 
 def test_aggregate_step_keeps_isolated_entities():
@@ -56,16 +53,15 @@ def test_aggregate_step_keeps_isolated_entities():
                           items=["i0", "dead"])
     U = np.array([[0.2, 0.0], [0.7, 0.1]])
     V = np.array([[0.0, 0.2], [0.1, 0.9]])
-    out = aggregate_step(AggregatedVectors(0, U, V), data)
-    np.testing.assert_array_equal(out.user_vectors[1], U[1])
-    np.testing.assert_array_equal(out.item_vectors[1], V[1])
+    U1, V1 = aggregate_step(U, V, data)
+    np.testing.assert_array_equal(U1[1], U[1])
+    np.testing.assert_array_equal(V1[1], V[1])
 
 
 def test_aggregate_step_shape_check():
     data = InteractionSet([("u0", "i0")])
     with pytest.raises(IndexMismatch):
-        aggregate_step(AggregatedVectors(0, np.zeros((2, 3)),
-                                         np.zeros((1, 3))), data)
+        aggregate_step(np.zeros((2, 3)), np.zeros((1, 3)), data)
 
 
 # -- multi-hop vs a brute-force recursion ----------------------------------
@@ -104,15 +100,13 @@ def test_multi_hop_matches_brute_force_recursion():
         U0 = rng.normal(size=(n_users, 3))
         V0 = rng.normal(size=(n_items, 3))
         user_fn, item_fn = _brute(U0, V0, data)
-        agg = AggregatedVectors(0, U0.copy(), V0.copy())
+        U, V = U0, V0
         for h in range(1, 5):
-            agg = aggregate_step(agg, data)
+            U, V = aggregate_step(U, V, data)
             for i in range(n_users):
-                np.testing.assert_allclose(agg.user_vectors[i],
-                                           user_fn(i, h), atol=1e-12)
+                np.testing.assert_allclose(U[i], user_fn(i, h), atol=1e-12)
             for j in range(n_items):
-                np.testing.assert_allclose(agg.item_vectors[j],
-                                           item_fn(j, h), atol=1e-12)
+                np.testing.assert_allclose(V[j], item_fn(j, h), atol=1e-12)
 
 
 def test_multi_hop_user_and_hop_zero_identity():
@@ -166,11 +160,11 @@ def test_aggregation_stays_in_unit_ball(seed, hops):
     U0 /= np.maximum(np.linalg.norm(U0, axis=1, keepdims=True), 1.0)
     V0 = rng.normal(size=(data.n_items, 4))
     V0 /= np.maximum(np.linalg.norm(V0, axis=1, keepdims=True), 1.0)
-    agg = AggregatedVectors(0, U0, V0)
+    U, V = U0, V0
     for _ in range(hops):
-        agg = aggregate_step(agg, data)
-    assert np.linalg.norm(agg.user_vectors, axis=1).max() <= 1.0 + 1e-12
-    assert np.linalg.norm(agg.item_vectors, axis=1).max() <= 1.0 + 1e-12
+        U, V = aggregate_step(U, V, data)
+    assert np.linalg.norm(U, axis=1).max() <= 1.0 + 1e-12
+    assert np.linalg.norm(V, axis=1).max() <= 1.0 + 1e-12
 
 
 # -- inference --------------------------------------------------------------

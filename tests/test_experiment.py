@@ -5,12 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrec import data, experiment
 from crossrec.data import CrossDomainScenario, InteractionSet
-from crossrec.embed import EmbeddingSpace
+from crossrec.embed import EmbeddingSpace, EmbedTrainConfig
 from crossrec.errors import ConfigError
-from crossrec.evaluation import id_keys, rank_of_test_item
+from crossrec.evaluation import EvalConfig, id_keys, rank_of_test_item
 from crossrec.experiment import (
     METHODS,
     ExperimentConfig,
@@ -18,9 +20,9 @@ from crossrec.experiment import (
     config_from_mapping,
     derive_seed,
     make_scorer,
-    parse_config_file,
     run_experiment,
 )
+from crossrec.mapping import MapTrainConfig
 
 TINY = dict(
     synth_users=60, synth_source_items=50, synth_target_items=50,
@@ -50,7 +52,7 @@ def test_parse_config_file_and_mapping(tmp_path):
                  "lambda=0.75\n"
                  "embed.dim=16\n"
                  "eval.cutoffs=5,10,20\n")
-    cfg = config_from_mapping(parse_config_file(p))
+    cfg = config_from_mapping(data.read_key_values(p, ConfigError))
     assert cfg.method == "SSCDR"
     assert cfg.phi == 0.25
     assert cfg.hops == 3
@@ -150,6 +152,40 @@ def test_validate_requires_exactly_one_data_source(tmp_path):
     cfg = tiny_config("ITEMPOP", tmp_path, synth_users=0)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_default_train_configs_are_the_dataclass_defaults():
+    cfg = ExperimentConfig()
+    for got, want in ((experiment.embed_config(cfg, "source"),
+                       EmbedTrainConfig()),
+                      (experiment.map_config(cfg), MapTrainConfig()),
+                      (experiment.eval_config(cfg), EvalConfig())):
+        assert dataclasses.replace(got, seed=want.seed) == want
+
+
+# adversarial texts for every config key; synth.* is checked only when the
+# generator is on, and here it is off
+_FUZZ_KEYS = sorted(k for k in experiment.KEYS if not k.startswith("synth."))
+_FUZZ_TEXTS = ("nan", "inf", "-inf", "0", "-1", "", "x", "1e999")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(METHODS),
+       st.dictionaries(st.sampled_from(_FUZZ_KEYS),
+                       st.sampled_from(_FUZZ_TEXTS), min_size=1, max_size=3))
+def test_validate_accepts_no_non_finite_value_whatever_the_method(method,
+                                                                  values):
+    """Parsing and validating raise nothing but ConfigError, and a config
+    they accept holds only finite floats."""
+    try:
+        cfg = config_from_mapping({"scenario": "s", "method": method,
+                                   **values})
+        cfg.validate()
+    except ConfigError:
+        return
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        assert not isinstance(value, float) or math.isfinite(value), f.name
 
 
 def test_derive_seed_slots_are_stable_and_distinct():
