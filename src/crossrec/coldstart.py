@@ -1,4 +1,4 @@
-"""Cold-start inference: neighborhood aggregation, mapping, retrieval.
+"""Cold-start inference: neighborhood aggregation and mapping.
 
 Before translating a source user vector into the target space, the source
 embeddings can be smoothed over the interaction graph.  One hop replaces
@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import id_rows
-from .errors import EmptyCandidates, IndexMismatch, UnknownUser
-from .evaluation import id_keys, ranking
+from .errors import IndexMismatch
 from .mapping import mlp_forward
 
 
@@ -53,14 +52,6 @@ def aggregate_hops(space, interactions, hops):
     return U, V
 
 
-def multi_hop_user(space, interactions, user, hops):
-    """The ``user`` row after ``hops`` aggregation steps."""
-    if not interactions.has_user(user):
-        raise UnknownUser(user)
-    U, _ = aggregate_hops(space, interactions, hops)
-    return U[interactions.user_index(user)]
-
-
 def infer_cold_start(net, source_user_vec):
     """Translate an (aggregated) source user vector into the target space."""
     return mlp_forward(net, source_user_vec)
@@ -76,32 +67,3 @@ def cold_start_queries(source_space, interactions, net, hops, users):
     return np.stack([infer_cold_start(net, U[r])
                      for r in id_rows(index, users)])
 
-
-def _top_n(candidates, n, scores):
-    """The ``n`` candidates with the highest ``scores``, ties toward the
-    smaller item id."""
-    if not candidates:
-        raise EmptyCandidates("no candidate items")
-    if n > len(candidates):
-        raise ValueError(f"asked for top {n} of {len(candidates)}")
-    order = ranking(scores, id_keys(candidates))
-    return [candidates[k] for k in order[:n]]
-
-
-def recommend_topn(space, query_vec, candidates, n):
-    """Top ``n`` candidate item ids for a query vector.
-
-    Metric spaces rank by ascending squared distance, inner-product spaces
-    by descending dot product.  Ties break toward the smaller item id.
-    """
-    rows = [space.item_index(i) for i in candidates]
-    return _top_n(candidates, n,
-                  space.scores(rows, np.asarray(query_vec, dtype=float)))
-
-
-def itempop_rank(interactions, candidates, n):
-    """Most popular candidates first; ties toward the smaller item id."""
-    counts = interactions.item_degrees()
-    return _top_n(candidates, n, [
-        counts[interactions.item_index(i)] if interactions.has_item(i)
-        else 0 for i in candidates])

@@ -44,16 +44,6 @@ _KINDS = (KIND_METRIC, KIND_INNER, KIND_INFERRED)
 _BALL_TOL = 1e-6
 
 
-def distance(u, v):
-    """Squared euclidean distance between two equal-length vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    d = u - v
-    return float(np.dot(d, d))
-
-
 def project_rows(mat, rows=None):
     """Divide in place each row of ``mat`` (or each of its rows ``rows``)
     whose norm exceeds 1 by that norm; return the norms from before."""
@@ -62,15 +52,6 @@ def project_rows(mat, rows=None):
     if np.any(big):
         mat[big if rows is None else rows[big]] /= norms[big][:, None]
     return norms
-
-
-def project_unit_ball(x):
-    """Scale ``x`` onto the unit ball: ``x / max(1, |x|)``."""
-    x = np.array(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("cannot project a non-finite vector")
-    project_rows(x[None])
-    return x
 
 
 def _sigmoid(x):
@@ -123,37 +104,6 @@ def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
         gp += 2.0 * l2 * Vp
         gn += 2.0 * l2 * Vn
     return loss, np.arange(U.shape[0]), gu, gp, gn
-
-
-def _one_triplet(kind, u, v_pos, v_neg, margin=1.0):
-    rows = [np.asarray(x, dtype=float) for x in (u, v_pos, v_neg)]
-    if rows[0].shape != rows[1].shape or rows[0].shape != rows[2].shape:
-        raise DimensionMismatch("triplet vectors must share one shape")
-    loss, active, *grads = triplet_loss_and_grads(
-        kind, *(x[None] for x in rows), margin=margin)
-    dense = np.zeros((3, 1) + rows[0].shape)
-    dense[:, active] = grads
-    return loss, tuple(dense[:, 0])
-
-
-def cml_triplet_loss(u, v_pos, v_neg, margin):
-    """Hinge on the gap between the positive and negative distances."""
-    return _one_triplet(KIND_METRIC, u, v_pos, v_neg, margin)[0]
-
-
-def cml_triplet_grad(u, v_pos, v_neg, margin):
-    """Gradients of :func:`cml_triplet_loss` wrt (u, v_pos, v_neg)."""
-    return _one_triplet(KIND_METRIC, u, v_pos, v_neg, margin)[1]
-
-
-def bpr_triplet_loss(u, v_pos, v_neg):
-    """``-log sigmoid(u.v_pos - u.v_neg)``, computed stably."""
-    return _one_triplet(KIND_INNER, u, v_pos, v_neg)[0]
-
-
-def bpr_triplet_grad(u, v_pos, v_neg):
-    """Gradients of :func:`bpr_triplet_loss` wrt (u, v_pos, v_neg)."""
-    return _one_triplet(KIND_INNER, u, v_pos, v_neg)[1]
 
 
 @dataclass(frozen=True)
@@ -227,12 +177,6 @@ class EmbeddingSpace(IdLookup):
     @property
     def dim(self):
         return self.U.shape[1] if self.U.size else self.V.shape[1]
-
-    def user_vec(self, user):
-        return self.U[self._uindex[user]]
-
-    def item_vec(self, item):
-        return self.V[self._iindex[item]]
 
     def scores(self, rows, q):
         """Scores of the item rows ``rows`` for query ``q``, higher is

@@ -47,16 +47,8 @@ class InsufficientCandidates(DataError):
             f"negative pool has {available} items, need {requested}")
 
 
-class UnknownUser(DataError):
-    """User id not present in the data or embedding space at hand."""
-
-
-class EmptyCandidates(DataError):
-    """recommend_topn called with an empty candidate list."""
-
-
 class EmptyBatch(DataError):
-    """A loss was requested over zero examples."""
+    """train_mapping cannot draw a linked user's source triplet."""
 
 
 class NoOverlapUsers(DataError):

@@ -30,14 +30,9 @@ _DEFAULT_CUTOFFS = (10, 20)
 POSITIVES = ("test", "valid")
 
 
-def ranking(scores, keys):
-    """Candidate positions best first: higher score, then smaller key."""
-    return np.lexsort((keys, -np.asarray(scores, dtype=float)))
-
-
 def rank_of_test_item(scores, keys):
-    """Position of candidate 0 in the :func:`ranking` of ``scores``: one
-    plus the number of strictly better candidates plus the number of
+    """Position of candidate 0 by higher score, ties to the smaller key:
+    one plus the number of strictly better candidates plus the number of
     equal-scored candidates with a smaller key."""
     scores, keys = np.asarray(scores, dtype=float), np.asarray(keys)
     return 1 + int(np.count_nonzero(scores > scores[0])) + int(
@@ -98,10 +93,6 @@ class EvalReport:
     phi: float
     per_repeat: list = field(default_factory=list)
     ranks: list = field(default_factory=list)  # one array per repeat
-
-    @property
-    def repeats(self):
-        return len(self.per_repeat)
 
     def averaged(self):
         out = {}

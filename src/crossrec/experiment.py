@@ -128,6 +128,8 @@ class ExperimentConfig:
         if self.source_path and not self.target_path \
                 or self.target_path and not self.source_path:
             raise ConfigError("source and target files go together")
+        if self.synth_users > 0:
+            synth.check_synthetic(*_synth_args(self))
         # every config checks its values (the seed too) before work,
         # whatever the method; only embed.l2 has a rule per objective
         objective = _PLAN[self.method][0]
@@ -185,12 +187,15 @@ def config_from_mapping(kv):
     return cfg
 
 
+def _synth_args(cfg):  # the generator's arguments but its seed
+    return (cfg.synth_users, cfg.synth_source_items, cfg.synth_target_items,
+            cfg.synth_k_true, cfg.synth_overlap, cfg.synth_density)
+
+
 def generate_domains(cfg):
     """The synthetic (source, target) pair the ``synth.*`` keys describe."""
-    return synth.generate_synthetic(
-        cfg.synth_users, cfg.synth_source_items, cfg.synth_target_items,
-        cfg.synth_k_true, cfg.synth_overlap, cfg.synth_density,
-        derive_seed(cfg.seed, _SLOT_SYNTH))
+    return synth.generate_synthetic(*_synth_args(cfg),
+                                    derive_seed(cfg.seed, _SLOT_SYNTH))
 
 
 def prepare_scenario(cfg):

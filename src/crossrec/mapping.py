@@ -85,47 +85,6 @@ def mlp_forward(net, x):
     return net.forward_batch(x[None])[0]
 
 
-def supervised_loss(net, source_vecs, target_vecs):
-    """Sum of squared distances between mapped sources and their targets."""
-    S = np.asarray(source_vecs, dtype=float)
-    T = np.asarray(target_vecs, dtype=float)
-    if S.shape != T.shape:
-        raise DimensionMismatch(f"{S.shape} vs {T.shape}")
-    if S.shape[0] == 0:
-        raise EmptyBatch("supervised loss over zero pairs")
-    Y = net.forward_batch(S)
-    d = Y - T
-    return float(np.sum(d * d))
-
-
-def unsupervised_triplet_loss(net, pos_item_vecs, neg_item_vecs,
-                              target_anchor_vecs, margin):
-    """Sum of hinges pushing mapped positives closer than mapped negatives.
-
-    All three arrays are aligned per row: the anchor is the target-space
-    vector the user is tied to, positives are source items the user
-    touched, negatives are source items the user did not.
-    """
-    P = np.asarray(pos_item_vecs, dtype=float)
-    N = np.asarray(neg_item_vecs, dtype=float)
-    A = np.asarray(target_anchor_vecs, dtype=float)
-    if P.shape != N.shape or P.shape != A.shape:
-        raise DimensionMismatch("triplet arrays must share one shape")
-    if P.shape[0] == 0:
-        raise EmptyBatch("unsupervised loss over zero triplets")
-    Yp = net.forward_batch(P)
-    Yn = net.forward_batch(N)
-    dp = np.einsum("ij,ij->i", Yp - A, Yp - A)
-    dn = np.einsum("ij,ij->i", Yn - A, Yn - A)
-    return float(np.sum(np.maximum(margin + dp - dn, 0.0)))
-
-
-def total_mapping_loss(sup, unsup, lam):
-    if not lam >= 0:
-        raise ConfigError(f"lam must be non-negative, got {lam}")
-    return sup + lam * unsup
-
-
 @dataclass(frozen=True)
 class MapTrainConfig:
     lam: float = 0.5

@@ -21,9 +21,9 @@ def _unit_rows(rng, n, k):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def generate_synthetic(n_users, n_source_items, n_target_items, k_true,
-                       overlap_fraction, density, seed):
-    """Build (source, target) interaction sets from a shared geometry."""
+def check_synthetic(n_users, n_source_items, n_target_items, k_true,
+                    overlap_fraction, density):
+    """Check generator arguments; return the per-user interaction counts."""
     if min(n_users, n_source_items, n_target_items, k_true) < 1:
         raise ConfigError("all counts must be positive")
     if not 0.0 < overlap_fraction <= 1.0:
@@ -36,7 +36,15 @@ def generate_synthetic(n_users, n_source_items, n_target_items, k_true,
     if c_source < 1 or c_target < 1:
         raise InfeasibleDensity(
             f"density {density} yields zero interactions per user")
+    return c_source, c_target
 
+
+def generate_synthetic(n_users, n_source_items, n_target_items, k_true,
+                       overlap_fraction, density, seed):
+    """Build (source, target) interaction sets from a shared geometry."""
+    c_source, c_target = check_synthetic(
+        n_users, n_source_items, n_target_items, k_true, overlap_fraction,
+        density)
     rng = np.random.default_rng(seed)
     taste = _unit_rows(rng, n_users, k_true)
     source_items = _unit_rows(rng, n_source_items, k_true)

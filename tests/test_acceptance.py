@@ -17,9 +17,11 @@ them with room to spare, so the asserts stay strict.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import reference
 
 from crossrec import (
     coldstart,
@@ -64,6 +66,34 @@ def _tanh_net():
     return mapping.MappingNetwork(
         np.array([[1.0], [0.0]]), np.zeros(2),
         np.array([[1.0, 0.0]]), np.zeros(1))
+
+
+def _sq_distance(v, q):
+    """``|v - q|^2``: a metric space's negated score of row ``v`` for ``q``."""
+    space = embed.EmbeddingSpace((), ("v",), np.zeros((0, len(v))), [v],
+                                 embed.KIND_METRIC)
+    return -space.scores([0], q)[0]
+
+
+def _ranked(scores, ids):
+    """``ids`` by the rank :func:`evaluation.rank_of_test_item` gives each
+    as the positive, the others as its negatives; each id's tie key is its
+    place in sorted id order, as in :func:`evaluation.evaluate`."""
+    keys = data.id_keys(ids)
+    ranks = [evaluation.rank_of_test_item(np.roll(scores, -k),
+                                          np.roll(keys, -k))
+             for k in range(len(ids))]
+    assert sorted(ranks) == list(range(1, len(ids) + 1))
+    return [ids[k] for k in np.argsort(ranks)]
+
+
+def _popularity(inter, ids):
+    """``ids`` ranked by the ITEMPOP scorer with ``inter`` as the target."""
+    scorer = experiment.make_scorer(
+        SimpleNamespace(target=inter),
+        experiment.ExperimentConfig(method=experiment.METHOD_ITEMPOP),
+        experiment.MethodArtifacts())
+    return _ranked(scorer(0, data.id_rows(inter.item_index, ids)), ids)
 
 
 # -- criterion 1: analytic unit suite ------------------------------------
@@ -139,28 +169,32 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     assert err.value.available == 500
 
     # squared distance
-    _close(embed.distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])), 25.0)
+    _close(_sq_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])), 25.0)
     x = np.array([0.2, -0.7, 0.1])
-    _close(embed.distance(x, x), 0.0)
-    _close(embed.distance(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])), 2.0)
+    _close(_sq_distance(x, x), 0.0)
+    _close(_sq_distance(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])), 2.0)
 
     # unit-ball projection
-    _vec_close(embed.project_unit_ball(np.array([3.0, 4.0])), [0.6, 0.8])
-    _vec_close(embed.project_unit_ball(np.array([0.3, 0.4])), [0.3, 0.4])
-    _vec_close(embed.project_unit_ball(np.zeros(2)), [0.0, 0.0])
+    rows = np.array([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]])
+    embed.project_rows(rows)
+    _vec_close(rows[0], [0.6, 0.8])
+    _vec_close(rows[1], [0.3, 0.4])
+    _vec_close(rows[2], [0.0, 0.0])
 
     # hinge triplet loss, driven through vectors with known distances
+    def cml(*triplet):
+        return reference.triplet(embed.KIND_METRIC, *triplet)[0]
+
     z = np.zeros(1)
-    _close(embed.cml_triplet_loss(z, np.array([math.sqrt(0.2)]),
-                                  np.array([math.sqrt(0.5)]), 1.0), 0.7)
-    _close(embed.cml_triplet_loss(z, z, np.array([math.sqrt(2.0)]), 1.0),
-           0.0)
+    _close(cml(z, np.array([math.sqrt(0.2)]), np.array([math.sqrt(0.5)]),
+               1.0), 0.7)
+    _close(cml(z, z, np.array([math.sqrt(2.0)]), 1.0), 0.0)
     v3 = np.array([math.sqrt(0.3)])
-    _close(embed.cml_triplet_loss(z, v3, v3, 0.5), 0.5)
+    _close(cml(z, v3, v3, 0.5), 0.5)
 
     # pairwise-ranking loss at score margin zero
-    _close(embed.bpr_triplet_loss(z, np.array([0.4]), np.array([0.4])),
-           math.log(2.0))
+    _close(reference.triplet(embed.KIND_INNER, z, np.array([0.4]),
+                             np.array([0.4]))[0], math.log(2.0))
 
     # tiny metric training run: ball invariant and determinism
     inter = data.InteractionSet(
@@ -190,11 +224,11 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     net = _tanh_net()
     S = np.array([[0.0], [0.7], [-1.2]])
     T = net.forward_batch(S)
-    _close(mapping.supervised_loss(net, S, T), 0.0)
+    _close(reference.supervised_loss(net, S, T), 0.0)
     zero2 = _const_net(2, np.zeros(2))
-    _close(mapping.supervised_loss(zero2, np.array([[0.3, 0.4]]),
-                                   np.array([[1.0, 0.0]])), 1.0)
-    _close(mapping.supervised_loss(
+    _close(reference.supervised_loss(zero2, np.array([[0.3, 0.4]]),
+                                     np.array([[1.0, 0.0]])), 1.0)
+    _close(reference.supervised_loss(
         zero2, np.zeros((2, 2)),
         np.array([[1.0, 0.0], [0.0, 2.0]])), 5.0)
 
@@ -203,18 +237,27 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     pos = np.array([[0.0]])                       # maps to 0, d^2 = 0.1
     neg_val = math.sqrt(0.1) + math.sqrt(0.4)     # d^2 = 0.4
     neg = np.array([[math.atanh(neg_val)]])
-    _close(mapping.unsupervised_triplet_loss(net, pos, neg, u_t, 1.0),
+    _close(reference.unsupervised_triplet_loss(net, pos, neg, u_t, 1.0),
            0.7, tol=1e-9)
     far = np.array([[math.atanh(-0.75)]])         # d^2 ~ 1.137 >= 0.1 + 1
-    _close(mapping.unsupervised_triplet_loss(net, pos, far, u_t, 1.0), 0.0)
+    _close(reference.unsupervised_triplet_loss(net, pos, far, u_t, 1.0),
+           0.0)
     anyv = np.array([[0.9]])
-    _close(mapping.unsupervised_triplet_loss(
+    _close(reference.unsupervised_triplet_loss(
         _const_net(1, np.zeros(1)), pos, anyv, u_t, 1.0), 1.0)
 
-    # loss combination
-    _close(mapping.total_mapping_loss(2.0, 4.0, 0.5), 4.0)
-    _close(mapping.total_mapping_loss(2.0, 4.0, 0.0), 2.0)
-    _close(mapping.total_mapping_loss(2.0, 0.0, 3.7), 2.0)
+    # loss combination in the training kernel: sup = 2 (two unit
+    # residuals), unsup = 4 (four hinges at the margin, every point mapped
+    # to the origin) or 0 (the far negative above)
+    def total(lam, P, N, A):
+        return mapping.mapping_loss_and_grads(
+            net, np.zeros((2, 1)), np.ones((2, 1)), lam=lam, pos_vecs=P,
+            neg_vecs=N, anchor_vecs=A)[0]
+
+    origin = np.zeros((4, 1))
+    _close(total(0.5, origin, origin, origin), 4.0)
+    _close(total(0.0, origin, origin, origin), 2.0)
+    _close(total(3.7, pos, far, u_t), 2.0)
 
     # supervised-only vs semi-supervised with lambda=0, plus the mapped
     # ball invariant after training
@@ -233,7 +276,7 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
         assert np.array_equal(getattr(sup, attr), getattr(semi, attr))
     for u in scen.overlap_users:
         if s_src.has_user(u):
-            out = mapping.mlp_forward(sup, s_src.user_vec(u))
+            out = mapping.mlp_forward(sup, s_src.U[s_src.user_index(u)])
             assert np.linalg.norm(out) <= 1 + 1e-6
 
     # one aggregation hop, by hand
@@ -260,18 +303,18 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     space = embed.EmbeddingSpace(inter.user_ids, inter.item_ids,
                                  u0[None, :], np.stack([c, c, c]),
                                  embed.KIND_METRIC)
-    _vec_close(coldstart.multi_hop_user(space, inter, "a", 0), u0)
-    _vec_close(coldstart.multi_hop_user(space, inter, "a", 1),
+    _vec_close(coldstart.aggregate_hops(space, inter, 0)[0][0], u0)
+    _vec_close(coldstart.aggregate_hops(space, inter, 1)[0][0],
                (u0 + 3 * c) / 4.0)
 
     # cold-start inference composes aggregation and the translator
     _vec_close(coldstart.infer_cold_start(zero4, np.array([1.0, 2, 3, 4])),
                np.zeros(4))
-    raw = coldstart.multi_hop_user(space, inter, "a", 0)
+    raw = coldstart.aggregate_hops(space, inter, 0)[0][0]
     got = coldstart.infer_cold_start(
         _const_net(2, np.array([0.1, 0.2])), raw)
     _vec_close(got, mapping.mlp_forward(_const_net(2, np.array([0.1, 0.2])),
-                                        space.user_vec("a")))
+                                        space.U[space.user_index("a")]))
     rng = np.random.default_rng(0)
     wild = mapping.MappingNetwork(rng.uniform(-2, 2, (4, 2)),
                                   rng.uniform(-2, 2, 4),
@@ -286,29 +329,27 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     V = np.array([[math.sqrt(0.1)], [math.sqrt(0.3)], [math.sqrt(0.2)]])
     space = embed.EmbeddingSpace(("q",), ids, np.zeros((1, 1)), V,
                                  embed.KIND_METRIC)
-    assert coldstart.recommend_topn(space, np.zeros(1), ids, 3) == \
+    assert _ranked(space.scores([0, 1, 2], np.zeros(1)), ids) == \
         ["A", "C", "B"]
     space = embed.EmbeddingSpace(("q",), ["A", "B"], np.ones((1, 1)),
                                  np.array([[0.9], [0.1]]), embed.KIND_INNER)
-    assert coldstart.recommend_topn(space, np.ones(1), ["A", "B"], 2) == \
+    assert _ranked(space.scores([0, 1], np.ones(1)), ["A", "B"]) == \
         ["A", "B"]
     space = embed.EmbeddingSpace(("q",), ["7", "3"], np.zeros((1, 1)),
                                  np.array([[0.4], [0.4]]),
                                  embed.KIND_METRIC)
-    assert coldstart.recommend_topn(space, np.zeros(1), ["7", "3"], 2) == \
+    assert _ranked(space.scores([0, 1], np.zeros(1)), ["7", "3"]) == \
         ["3", "7"]
 
-    # popularity ranking: counts, tie-break, absent item
+    # popularity ranking: counts, tie-break, an item without pairs
     pairs = [(f"u{k}", "A") for k in range(5)]
     pairs += [(f"u{k}", "B") for k in range(2)]
     pairs += [(f"u{k}", "C") for k in range(7)]
-    inter = data.InteractionSet(pairs)
-    assert coldstart.itempop_rank(inter, ["A", "B", "C"], 3) == \
-        ["C", "A", "B"]
+    inter = data.InteractionSet(pairs, items=["A", "B", "C", "Z"])
+    assert _popularity(inter, ["A", "B", "C"]) == ["C", "A", "B"]
     equal = data.InteractionSet([("u", "x"), ("u", "m"), ("u", "a")])
-    assert coldstart.itempop_rank(equal, ["x", "m", "a"], 3) == \
-        ["a", "m", "x"]
-    assert coldstart.itempop_rank(inter, ["A", "Z", "C"], 3)[-1] == "Z"
+    assert _popularity(equal, ["x", "m", "a"]) == ["a", "m", "x"]
+    assert _popularity(inter, ["A", "Z", "C"])[-1] == "Z"
 
     # leave-one-out rank of candidate 0; keys order the ids
     keys = np.arange(1000)  # i0000, i0001, ...
@@ -426,16 +467,17 @@ def test_criterion_2_gradient_fidelity():
         attempts += 1
         assert attempts < 5000, "could not find non-boundary points"
         u, vp, vn = rng.uniform(-0.6, 0.6, (3, k))
-        arg = margin + embed.distance(u, vp) - embed.distance(u, vn)
+        arg = margin + reference.distance(u, vp) - reference.distance(u, vn)
         if abs(arg) <= 1e-3:
             continue
         accepted += 1
-        gu, gp, gn = embed.cml_triplet_grad(u, vp, vn, margin)
+        gu, gp, gn = reference.triplet(embed.KIND_METRIC, u, vp, vn,
+                                       margin)[1]
         flat = np.concatenate([u, vp, vn])
 
         def loss(x):
-            return embed.cml_triplet_loss(x[:k], x[k:2 * k], x[2 * k:],
-                                          margin)
+            return reference.triplet(embed.KIND_METRIC, x[:k], x[k:2 * k],
+                                     x[2 * k:], margin)[0]
 
         fd = _fd_grad(loss, flat)
         assert _rel_err(np.concatenate([gu, gp, gn]), fd) < 1e-4
@@ -443,10 +485,11 @@ def test_criterion_2_gradient_fidelity():
     # smooth pairwise-ranking loss
     for _ in range(100):
         u, vp, vn = rng.normal(0, 0.7, (3, k))
-        gu, gp, gn = embed.bpr_triplet_grad(u, vp, vn)
+        gu, gp, gn = reference.triplet(embed.KIND_INNER, u, vp, vn)[1]
 
         def loss(x):
-            return embed.bpr_triplet_loss(x[:k], x[k:2 * k], x[2 * k:])
+            return reference.triplet(embed.KIND_INNER, x[:k], x[k:2 * k],
+                                     x[2 * k:])[0]
 
         fd = _fd_grad(loss, np.concatenate([u, vp, vn]))
         assert _rel_err(np.concatenate([gu, gp, gn]), fd) < 1e-4
@@ -491,8 +534,8 @@ def test_criterion_2_gradient_fidelity():
 
         def loss(theta):
             net2 = unflatten(theta)
-            return (mapping.supervised_loss(net2, S, T)
-                    + lam * mapping.unsupervised_triplet_loss(
+            return (reference.supervised_loss(net2, S, T)
+                    + lam * reference.unsupervised_triplet_loss(
                         net2, P, N, A, margin))
 
         theta = np.concatenate([net.w1.ravel(), net.b1, net.w2.ravel(),
@@ -574,16 +617,14 @@ def test_criterion_4_oracle_equivalence():
         users_of = [sorted(ui[ii == k]) for k in range(n_v)]
         for h in range(5):
             Uh, Vh = coldstart.aggregate_hops(space, inter, h)
-            for k, u in enumerate(users):
+            for k in range(n_u):
                 want = _brute_hop(U0, V0, items_of, users_of, "u", k, h)
-                got = coldstart.multi_hop_user(space, inter, u, h)
-                assert np.max(np.abs(got - want)) < 1e-12
                 assert np.max(np.abs(Uh[k] - want)) < 1e-12
             for k in range(n_v):
                 want = _brute_hop(U0, V0, items_of, users_of, "v", k, h)
                 assert np.max(np.abs(Vh[k] - want)) < 1e-12
 
-    # ranking vs exhaustive sort
+    # ranking vs exhaustive sort, every candidate in turn the positive
     for trial in range(500):
         m = int(rng.integers(2, 13))
         ids = [f"i{k:02d}" for k in range(m)]
@@ -599,8 +640,7 @@ def test_criterion_4_oracle_equivalence():
         else:
             key = {i: -float(V[k] @ q) for k, i in enumerate(ids)}
         want = sorted(ids, key=lambda i: (key[i], i))
-        n = int(rng.integers(1, m + 1))
-        assert coldstart.recommend_topn(space, q, ids, n) == want[:n]
+        assert _ranked(space.scores(np.arange(m), q), ids) == want
 
         scores = {i: float(rng.integers(0, 5)) for i in ids}
         test_item = ids[int(rng.integers(0, m))]
@@ -613,17 +653,17 @@ def test_criterion_4_oracle_equivalence():
             assert evaluation.rank_of_test_item(
                 s if higher else -s, keys) == srt.index(test_item) + 1
 
-    # popularity vs direct counting
+    # popularity vs direct counting, every candidate in turn the positive
     for _ in range(50):
         n_items = int(rng.integers(2, 8))
         ids = [f"i{k}" for k in range(n_items)]
         pairs = [(f"u{j}", ids[int(rng.integers(0, n_items))])
                  for j in range(20)]
-        inter = data.InteractionSet(pairs)
+        inter = data.InteractionSet(pairs, items=ids)
         counts = {i: sum(1 for _, it in set(pairs) if it == i)
                   for i in ids}
         want = sorted(ids, key=lambda i: (-counts[i], i))
-        assert coldstart.itempop_rank(inter, ids, n_items) == want
+        assert _popularity(inter, ids) == want
 
     dt = time.monotonic() - t0
     assert dt < 30.0, f"oracle equivalence took {dt:.2f}s (budget 30s)"

@@ -478,13 +478,16 @@ def test_bad_eval_setting_is_rejected_before_any_file(tmp_path, capsys,
 
 
 # a bad value for a setting the method does not train with, or for the
-# split, which `run` uses only after making its output directory
+# split or the generator, which `run` uses only after making its output
+# directory
 _CHECKED_WHATEVER_THE_METHOD = [
     *(("ITEMPOP", v) for v in ("lambda=nan", "embed.lr=inf", "map.margin=-1",
                                "embed.dim=0", "map.lr=nan", "embed.l2=nan")),
     *((m, v) for m in ("BPR", "CML") for v in ("lambda=nan", "map.lr=inf")),
     ("ITEMPOP", "phi=inf"), ("SSCDR", "phi=nan"),
     ("BPR", "test_fraction=nan"), ("ITEMPOP", "min_other=0"),
+    *(("ITEMPOP", v) for v in ("synth.density=nan", "synth.overlap=inf",
+                               "synth.source_items=0")),
 ]
 
 
@@ -495,6 +498,17 @@ def test_every_value_is_checked_whatever_the_method(tmp_path, capsys, method,
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--method", method,
                  "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_infeasible_synth_density_fails_before_any_file(tmp_path, capsys):
+    # 0.001 of 50 items rounds to no item per user
+    cfg = _write(tmp_path / "r.cfg", _with(RUN_CFG, "synth.density=0.001"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--method", "ITEMPOP",
+                 "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossrec.coldstart import (
-    aggregate_hops,
-    aggregate_step,
-    infer_cold_start,
-    itempop_rank,
-    multi_hop_user,
-    recommend_topn,
-)
+from crossrec.coldstart import aggregate_hops, aggregate_step, infer_cold_start
 from crossrec.data import InteractionSet
 from crossrec.embed import EmbeddingSpace
-from crossrec.errors import EmptyCandidates, IndexMismatch, UnknownUser
+from crossrec.errors import IndexMismatch
 from crossrec.mapping import MappingNetwork
 
 
@@ -114,12 +107,9 @@ def test_multi_hop_user_and_hop_zero_identity():
     U = np.array([[0.6, 0.0], [0.0, 0.6]])
     V = np.array([[0.1, 0.1], [0.4, 0.0]])
     space = _space(data, U, V)
-    np.testing.assert_array_equal(multi_hop_user(space, data, "u0", 0),
-                                  U[0])
+    np.testing.assert_array_equal(aggregate_hops(space, data, 0)[0][0], U[0])
     expect = (U[0] + V[0]) / 2
-    np.testing.assert_allclose(multi_hop_user(space, data, "u0", 1), expect)
-    with pytest.raises(UnknownUser):
-        multi_hop_user(space, data, "ghost", 1)
+    np.testing.assert_allclose(aggregate_hops(space, data, 1)[0][0], expect)
 
 
 def test_multi_hop_user_reads_a_permuted_space_by_id():
@@ -135,11 +125,10 @@ def test_multi_hop_user_reads_a_permuted_space_by_id():
         [data.user_ids[k] for k in pu] + ["extra"],
         [data.item_ids[k] for k in pi],
         np.vstack([U[pu], [[0.9, 0.0]]]), V[pi], "metric")
-    for user in data.user_ids:
-        for hops in range(3):
-            np.testing.assert_array_equal(
-                multi_hop_user(permuted, data, user, hops),
-                multi_hop_user(space, data, user, hops))
+    for hops in range(3):
+        for got, want in zip(aggregate_hops(permuted, data, hops),
+                             aggregate_hops(space, data, hops)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_aggregate_hops_names_a_missing_row():
@@ -176,77 +165,3 @@ def test_infer_cold_start_is_the_mapping_forward():
     np.testing.assert_allclose(infer_cold_start(net, [1.0, 1.0, 1.0]),
                                [0.0, 0.3, 0.0])
 
-
-# -- retrieval ---------------------------------------------------------------
-
-def test_recommend_topn_metric_orders_by_distance():
-    data = InteractionSet([("u", "a"), ("u", "b"), ("u", "c")])
-    V = np.array([[0.9, 0.0], [0.1, 0.0], [0.5, 0.0]])
-    space = _space(data, np.zeros((1, 2)), V)
-    out = recommend_topn(space, np.array([0.0, 0.0]), ["a", "b", "c"], 3)
-    assert out == ["b", "c", "a"]
-    assert recommend_topn(space, np.array([0.0, 0.0]),
-                          ["a", "b", "c"], 1) == ["b"]
-
-
-def test_recommend_topn_inner_orders_by_dot():
-    data = InteractionSet([("u", "a"), ("u", "b"), ("u", "c")])
-    V = np.array([[0.9, 0.0], [0.1, 0.0], [0.5, 0.0]])
-    space = _space(data, np.zeros((1, 2)), V, kind="inner")
-    out = recommend_topn(space, np.array([1.0, 0.0]), ["a", "b", "c"], 3)
-    assert out == ["a", "c", "b"]
-
-
-def test_recommend_topn_breaks_ties_by_item_id():
-    data = InteractionSet([("u", "z"), ("u", "m"), ("u", "a")])
-    V = np.zeros((3, 2))  # all candidates equidistant
-    space = _space(data, np.zeros((1, 2)), V)
-    out = recommend_topn(space, np.array([0.3, 0.3]), ["z", "m", "a"], 3)
-    assert out == ["a", "m", "z"]
-
-
-def test_recommend_topn_errors():
-    data = InteractionSet([("u", "a")])
-    space = _space(data, np.zeros((1, 1)), np.zeros((1, 1)))
-    with pytest.raises(EmptyCandidates):
-        recommend_topn(space, np.zeros(1), [], 1)
-    with pytest.raises(ValueError):
-        recommend_topn(space, np.zeros(1), ["a"], 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12),
-       st.booleans())
-def test_recommend_topn_matches_exhaustive_sort(seed, n_cand, inner):
-    rng = np.random.default_rng(seed)
-    items = [f"i{k:02d}" for k in range(n_cand)]
-    data = InteractionSet([("u", i) for i in items], items=items)
-    V = rng.normal(size=(n_cand, 3))
-    # quantized coordinates produce frequent ties
-    V = np.round(V, 1) / max(1.0, float(np.abs(np.round(V, 1)).max()) * 2)
-    space = _space(data, np.zeros((1, 3)), V,
-                   kind="inner" if inner else "metric")
-    q = rng.normal(size=3) / 4
-    n = int(rng.integers(1, n_cand + 1))
-    got = recommend_topn(space, q, items, n)
-
-    def key(item):
-        v = space.item_vec(item)
-        if inner:
-            return (-float(v @ q), item)
-        return (float(np.sum((v - q) ** 2)), item)
-
-    assert got == sorted(items, key=key)[:n]
-
-
-def test_itempop_rank_counts_and_ties():
-    data = InteractionSet([("u1", "a"), ("u2", "a"), ("u3", "a"),
-                           ("u1", "b"), ("u2", "b"),
-                           ("u1", "c"),
-                           ("u1", "d"), ("u2", "d")])
-    # counts: a=3, b=2, d=2, c=1; tie between b and d -> id order
-    assert itempop_rank(data, ["a", "b", "c", "d"], 4) == \
-        ["a", "b", "d", "c"]
-    assert itempop_rank(data, ["c", "d", "b"], 2) == ["b", "d"]
-    with pytest.raises(EmptyCandidates):
-        itempop_rank(data, [], 1)

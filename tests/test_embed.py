@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference import dense, distance, triplet
 
 from crossrec import optim
 from crossrec.data import InteractionSet
@@ -10,25 +11,14 @@ from crossrec.embed import (
     EmbeddingSpace,
     EmbedTrainConfig,
     _sample_negatives_array,
-    bpr_triplet_grad,
-    bpr_triplet_loss,
-    cml_triplet_grad,
-    cml_triplet_loss,
-    distance,
     load_embeddings,
     metric_hinge,
     project_rows,
-    project_unit_ball,
     save_embeddings,
     train_embeddings,
     triplet_loss_and_grads,
 )
-from crossrec.errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyDataset,
-    NonFiniteInput,
-)
+from crossrec.errors import ConfigError, EmptyDataset
 
 # frozen oracle values, computed with mpmath at 30 digits:
 #   log(1 + exp(-10)) and log(1 + e)
@@ -38,40 +28,41 @@ BPR_LOSS_AT_MINUS_1 = 1.313261687518222834
 
 # -- distance and projection ---------------------------------------------
 
+def _sq_distance(v, q):
+    """``|v - q|^2``: a metric space's negated score of row ``v`` for ``q``."""
+    space = EmbeddingSpace((), ("v",), np.zeros((0, len(v))), [v], "metric")
+    return -space.scores([0], np.asarray(q, dtype=float))[0]
+
+
+def _projected(x):
+    x = np.array(x, dtype=float)
+    project_rows(x[None])
+    return x
+
+
 def test_distance_values():
-    assert distance([0.0, 0.0], [0.0, 0.0]) == 0.0
-    assert distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
-    assert distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert distance([3.0], [-1.0]) == pytest.approx(16.0, abs=1e-12)
-
-
-def test_distance_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        distance([1.0, 2.0], [1.0])
+    assert _sq_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
+    assert _sq_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(
+        2.0, abs=1e-12)
+    assert _sq_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
+    assert _sq_distance([-1.0], [3.0]) == pytest.approx(16.0, abs=1e-12)
 
 
 def test_project_unit_ball_values():
-    np.testing.assert_allclose(project_unit_ball([0.3, 0.4]), [0.3, 0.4])
-    np.testing.assert_allclose(project_unit_ball([3.0, 4.0]), [0.6, 0.8],
+    np.testing.assert_allclose(_projected([0.3, 0.4]), [0.3, 0.4])
+    np.testing.assert_allclose(_projected([3.0, 4.0]), [0.6, 0.8],
                                atol=1e-12)
-    z = project_unit_ball([0.0, 0.0, 0.0])
+    z = _projected([0.0, 0.0, 0.0])
     np.testing.assert_array_equal(z, [0.0, 0.0, 0.0])
-
-
-def test_project_unit_ball_rejects_non_finite():
-    with pytest.raises(NonFiniteInput):
-        project_unit_ball([np.nan, 0.0])
-    with pytest.raises(NonFiniteInput):
-        project_unit_ball([np.inf, 1.0])
 
 
 @settings(max_examples=80)
 @given(arrays(np.float64, st.integers(1, 8),
               elements=st.floats(-1e6, 1e6, allow_nan=False)))
 def test_projection_is_idempotent_and_non_expansive(x):
-    p = project_unit_ball(x)
+    p = _projected(x)
     assert np.linalg.norm(p) <= 1.0 + 1e-12
-    np.testing.assert_allclose(project_unit_ball(p), p, atol=1e-12)
+    np.testing.assert_allclose(_projected(p), p, atol=1e-12)
     # never increases the norm
     assert np.linalg.norm(p) <= np.linalg.norm(x) + 1e-12
 
@@ -83,12 +74,12 @@ def test_cml_triplet_loss_values():
     near = [0.1, 0.0]   # d = 0.01
     far = [1.0, 0.0]    # d = 1.0
     # active hinge: 1 + 0.01 - 1.0
-    assert cml_triplet_loss(u, near, far, 1.0) == pytest.approx(0.01,
-                                                                abs=1e-12)
+    assert triplet("metric", u, near, far, 1.0)[0] == pytest.approx(
+        0.01, abs=1e-12)
     # inactive: positive much closer than negative with a small margin
-    assert cml_triplet_loss(u, near, far, 0.5) == 0.0
+    assert triplet("metric", u, near, far, 0.5)[0] == 0.0
     # zero vectors: loss equals the margin
-    assert cml_triplet_loss([0.0], [0.0], [0.0], 1.5) == 1.5
+    assert triplet("metric", [0.0], [0.0], [0.0], 1.5)[0] == 1.5
 
 
 @settings(max_examples=60)
@@ -97,7 +88,7 @@ def test_cml_triplet_loss_values():
        arrays(np.float64, 4, elements=st.floats(-2, 2, allow_nan=False)),
        st.floats(0.1, 2.0))
 def test_cml_loss_zero_iff_gap_exceeds_margin(u, vp, vn, margin):
-    loss = cml_triplet_loss(u, vp, vn, margin)
+    loss = triplet("metric", u, vp, vn, margin)[0]
     gap = distance(u, vn) - distance(u, vp)
     if gap >= margin:
         assert loss == 0.0
@@ -110,19 +101,19 @@ def test_bpr_triplet_loss_frozen_values():
     u = [1.0, 0.0]
     vp = [10.0, 0.0]
     vn = [0.0, 0.0]
-    assert bpr_triplet_loss(u, vp, vn) == pytest.approx(BPR_LOSS_AT_10,
-                                                        rel=1e-12)
+    assert triplet("inner", u, vp, vn)[0] == pytest.approx(
+        BPR_LOSS_AT_10, rel=1e-12)
     # score gap of -1
-    assert bpr_triplet_loss([1.0], [0.0], [1.0]) == pytest.approx(
+    assert triplet("inner", [1.0], [0.0], [1.0])[0] == pytest.approx(
         BPR_LOSS_AT_MINUS_1, rel=1e-12)
     # zero gap
-    assert bpr_triplet_loss([0.0], [5.0], [5.0]) == pytest.approx(
+    assert triplet("inner", [0.0], [5.0], [5.0])[0] == pytest.approx(
         np.log(2.0), rel=1e-12)
 
 
 def test_bpr_loss_is_stable_for_huge_gaps():
-    assert bpr_triplet_loss([1.0], [1000.0], [0.0]) == 0.0
-    big = bpr_triplet_loss([1.0], [0.0], [1000.0])
+    assert triplet("inner", [1.0], [1000.0], [0.0])[0] == 0.0
+    big = triplet("inner", [1.0], [0.0], [1000.0])[0]
     assert big == pytest.approx(1000.0, rel=1e-9)
 
 
@@ -142,14 +133,14 @@ def test_cml_gradients_match_finite_differences():
     checked = 0
     while checked < 25:
         u, vp, vn = rng.normal(size=(3, 5))
-        margin = 1.0
-        arg = margin + distance(u, vp) - distance(u, vn)
+        m = 1.0  # margin
+        arg = m + distance(u, vp) - distance(u, vn)
         if abs(arg) < 1e-3:  # keep away from the hinge kink
             continue
-        gu, gp, gn = cml_triplet_grad(u, vp, vn, margin)
-        fu = _central_diff(lambda x: cml_triplet_loss(x, vp, vn, margin), u)
-        fp = _central_diff(lambda x: cml_triplet_loss(u, x, vn, margin), vp)
-        fn = _central_diff(lambda x: cml_triplet_loss(u, vp, x, margin), vn)
+        gu, gp, gn = triplet("metric", u, vp, vn, m)[1]
+        fu = _central_diff(lambda x: triplet("metric", x, vp, vn, m)[0], u)
+        fp = _central_diff(lambda x: triplet("metric", u, x, vn, m)[0], vp)
+        fn = _central_diff(lambda x: triplet("metric", u, vp, x, m)[0], vn)
         for a, b in ((gu, fu), (gp, fp), (gn, fn)):
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
         checked += 1
@@ -159,23 +150,12 @@ def test_bpr_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     for _ in range(25):
         u, vp, vn = rng.normal(size=(3, 5))
-        gu, gp, gn = bpr_triplet_grad(u, vp, vn)
-        fu = _central_diff(lambda x: bpr_triplet_loss(x, vp, vn), u)
-        fp = _central_diff(lambda x: bpr_triplet_loss(u, x, vn), vp)
-        fn = _central_diff(lambda x: bpr_triplet_loss(u, vp, x), vn)
+        gu, gp, gn = triplet("inner", u, vp, vn)[1]
+        fu = _central_diff(lambda x: triplet("inner", x, vp, vn)[0], u)
+        fp = _central_diff(lambda x: triplet("inner", u, x, vn)[0], vp)
+        fn = _central_diff(lambda x: triplet("inner", u, vp, x)[0], vn)
         for a, b in ((gu, fu), (gp, fp), (gn, fn)):
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
-
-
-def _dense(rows, grads, n):
-    """The kernel's gradients of the triplet rows ``rows`` scattered into
-    ``n`` zero rows."""
-    out = []
-    for g in grads:
-        full = np.zeros((n, g.shape[1]))
-        full[rows] = g
-        out.append(full)
-    return out
 
 
 @pytest.mark.parametrize("kind, l2", [("metric", 0.0), ("inner", 0.0),
@@ -187,7 +167,7 @@ def test_batched_kernel_matches_finite_differences(kind, l2):
     # row 0 sits exactly on the hinge: d_pos = 0, d_neg = margin
     U[0], Vp[0], Vn[0] = 0.0, 0.0, [1.0, 0.0, 0.0, 0.0]
     loss, rows, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, margin, l2)
-    grads = _dense(rows, grads, n)
+    grads = dense(rows, grads, n)
     if kind == "metric":
         for g in grads:
             assert not g[0].any()
@@ -214,16 +194,11 @@ def test_batched_kernel_matches_finite_differences(kind, l2):
 def test_scalar_triplet_functions_wrap_the_batched_kernel():
     rng = np.random.default_rng(3)
     U, Vp, Vn = rng.normal(size=(3, 5, 4))
-    for kind, loss_fn, grad_fn, extra in (
-            ("metric", cml_triplet_loss, cml_triplet_grad, (1.0,)),
-            ("inner", bpr_triplet_loss, bpr_triplet_grad, ())):
+    for kind in ("metric", "inner"):
         _, rows, *grads = triplet_loss_and_grads(kind, U, Vp, Vn, 1.0)
-        grads = _dense(rows, grads, 5)
+        grads = dense(rows, grads, 5)
         for r in range(5):
-            row_loss = triplet_loss_and_grads(
-                kind, U[r:r + 1], Vp[r:r + 1], Vn[r:r + 1], 1.0)[0]
-            assert loss_fn(U[r], Vp[r], Vn[r], *extra) == row_loss
-            for a, b in zip(grad_fn(U[r], Vp[r], Vn[r], *extra), grads):
+            for a, b in zip(triplet(kind, U[r], Vp[r], Vn[r])[1], grads):
                 np.testing.assert_array_equal(a, b[r])
 
 
@@ -232,7 +207,7 @@ def test_hinge_subgradient_is_zero_at_the_boundary():
     u = np.zeros(2)
     vp = np.zeros(2)
     vn = np.array([1.0, 0.0])
-    gu, gp, gn = cml_triplet_grad(u, vp, vn, 1.0)
+    gu, gp, gn = triplet("metric", u, vp, vn, 1.0)[1]
     assert not gu.any() and not gp.any() and not gn.any()
 
 
@@ -250,9 +225,9 @@ def test_metric_hinge_returns_the_active_rows_and_their_gradients(seed):
     np.testing.assert_array_equal(rows, np.flatnonzero(arg > 0))
     assert loss == float(np.sum(np.maximum(arg, 0.0)))
     w = 2.0 * (arg > 0)[:, None]
-    for full, dense in zip(_dense(rows, (gA, gP, gN), n),
-                           (w * (N - P), w * (P - A), w * (A - N))):
-        assert np.array_equal(full, dense)
+    for full, want in zip(dense(rows, (gA, gP, gN), n),
+                          (w * (N - P), w * (P - A), w * (A - N))):
+        assert np.array_equal(full, want)
 
 
 # -- config and space types ----------------------------------------------

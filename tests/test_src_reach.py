@@ -1,0 +1,43 @@
+"""``src/crossrec`` holds only what the commands and the benchmark run: a
+definition only tests reach gets checked in place of the code that runs.
+The scan reads the source files and imports nothing."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _parse(pattern):
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(ROOT.glob(pattern))}
+
+
+def _referenced(*trees):
+    """Every name, attribute name and imported name used in ``trees``."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+    return out
+
+
+def test_every_src_definition_is_reached_outside_the_tests():
+    src = _parse("src/crossrec/*.py")
+    bench = _referenced(*_parse("bench/*.py").values())
+    unreached = []
+    for name, tree in src.items():
+        outside = bench | _referenced(
+            *(t for other, t in src.items() if other != name))
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = _referenced(*(s for s in tree.body if s is not stmt))
+            if stmt.name not in own | outside:
+                unreached.append(f"{name}.{stmt.name}")
+    assert not unreached, f"reached only by tests: {', '.join(unreached)}"
