@@ -40,12 +40,17 @@ def _resolve_config(args):
     return experiment.config_from_mapping(kv)
 
 
-def _check_hops_flag(args, cfg):
-    # hops in a config file may serve several methods, so only the flag
-    # is checked
+def _check_flags(args, cfg):
+    # config keys may serve several methods, and build-scenario too, so
+    # only the flags are checked: --hops needs SSCDR, --phi the scenario's
     if args.hops is not None and cfg.method != experiment.METHOD_SSCDR:
         raise ConfigError(f"--hops applies to {experiment.METHOD_SSCDR} "
                           f"only, not {cfg.method}")
+    if getattr(args, "phi", None) is not None and cfg.scenario_dir:
+        saved = data.load_meta(cfg.scenario_dir)[0].phi
+        if cfg.phi != saved:
+            raise ConfigError(f"--phi {cfg.phi:g} differs from the phi "
+                              f"{saved:g} of scenario {cfg.scenario_dir}")
 
 
 def _add_common(p, out_required=False):
@@ -78,7 +83,7 @@ def _cmd_build_scenario(args):
           f"{len(scenario.overlap_users)} overlapping, "
           f"{len(scenario.test_users)} test, "
           f"{len(scenario.train_overlap_users)} train-overlap "
-          f"(phi={scenario.phi:g})")
+          f"(phi={scenario.split.phi:g})")
     return 0
 
 
@@ -118,7 +123,7 @@ def _train_step(args, name):
 
 def _cmd_eval(args):
     cfg = _resolve_config(args)
-    _check_hops_flag(args, cfg)
+    _check_flags(args, cfg)
     cfg.validate()
     scenario = data.load_scenario(args.scenario)
     # a too-small negative pool fails before any artifact is read
@@ -138,7 +143,7 @@ def _cmd_eval(args):
 
 def _cmd_run(args):
     cfg = _resolve_config(args)
-    _check_hops_flag(args, cfg)
+    _check_flags(args, cfg)
     report = experiment.run_experiment(cfg)
     print(report.format_table(title=f"{cfg.method} phi={report.phi:g}"))
     print(f"artifacts in {cfg.out_dir}")

@@ -17,7 +17,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,10 +31,6 @@ from .errors import (
     MalformedLine,
     NoOverlap,
 )
-
-DEFAULT_MIN_OVERLAP_INTERACTIONS = 10
-DEFAULT_MIN_OTHER_INTERACTIONS = 20
-DEFAULT_TEST_FRACTION = 0.5
 
 
 def _check_id(token):
@@ -93,9 +89,6 @@ class IdLookup:
 
     def has_user(self, user):
         return user in self._uindex
-
-    def has_item(self, item):
-        return item in self._iindex
 
     def user_index(self, user):
         return self._uindex[user]
@@ -219,11 +212,13 @@ class InteractionSet(IdLookup):
 
 @dataclass(frozen=True)
 class SplitSeedConfig:
-    """Controls the randomized parts of scenario construction."""
+    """How a scenario is built: ``meta.txt``'s settings, in file order."""
 
-    seed: int
-    test_fraction: float = DEFAULT_TEST_FRACTION
     phi: float = 1.0
+    seed: int = 0
+    test_fraction: float = 0.5
+    min_overlap_interactions: int = 10
+    min_other_interactions: int = 20
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
@@ -231,6 +226,8 @@ class SplitSeedConfig:
                 f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 0.0 < self.phi <= 1.0:
             raise ConfigError(f"phi must be in (0, 1], got {self.phi}")
+        if min(self.min_overlap_interactions, self.min_other_interactions) < 1:
+            raise ConfigError("filter thresholds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,8 @@ class CrossDomainScenario:
     ``target`` contains only training interactions: test users and all of
     their pairs are removed from it, but the full filtered item universe is
     kept so every candidate item stays addressable.  ``heldout`` maps each
-    test user to its (test_item, valid_item) pair in the target domain.
+    test user to its (test_item, valid_item) pair in the target domain,
+    and ``split`` holds the settings the scenario was built with.
     """
 
     source: InteractionSet
@@ -249,11 +247,7 @@ class CrossDomainScenario:
     test_users: tuple
     train_overlap_users: tuple
     heldout: dict
-    phi: float
-    seed: int
-    test_fraction: float = DEFAULT_TEST_FRACTION
-    min_overlap_interactions: int = DEFAULT_MIN_OVERLAP_INTERACTIONS
-    min_other_interactions: int = DEFAULT_MIN_OTHER_INTERACTIONS
+    split: SplitSeedConfig
 
 
 def _field_codes(code, starts, stops):
@@ -389,15 +383,7 @@ def _used_items(interactions, pair_mask):
                        minlength=interactions.n_items) > 0
 
 
-def _check_thresholds(min_overlap, min_other):
-    if min_overlap < 1 or min_other < 1:
-        raise ConfigError("filter thresholds must be >= 1")
-
-
-def build_scenario(source, target,
-                   cfg,
-                   min_overlap_interactions=DEFAULT_MIN_OVERLAP_INTERACTIONS,
-                   min_other_interactions=DEFAULT_MIN_OTHER_INTERACTIONS):
+def build_scenario(source, target, cfg):
     """Filter two domains and carve out the cold-start evaluation split.
 
     Test users are half (``cfg.test_fraction``) of the filtered overlapping
@@ -408,9 +394,9 @@ def build_scenario(source, target,
     test split and held-out items do not depend on phi, so scenarios that
     differ only in phi are directly comparable.
     """
-    _check_thresholds(min_overlap_interactions, min_other_interactions)
     src_alive, src_keep, tgt_alive, tgt_keep, shared = _filter_domains(
-        source, target, min_overlap_interactions, min_other_interactions)
+        source, target, cfg.min_overlap_interactions,
+        cfg.min_other_interactions)
     overlap = sorted(target.user_ids[k] for k in shared)
     if not overlap:
         raise NoOverlap("no shared users survive filtering")
@@ -457,11 +443,7 @@ def build_scenario(source, target,
         test_users=tuple(sorted(heldout)),
         train_overlap_users=tuple(sorted(train_overlap)),
         heldout=heldout,
-        phi=cfg.phi,
-        seed=cfg.seed,
-        test_fraction=cfg.test_fraction,
-        min_overlap_interactions=min_overlap_interactions,
-        min_other_interactions=min_other_interactions,
+        split=cfg,
     )
 
 
@@ -515,9 +497,8 @@ def _ids(text):
     return tuple(text.split(",")) if text else ()
 
 
-# every meta file key, a CrossDomainScenario field, with its parser
-_META = {"phi": float, "seed": int, "test_fraction": float,
-         "min_overlap_interactions": int, "min_other_interactions": int,
+# every meta.txt key in file order, with its parser
+_META = {**{f.name: type(f.default) for f in fields(SplitSeedConfig)},
          "train_overlap_users": _ids}
 
 
@@ -550,10 +531,10 @@ def save_scenario(scenario, out_dir):
     _write_lines(os.path.join(out_dir, _TEST_FILE),
                  (f"{u}\t{t}\t{v}\n"
                   for u, (t, v) in sorted(scenario.heldout.items())))
-    meta = {key: getattr(scenario, key) for key in _META}
-    _write_lines(os.path.join(out_dir, _META_FILE), (
-        f"{key}={','.join(sorted(v)) if isinstance(v, tuple) else v}\n"
-        for key, v in meta.items()))
+    users = ",".join(sorted(scenario.train_overlap_users))
+    meta = {**asdict(scenario.split), "train_overlap_users": users}
+    _write_lines(os.path.join(out_dir, _META_FILE),
+                 (f"{key}={v}\n" for key, v in meta.items()))
 
 
 def read_key_values(path, error):
@@ -579,8 +560,9 @@ def read_key_values(path, error):
     return out
 
 
-def load_scenario(in_dir):
-    """Inverse of :func:`save_scenario`."""
+def load_meta(in_dir):
+    """The checked :class:`SplitSeedConfig` and the train-overlap users in
+    ``in_dir``'s ``meta.txt``; any fault is a :class:`DataError`."""
     meta_path = os.path.join(in_dir, _META_FILE)
     meta = read_key_values(meta_path, DataError)
     for key in meta:
@@ -595,12 +577,16 @@ def load_scenario(in_dir):
         except ValueError as exc:
             raise DataError(f"{meta_path}: bad value {meta[key]!r} for key "
                             f"{key}") from exc
-    try:  # the values build_scenario would accept
-        SplitSeedConfig(parsed["seed"], parsed["test_fraction"], parsed["phi"])
-        _check_thresholds(parsed["min_overlap_interactions"],
-                          parsed["min_other_interactions"])
+    train_overlap = parsed.pop("train_overlap_users")
+    try:
+        return SplitSeedConfig(**parsed), train_overlap
     except ConfigError as exc:
         raise DataError(f"{meta_path}: {exc}") from exc
+
+
+def load_scenario(in_dir):
+    """Inverse of :func:`save_scenario`."""
+    split, train_overlap = load_meta(in_dir)
     source = load_interactions(os.path.join(in_dir, _SOURCE_FILE))
     with open(os.path.join(in_dir, _OVERLAP_FILE), encoding="utf-8") as fh:
         overlap = tuple(line.strip() for line in fh if line.strip())
@@ -631,6 +617,7 @@ def load_scenario(in_dir):
         target=target,
         overlap_users=overlap,
         test_users=tuple(sorted(heldout)),
+        train_overlap_users=train_overlap,
         heldout=heldout,
-        **parsed,
+        split=split,
     )

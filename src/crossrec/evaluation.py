@@ -184,5 +184,5 @@ def evaluate(scorer, scenario, cfg):
                 raise ScorerFailure(f"non-finite score for user {user}")
             ranks[r, k] = rank_of_test_item(scores, keys[rows])
     return EvalReport(
-        cutoffs=tuple(cfg.cutoffs), phi=scenario.phi, ranks=list(ranks),
+        cutoffs=tuple(cfg.cutoffs), phi=scenario.split.phi, ranks=list(ranks),
         per_repeat=[metrics_from_ranks(r, cfg.cutoffs) for r in ranks])

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class ExperimentConfig:
     method: str = METHOD_SSCDR
     out_dir: str = "run"
     seed: int = 0
-    phi: float = 1.0
+    phi: float = data.SplitSeedConfig.phi
     hops: int = 2
     scenario_dir: str = ""
     source_path: str = ""
@@ -92,9 +92,10 @@ class ExperimentConfig:
     synth_k_true: int = 8
     synth_overlap: float = 0.3
     synth_density: float = 0.004
-    test_fraction: float = data.DEFAULT_TEST_FRACTION
-    min_overlap_interactions: int = data.DEFAULT_MIN_OVERLAP_INTERACTIONS
-    min_other_interactions: int = data.DEFAULT_MIN_OTHER_INTERACTIONS
+    test_fraction: float = data.SplitSeedConfig.test_fraction
+    min_overlap_interactions: int = (
+        data.SplitSeedConfig.min_overlap_interactions)
+    min_other_interactions: int = data.SplitSeedConfig.min_other_interactions
     embed_dim: int = 50
     embed_margin: float = 1.0
     embed_lr: float = 0.001
@@ -139,8 +140,6 @@ class ExperimentConfig:
         map_config(self)
         eval_config(self)
         split_config(self)
-        data._check_thresholds(self.min_overlap_interactions,
-                               self.min_other_interactions)
 
     def check_hops(self):
         """Reject a negative ``hops``; every command that reads it
@@ -207,15 +206,13 @@ def prepare_scenario(cfg):
     else:
         source = data.load_interactions(cfg.source_path)
         target = data.load_interactions(cfg.target_path)
-    return data.build_scenario(
-        source, target, split_config(cfg),
-        min_overlap_interactions=cfg.min_overlap_interactions,
-        min_other_interactions=cfg.min_other_interactions)
+    return data.build_scenario(source, target, split_config(cfg))
 
 
 def split_config(cfg):
-    return data.SplitSeedConfig(seed=derive_seed(cfg.seed, _SLOT_SPLIT),
-                                test_fraction=cfg.test_fraction, phi=cfg.phi)
+    return data.SplitSeedConfig(
+        cfg.phi, derive_seed(cfg.seed, _SLOT_SPLIT), cfg.test_fraction,
+        cfg.min_overlap_interactions, cfg.min_other_interactions)
 
 
 def embed_config(cfg, domain):
@@ -405,11 +402,10 @@ def run_experiment(cfg):
         scenario = data.load_scenario(scen_dir)
         # fail on a too-small negative pool before any training
         evaluation.heldout_rows(scenario, cfg.eval_negatives)
-        # a saved scenario brings its own split settings, the fields
-        # ExperimentConfig and CrossDomainScenario share
-        cfg = replace(cfg, **{k: getattr(scenario, k) for k in (
-            "phi", "test_fraction", "min_overlap_interactions",
-            "min_other_interactions")})
+        # a saved scenario brings its own split settings: every field of
+        # SplitSeedConfig but the seed, whose config value derives it
+        cfg = replace(cfg, **{k: v for k, v in asdict(scenario.split).items()
+                              if k != "seed"})
         for name in os.listdir(scen_dir):
             artifacts[f"scenario/{name}"] = os.path.join(scen_dir, name)
 

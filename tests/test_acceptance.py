@@ -120,8 +120,9 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     tgt = data.InteractionSet([(u, i) for u in users
                                for i in ("t1", "t2", "t3")])
     scen = data.build_scenario(
-        src, tgt, data.SplitSeedConfig(seed=7, test_fraction=0.5, phi=0.10),
-        min_overlap_interactions=3, min_other_interactions=3)
+        src, tgt, data.SplitSeedConfig(seed=7, test_fraction=0.5, phi=0.10,
+                                       min_overlap_interactions=3,
+                                       min_other_interactions=3))
     assert len(scen.test_users) == 100
     assert len(scen.train_overlap_users) == 10
 
@@ -137,8 +138,9 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
         + [("d", t) for t in ("t4", "t5", "t6")]
         + [("e", t) for t in ("t5", "t6", "t0")])
     scen = data.build_scenario(
-        src, tgt, data.SplitSeedConfig(seed=5, test_fraction=0.5, phi=1.0),
-        min_overlap_interactions=1, min_other_interactions=1)
+        src, tgt, data.SplitSeedConfig(seed=5, test_fraction=0.5, phi=1.0,
+                                       min_overlap_interactions=1,
+                                       min_other_interactions=1))
     unified = data.build_unified(scen)
     assert unified.n_users == 5
     assert unified.n_items == 17
@@ -425,8 +427,8 @@ def _toy_scenario(seed):
                                         seed=seed + 100)
     return data.build_scenario(
         src, tgt, data.SplitSeedConfig(seed=seed, test_fraction=0.5,
-                                       phi=1.0),
-        min_overlap_interactions=2, min_other_interactions=2)
+                                       phi=1.0, min_overlap_interactions=2,
+                                       min_other_interactions=2))
 
 
 def _toy_spaces(scen):
@@ -685,8 +687,8 @@ def _bench_scenario(seed, phi):
         BENCH["overlap"], BENCH["density"], d(seed, 0))
     return data.build_scenario(
         src, tgt,
-        data.SplitSeedConfig(seed=d(seed, 1), test_fraction=0.5, phi=phi),
-        **BENCH_THRESHOLDS)
+        data.SplitSeedConfig(seed=d(seed, 1), test_fraction=0.5, phi=phi,
+                             **BENCH_THRESHOLDS))
 
 
 def test_criterion_5_random_scorer_sanity():

@@ -320,6 +320,39 @@ def test_run_over_saved_scenario_records_its_split_settings(chain, tmp_path):
         assert f"\n{line}\n" in manifest
 
 
+def test_phi_flag_must_match_a_saved_scenario(chain, tmp_path, capsys):
+    # the chain's scenario has phi 1; phi in a config file is not checked
+    scen = chain["scen"]
+    run_cfg = _write(tmp_path / "r.cfg", _with(
+        PIPE_CFG, "phi=0.2", f"scenario={scen}", "method=ITEMPOP"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", run_cfg, "--phi", "0.5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --phi 0.5 differs from the phi 1 of scenario {scen}\n")
+    assert not out.exists()
+    assert main(["run", "--config", run_cfg, "--phi", "1",
+                 "--out", str(out)]) == 0
+    assert "\nconfig.phi=1.0\n" in (out / "manifest.txt").read_text()
+
+    # a broken meta.txt fails as it does without the flag
+    broken = tmp_path / "broken"
+    shutil.copytree(scen, broken)
+    meta = broken / "meta.txt"
+    meta.write_text(meta.read_text(encoding="utf-8").replace(
+        "phi=1.0\n", "phi=abc\n"), encoding="utf-8")
+    broken_cfg = _write(tmp_path / "b.cfg", _with(
+        PIPE_CFG, f"scenario={broken}", "method=ITEMPOP"))
+    errors = []
+    for flag in (["--phi", "1"], []):
+        assert main(["run", "--config", broken_cfg, *flag,
+                     "--out", str(tmp_path / f"b{len(flag)}")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"error: {meta}: bad value 'abc' for key phi\n")
+    assert not (tmp_path / "b2").exists()
+
+
 def test_export_vectors_takes_hops_from_the_config(chain, tmp_path,
                                                     capsys):
     # PIPE_CFG sets hops=1

@@ -1,4 +1,6 @@
 import bisect
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -87,8 +89,8 @@ def _built_indexes(s):
     return held
 
 
-_LOOKUPS = ("has_user", "user_index", "has_item", "item_index", "has_pair",
-            "items_of", "users_of")
+_LOOKUPS = ("has_user", "user_index", "item_index", "has_pair", "items_of",
+            "users_of")
 
 
 def _made(how, pairs, seed, tmp_path_factory):
@@ -135,7 +137,6 @@ def test_id_lookups_match_eagerly_built_dicts(tmp_path_factory, how, raw,
     expected = {
         "has_user": lambda u: u in uidx,
         "user_index": lambda u: uidx[u],
-        "has_item": lambda i: i in iidx,
         "item_index": lambda i: iidx[i],
         "has_pair": lambda u, i: (uidx.get(u), iidx.get(i)) in held,
         "items_of": lambda u: tuple(s.item_ids[i] for v, i in sorted(held)
@@ -599,9 +600,8 @@ def test_degenerate_when_no_test_user_has_two_target_items():
     tgt = [(u, t_items[k % 3]) for k, u in enumerate(users)]
     with pytest.raises(DegenerateScenario):
         build_scenario(InteractionSet(src), InteractionSet(tgt),
-                       SplitSeedConfig(seed=1),
-                       min_overlap_interactions=1,
-                       min_other_interactions=1)
+                       SplitSeedConfig(seed=1, min_overlap_interactions=1,
+                                       min_other_interactions=1))
 
 
 def test_split_config_validation():
@@ -609,11 +609,11 @@ def test_split_config_validation():
         SplitSeedConfig(seed=0, test_fraction=0.0)
     with pytest.raises(ConfigError):
         SplitSeedConfig(seed=0, phi=0.0)
-    with pytest.raises(ConfigError):
-        build_scenario(InteractionSet([("a", "b")]),
-                       InteractionSet([("a", "c")]),
-                       SplitSeedConfig(seed=0),
-                       min_overlap_interactions=0)
+    for key in ("min_overlap_interactions", "min_other_interactions"):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError,
+                               match="filter thresholds must be >= 1"):
+                SplitSeedConfig(seed=0, **{key: bad})
 
 
 # -- build_unified -------------------------------------------------------
@@ -707,8 +707,8 @@ def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     back = load_scenario(d1)
-    assert back.phi == scen.phi
-    assert back.seed == scen.seed
+    assert back.split.phi == scen.split.phi
+    assert back.split.seed == scen.split.seed
     assert back.test_users == scen.test_users
     assert back.train_overlap_users == scen.train_overlap_users
     assert back.heldout == scen.heldout
@@ -723,6 +723,25 @@ def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
     for name in ("source.tsv", "target_train.tsv", "overlap.txt",
                  "test.tsv", "meta.txt"):
         assert (d1 / name).read_bytes() == (d3 / name).read_bytes()
+
+
+_META_KEYS = ["phi", "seed", "test_fraction", "min_overlap_interactions",
+              "min_other_interactions", "train_overlap_users"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2**32 - 1),
+       st.floats(0.1, 0.9), st.integers(2, 10), st.integers(1, 20))
+def test_saved_split_settings_load_back_equal(phi, seed, test_fraction,
+                                              min_overlap, min_other):
+    # thresholds of at least 2 leave every overlap user two target items
+    split = SplitSeedConfig(phi, seed, test_fraction, min_overlap, min_other)
+    scen = build_scenario(*_filter_toy(), split)
+    with tempfile.TemporaryDirectory() as out:
+        save_scenario(scen, out)
+        assert load_scenario(out).split == scen.split == split
+        with open(os.path.join(out, "meta.txt"), encoding="utf-8") as fh:
+            assert [line.split("=")[0] for line in fh] == _META_KEYS
 
 
 def _saved_test_file(out_dir):

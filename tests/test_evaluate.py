@@ -9,6 +9,7 @@ from reference import ranking
 from crossrec.data import (
     CrossDomainScenario,
     InteractionSet,
+    SplitSeedConfig,
     sample_negatives,
 )
 from crossrec.errors import ConfigError, ScorerFailure
@@ -131,7 +132,7 @@ def _eval_scenario(n_test=8, n_items=60, phi=1.0):
     return CrossDomainScenario(
         source=target, target=target, overlap_users=test_users,
         test_users=test_users, train_overlap_users=(), heldout=heldout,
-        phi=phi, seed=0)
+        split=SplitSeedConfig(phi=phi, seed=0))
 
 
 def _ids(scenario, rows):
@@ -236,7 +237,7 @@ def _repeat_major_evaluate(scorer, scenario, cfg):
     held = heldout_rows(scenario, cfg.negatives)
     keys = id_keys(scenario.target.item_ids)
     col = POSITIVES.index(cfg.positive)
-    report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.phi)
+    report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.split.phi)
     for r in range(cfg.repeats):
         ranks = np.empty(len(held), dtype=np.int64)
         for k, (pair, blocked) in enumerate(held):
@@ -353,7 +354,8 @@ def _pin_scenario():
     users = tuple(sorted(heldout))
     return CrossDomainScenario(
         source=target, target=target, overlap_users=users, test_users=users,
-        train_overlap_users=(), heldout=heldout, phi=1.0, seed=0)
+        train_overlap_users=(), heldout=heldout,
+        split=SplitSeedConfig(phi=1.0, seed=0))
 
 
 def _string_ranks(scen, table, cfg, positive):

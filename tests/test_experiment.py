@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossrec import data, experiment
-from crossrec.data import CrossDomainScenario, InteractionSet
+from crossrec.data import (CrossDomainScenario, InteractionSet,
+                           SplitSeedConfig)
 from crossrec.embed import EmbeddingSpace, EmbedTrainConfig
 from crossrec.errors import ConfigError
 from crossrec.evaluation import EvalConfig, id_keys, rank_of_test_item
@@ -295,7 +296,8 @@ def _unified_case(kind, n_users=4, n_items=70, dim=6):
     scen = CrossDomainScenario(
         source=target, target=target, overlap_users=users,
         test_users=users, train_overlap_users=(),
-        heldout={u: (items[1], items[2]) for u in users}, phi=1.0, seed=0)
+        heldout={u: (items[1], items[2]) for u in users},
+        split=SplitSeedConfig(phi=1.0, seed=0))
     rng = np.random.default_rng(8)
     U, V = rng.normal(size=(n_users, dim)), rng.normal(size=(n_items, dim))
     if kind == "metric":  # inside the unit ball

@@ -3,7 +3,8 @@ import pytest
 from reference import supervised_loss, unsupervised_triplet_loss
 
 from crossrec import mapping
-from crossrec.data import CrossDomainScenario, InteractionSet
+from crossrec.data import (CrossDomainScenario, InteractionSet,
+                           SplitSeedConfig)
 from crossrec.embed import EmbeddingSpace
 from crossrec.errors import (
     ConfigError,
@@ -194,7 +195,7 @@ def _mapping_scenario(n_users=12, n_items=15, per_user=4, seed=0):
     return CrossDomainScenario(
         source=source, target=target, overlap_users=tuple(users),
         test_users=(), train_overlap_users=tuple(users), heldout={},
-        phi=1.0, seed=seed)
+        split=SplitSeedConfig(phi=1.0, seed=seed))
 
 
 def _paired_spaces(scenario, k, seed, rotate=False):
@@ -313,7 +314,7 @@ def test_semi_supervised_triplets_are_drawn_for_linked_users(monkeypatch):
     scen = CrossDomainScenario(
         source=source, target=InteractionSet([(u, "t0") for u in users]),
         overlap_users=linked, test_users=(), train_overlap_users=linked,
-        heldout={}, phi=1.0, seed=0)
+        heldout={}, split=SplitSeedConfig(phi=1.0, seed=0))
     src, tgt = _paired_spaces(scen, 4, seed=3)
     user_of = {tuple(row): u for u, row in zip(src.user_ids, src.U)}
     item_of = {tuple(row): i for i, row in zip(src.item_ids, src.V)}
@@ -363,7 +364,7 @@ def test_train_mapping_never_reads_test_user_targets():
         overlap_users=users, test_users=test_users,
         train_overlap_users=users[:6],
         heldout={u: ("t0", "t1") for u in test_users},
-        phi=1.0, seed=0)
+        split=SplitSeedConfig(phi=1.0, seed=0))
     src, tgt = _paired_spaces(scen, 5, seed=8)
     poisoned = tgt.U.copy()
     poisoned[6:] = np.nan
@@ -381,7 +382,8 @@ def test_train_mapping_requires_linked_users():
     empty = CrossDomainScenario(
         source=scen.source, target=scen.target,
         overlap_users=scen.overlap_users, test_users=(),
-        train_overlap_users=(), heldout={}, phi=1.0, seed=0)
+        train_overlap_users=(), heldout={},
+        split=SplitSeedConfig(phi=1.0, seed=0))
     with pytest.raises(NoOverlapUsers):
         train_mapping(src, tgt, empty, MapTrainConfig(epochs=1))
 

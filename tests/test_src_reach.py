@@ -4,6 +4,7 @@ The scan reads the source files and imports nothing."""
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -40,4 +41,32 @@ def test_every_src_definition_is_reached_outside_the_tests():
             own = _referenced(*(s for s in tree.body if s is not stmt))
             if stmt.name not in own | outside:
                 unreached.append(f"{name}.{stmt.name}")
+    assert not unreached, f"reached only by tests: {', '.join(unreached)}"
+
+
+# InteractionSet's id-level API, kept for callers outside the commands
+_KEPT_METHODS = {"InteractionSet.has_pair", "InteractionSet.items_of",
+                 "InteractionSet.users_of", "InteractionSet.pairs"}
+
+
+def _attributes(*trees):
+    """How often each name is used as an attribute (``.name``)."""
+    return Counter(node.attr for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
+def test_every_src_method_is_reached_outside_the_tests():
+    # a method or property counts as reached when some src or bench
+    # statement outside its own def reads ``.name`` on any receiver
+    src = _parse("src/crossrec/*.py")
+    uses = _attributes(*src.values(), *_parse("bench/*.py").values())
+    unreached = []
+    for tree in src.values():
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("__")
+                        and uses[fn.name] == _attributes(fn)[fn.name]):
+                    unreached.append(f"{cls.name}.{fn.name}")
+    unreached = sorted(set(unreached) - _KEPT_METHODS)
     assert not unreached, f"reached only by tests: {', '.join(unreached)}"
