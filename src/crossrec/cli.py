@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import coldstart, data, embed, evaluation, experiment
+from . import coldstart, data, embed, evaluation, experiment, mapping
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -42,11 +42,17 @@ def _resolve_config(args):
 
 def _check_flags(args, cfg):
     # config keys may serve several methods, and build-scenario too, so
-    # only the flags are checked: --hops needs SSCDR, --phi the scenario's
-    if args.hops is not None and cfg.method != experiment.METHOD_SSCDR:
-        raise ConfigError(f"--hops applies to {experiment.METHOD_SSCDR} "
-                          f"only, not {cfg.method}")
-    if getattr(args, "phi", None) is not None and cfg.scenario_dir:
+    # only the flags are checked: --hops needs SSCDR, --lambda a
+    # semi-supervised mapping, --phi the scenario's
+    flags = vars(args)
+    semi = [method for method, (_, mode) in experiment._PLAN.items()
+            if mode == mapping.MODE_SEMI]
+    for flag, takers in (("hops", [experiment.METHOD_SSCDR]),
+                         ("lambda", semi)):
+        if flags.get(flag) is not None and cfg.method not in takers:
+            raise ConfigError(f"--{flag} applies to {' and '.join(takers)} "
+                              f"only, not {cfg.method}")
+    if flags.get("phi") is not None and cfg.scenario_dir:
         saved = data.load_meta(cfg.scenario_dir)[0].phi
         if cfg.phi != saved:
             raise ConfigError(f"--phi {cfg.phi:g} differs from the phi "
@@ -75,6 +81,7 @@ def _cmd_gen_synth(args):
 
 def _cmd_build_scenario(args):
     cfg = _resolve_config(args)
+    _check_flags(args, cfg)
     cfg.validate()
     scenario = experiment.prepare_scenario(cfg)
     data.save_scenario(scenario, cfg.out_dir)
@@ -87,35 +94,28 @@ def _cmd_build_scenario(args):
     return 0
 
 
-# MethodArtifacts field -> the flag that loads it
-_ARTIFACT_FLAGS = {"unified_space": "--unified-emb",
-                   "source_space": "--source-emb",
-                   "target_space": "--target-emb",
-                   "net": "--mapping"}
-
-
 def _load_artifacts(args):
-    """The artifacts the command's flags name, loaded in flag order."""
-    art = experiment.MethodArtifacts()
-    for name, flag in _ARTIFACT_FLAGS.items():
+    """The artifacts the command's flags name, by name, in flag order."""
+    art = {}
+    for name in experiment.ARTIFACTS:
+        _, flag, _, load = experiment.artifact_io(name)
         path = getattr(args, flag[2:].replace("-", "_"), None)
         if path:
-            _, _, load = experiment.artifact_io(name)
-            setattr(art, name, load(path))
+            art[name] = load(path)
     return art
 
 
 def _train_step(args, name):
-    """Train the :class:`MethodArtifacts` field ``name``, save to ``--out``."""
+    """Train the artifact ``name``, save to ``--out``."""
     cfg = _resolve_config(args)
+    _check_flags(args, cfg)
     cfg.validate()
     scenario = data.load_scenario(args.scenario)
     history = []
     artifact = experiment.train_artifact(name, scenario, cfg,
                                          _load_artifacts(args),
                                          loss_history=history)
-    _, save, _ = experiment.artifact_io(name)
-    save(artifact, args.out)
+    experiment.artifact_io(name)[2](artifact, args.out)
     print(f"trained {name} for {cfg.method} (K={artifact.dim}); "
           f"final epoch loss {history[-1]:.6f}")
     return 0
@@ -128,13 +128,8 @@ def _cmd_eval(args):
     scenario = data.load_scenario(args.scenario)
     # a too-small negative pool fails before any artifact is read
     evaluation.heldout_rows(scenario, cfg.eval_negatives)
-    art = _load_artifacts(args)
-    missing = [flag for name, flag in _ARTIFACT_FLAGS.items()
-               if name in experiment.required_artifacts(cfg.method)
-               and getattr(art, name) is None]
-    if missing:
-        raise ConfigError(f"{cfg.method} needs {', '.join(missing)}")
-    report, text = experiment.evaluate_method(scenario, cfg, art)
+    report, text = experiment.evaluate_method(scenario, cfg,
+                                              _load_artifacts(args))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(report.format_table(title=f"{cfg.method} phi={report.phi:g}"))
@@ -157,9 +152,9 @@ def _cmd_export_vectors(args):
     art = _load_artifacts(args)
     users = scenario.test_users
     inferred = coldstart.cold_start_queries(
-        art.source_space, scenario.source, art.net, cfg.hops, users)
+        art["source_space"], scenario.source, art["net"], cfg.hops, users)
     space = embed.EmbeddingSpace(users, (), inferred,
-                                 np.zeros((0, art.net.dim)),
+                                 np.zeros((0, art["net"].dim)),
                                  embed.KIND_INFERRED)
     embed.save_embeddings(space, args.out)
     print(f"exported {len(users)} inferred vectors (hops={cfg.hops})")
@@ -204,10 +199,8 @@ def build_parser():
     _add_common(p, out_required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--unified-emb")
-    p.add_argument("--source-emb")
-    p.add_argument("--target-emb")
-    p.add_argument("--mapping")
+    for name in experiment.ARTIFACTS:
+        p.add_argument(experiment.artifact_io(name)[1])
     p.add_argument("--hops")
     p.set_defaults(func=_cmd_eval)
 

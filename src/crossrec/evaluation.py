@@ -66,22 +66,20 @@ class EvalConfig:
             raise ConfigError("negatives must be >= 1")
         if not self.cutoffs or any(n < 1 for n in self.cutoffs):
             raise ConfigError("cutoffs must be positive")
+        if len(set(self.cutoffs)) < len(self.cutoffs):
+            raise ConfigError("cutoffs must be distinct")
         if self.positive not in POSITIVES:
             raise ConfigError(f"positive must be one of "
                               f"{', '.join(POSITIVES)}, got {self.positive!r}")
 
 
-_METRICS = ("HR", "NDCG", "MRR")
+_METRICS = {"HR": hit_at, "NDCG": ndcg_at, "MRR": mrr_at}
 
 
 def metrics_from_ranks(ranks, cutoffs):
     """Mean hit rate, ndcg, and reciprocal rank at each cutoff."""
-    out = {}
-    for n in cutoffs:
-        out[("HR", n)] = float(np.mean([hit_at(r, n) for r in ranks]))
-        out[("NDCG", n)] = float(np.mean([ndcg_at(r, n) for r in ranks]))
-        out[("MRR", n)] = float(np.mean([mrr_at(r, n) for r in ranks]))
-    return out
+    return {(name, n): float(np.mean([metric(r, n) for r in ranks]))
+            for n in cutoffs for name, metric in _METRICS.items()}
 
 
 @dataclass

@@ -47,6 +47,9 @@ METHOD_SSCDR = "SSCDR"
 METHODS = (METHOD_ITEMPOP, METHOD_BPR, METHOD_CML, METHOD_EMCDR_BPR,
            METHOD_EMCDR_CML, METHOD_SSCDR_NAIVE, METHOD_SSCDR)
 
+# every artifact name, in the order the step flags load them
+ARTIFACTS = ("unified_space", "source_space", "target_space", "net")
+
 # fixed sub-seed slots, independent of the method
 _SLOT_SYNTH = 0
 _SLOT_SPLIT = 1
@@ -242,7 +245,7 @@ def eval_config(cfg):
 
 
 def required_artifacts(method):
-    """The :class:`MethodArtifacts` fields ``method`` scores with."""
+    """The names of the artifacts ``method`` scores with."""
     objective, mode = _PLAN[method]
     if objective is None:
         return ()
@@ -251,49 +254,41 @@ def required_artifacts(method):
     return ("source_space", "target_space", "net")
 
 
-@dataclass
-class MethodArtifacts:
-    """Everything a scorer needs, plus what should be persisted."""
-
-    source_space: object = None
-    target_space: object = None
-    unified_space: object = None
-    net: object = None
-
-
 def _check_space_kinds(cfg, art):
     """Every space ``cfg.method`` uses must be of its objective's kind; a
     space of another kind is a data error naming both."""
     objective = _PLAN[cfg.method][0]
     for name in required_artifacts(cfg.method):
-        space = getattr(art, name)
+        space = art.get(name)
         if name != "net" and space.kind != objective:
             raise DataError(f"{name} is a {space.kind} space, but "
                             f"{cfg.method} uses {objective} spaces")
 
 
 def artifact_io(name):
-    """``(file, save(artifact, path), load(path))`` of the
-    :class:`MethodArtifacts` field ``name``, ``file`` being its name in a
-    ``run`` directory."""
+    """``(file, flag, save(artifact, path), load(path))`` of the artifact
+    ``name``: its file in a ``run`` directory and the step flag that loads
+    it.  The functions are read off their modules on each call, so one
+    rebound after import (as ``bench/tracer.py`` does) is the one used."""
     if name == "net":
-        return "mapping.txt", mapping.save_mapping, mapping.load_mapping
-    return (name.replace("_space", "_embeddings.txt"),
+        return ("mapping.txt", "--mapping", mapping.save_mapping,
+                mapping.load_mapping)
+    domain = name[:-len("_space")]
+    return (f"{domain}_embeddings.txt", f"--{domain}-emb",
             embed.save_embeddings, embed.load_embeddings)
 
 
 def train_artifact(name, scenario, cfg, art, loss_history=None):
-    """Train the :class:`MethodArtifacts` field ``name`` the way
-    ``cfg.method`` does; the mapping (``net``) links ``art``'s source and
-    target spaces.  A field the method does not train is a config error.
-    """
+    """Train the artifact ``name`` the way ``cfg.method`` does; the
+    mapping (``net``) links the spaces of ``art``, a dict by name.  An
+    artifact the method does not train is a config error."""
     needed = required_artifacts(cfg.method)
     if name not in needed:
         raise ConfigError(f"{cfg.method} does not train {name} (it trains "
                           f"{', '.join(needed) or 'nothing'})")
     if name == "net":
         _check_space_kinds(cfg, art)
-        return mapping.train_mapping(art.source_space, art.target_space,
+        return mapping.train_mapping(art["source_space"], art["target_space"],
                                      scenario, map_config(cfg),
                                      loss_history=loss_history)
     domain = name[:-len("_space")]
@@ -306,13 +301,15 @@ def train_artifact(name, scenario, cfg, art, loss_history=None):
 
 def make_scorer(scenario, cfg, art):
     """Build ``scorer(k, rows) -> scores`` (higher is better) for test user
-    ``scenario.test_users[k]`` and the target item rows ``rows``.
+    ``scenario.test_users[k]`` and the target item rows ``rows``, from
+    ``art``, the method's artifacts by name.
 
     Only SSCDR aggregates: it runs ``cfg.hops`` steps before the mapping,
     every other method none.  Every target item (``t:``-prefixed in a
     unified space), test user and, with hops, source user and item needs
-    a row, found by id; a missing one raises :class:`IndexMismatch`, and a
-    space of the wrong kind :class:`DataError`, before anything is scored.
+    a row, found by id; a missing one raises :class:`IndexMismatch`, a
+    missing artifact :class:`ConfigError` naming its flag, and a space of
+    the wrong kind :class:`DataError`, before anything is scored.
     With ``cfg``'s repeats over 1 and its draw covering half the catalogue
     or more, consecutive calls for one user score each target row at most
     once.  An inner-space score is then equal to scoring ``rows`` in one
@@ -320,6 +317,10 @@ def make_scorer(scenario, cfg, art):
     depends on a row's place in the block), so a positive and a negative
     within one ulp can rank apart.
     """
+    missing = [artifact_io(name)[1] for name in required_artifacts(cfg.method)
+               if art.get(name) is None]
+    if missing:
+        raise ConfigError(f"{cfg.method} needs {', '.join(missing)}")
     _check_space_kinds(cfg, art)
     objective, mode = _PLAN[cfg.method]
     target = scenario.target
@@ -329,12 +330,12 @@ def make_scorer(scenario, cfg, art):
 
     users = scenario.test_users
     if mode is None:  # one space over both domains
-        space, prefix = art.unified_space, data.TARGET_PREFIX
+        space, prefix = art["unified_space"], data.TARGET_PREFIX
         queries = space.U[data.id_rows(space.user_index, users)]
     else:  # translate the (aggregated) source user vectors
-        space, prefix = art.target_space, ""
+        space, prefix = art["target_space"], ""
         queries = coldstart.cold_start_queries(
-            art.source_space, scenario.source, art.net,
+            art["source_space"], scenario.source, art["net"],
             cfg.hops if cfg.method == METHOD_SSCDR else 0, users)
     item_rows = data.id_rows(space.item_index, target.item_ids, prefix)
     if cfg.eval_repeats < 2 or 2 * (cfg.eval_negatives + 1) < target.n_items:
@@ -409,13 +410,13 @@ def run_experiment(cfg):
         for name in os.listdir(scen_dir):
             artifacts[f"scenario/{name}"] = os.path.join(scen_dir, name)
 
-        art = MethodArtifacts()
+        art = {}
         for name in required_artifacts(cfg.method):
-            fname, save, load = artifact_io(name)
+            fname, _, save, load = artifact_io(name)
             path = os.path.join(out, fname)
             save(train_artifact(name, scenario, cfg, art), path)
             # later stages consume exactly what a separate step loads
-            setattr(art, name, load(path))
+            art[name] = load(path)
             artifacts[fname] = path
         report, text = evaluate_method(scenario, cfg, art)
         report_path = os.path.join(out, "report.tsv")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import InteractionSet
+from .data import InteractionSet, _round_half_up
 from .errors import ConfigError, InfeasibleDensity
 
 
@@ -31,8 +31,8 @@ def check_synthetic(n_users, n_source_items, n_target_items, k_true,
             f"overlap_fraction must be in (0, 1], got {overlap_fraction}")
     if not 0.0 < density < 1.0:
         raise ConfigError(f"density must be in (0, 1), got {density}")
-    c_source = int(np.floor(density * n_source_items + 0.5))
-    c_target = int(np.floor(density * n_target_items + 0.5))
+    c_source = _round_half_up(density * n_source_items)
+    c_target = _round_half_up(density * n_target_items)
     if c_source < 1 or c_target < 1:
         raise InfeasibleDensity(
             f"density {density} yields zero interactions per user")
@@ -50,7 +50,7 @@ def generate_synthetic(n_users, n_source_items, n_target_items, k_true,
     source_items = _unit_rows(rng, n_source_items, k_true)
     target_items = _unit_rows(rng, n_target_items, k_true)
 
-    n_overlap = int(np.floor(overlap_fraction * n_users + 0.5))
+    n_overlap = _round_half_up(overlap_fraction * n_users)
     perm = rng.permutation(n_users)
     overlap = perm[:n_overlap]
     rest = perm[n_overlap:]

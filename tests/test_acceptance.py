@@ -92,7 +92,7 @@ def _popularity(inter, ids):
     scorer = experiment.make_scorer(
         SimpleNamespace(target=inter),
         experiment.ExperimentConfig(method=experiment.METHOD_ITEMPOP),
-        experiment.MethodArtifacts())
+        {})
     return _ranked(scorer(0, data.id_rows(inter.item_index, ids)), ids)
 
 
@@ -756,8 +756,7 @@ def _bench_seed_results(seed):
 
     def h10(method, scenario, hops=0, **art_kw):
         cfg = experiment.ExperimentConfig(method=method, hops=hops)
-        art = experiment.MethodArtifacts(**art_kw)
-        scorer = experiment.make_scorer(scenario, cfg, art)
+        scorer = experiment.make_scorer(scenario, cfg, art_kw)
         return evaluation.evaluate(scorer, scenario,
                                    ecfg).averaged()[("HR", 10)]
 

@@ -165,13 +165,16 @@ def test_nan_artifact_exits_4(chain, tmp_path):
     assert code == 4
 
 
-def test_eval_missing_artifact_exits_2(chain, tmp_path):
+def test_eval_missing_artifact_exits_2(chain, tmp_path, capsys):
+    out = tmp_path / "r.tsv"
     code = main(["eval", "--config", chain["pipe_cfg"],
                  "--scenario", str(chain["scen"]),
                  "--method", "SSCDR", "--source-emb", chain["src_emb"],
                  "--target-emb", chain["tgt_emb"],
-                 "--out", str(tmp_path / "r.tsv")])
+                 "--out", str(out)])
     assert code == 2
+    assert capsys.readouterr().err == "error: SSCDR needs --mapping\n"
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):
@@ -518,6 +521,7 @@ _CHECKED_WHATEVER_THE_METHOD = [
                                "embed.dim=0", "map.lr=nan", "embed.l2=nan")),
     *((m, v) for m in ("BPR", "CML") for v in ("lambda=nan", "map.lr=inf")),
     ("ITEMPOP", "phi=inf"), ("SSCDR", "phi=nan"),
+    ("ITEMPOP", "eval.cutoffs=10,10"),
     ("BPR", "test_fraction=nan"), ("ITEMPOP", "min_other=0"),
     *(("ITEMPOP", v) for v in ("synth.density=nan", "synth.overlap=inf",
                                "synth.source_items=0")),
@@ -565,6 +569,36 @@ def test_hops_flag_needs_sscdr(chain, tmp_path, capsys):
                  "--source-emb", chain["src_emb"],
                  "--target-emb", chain["tgt_emb"], "--mapping", chain["net"],
                  "--out", str(tmp_path / "r.tsv")]) == 0
+
+
+def test_each_command_checks_the_flags_it_takes(chain, tmp_path, capsys):
+    # build-scenario over a saved scenario (phi 1) checks --phi as run does
+    scen = chain["scen"]
+    cfg = _write(tmp_path / "s.cfg", PIPE_CFG + f"scenario={scen}\n")
+    out = tmp_path / "scen"
+    assert main(["build-scenario", "--config", cfg, "--phi", "0.5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --phi 0.5 differs from the phi 1 of scenario {scen}\n")
+    assert not out.exists()
+    # --lambda weighs the semi-supervised mapping's unsupervised term only
+    run_cfg = _write(tmp_path / "r.cfg", RUN_CFG)
+    for method in ("EMCDR-CML", "ITEMPOP", "BPR", "CML"):
+        out = tmp_path / method
+        assert main(["run", "--config", run_cfg, "--method", method,
+                     "--lambda", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --lambda applies to SSCDR-naive and SSCDR only, "
+            f"not {method}\n")
+        assert not out.exists()
+    out = tmp_path / "map.txt"
+    assert main(["train-map", "--config", chain["pipe_cfg"],
+                 "--scenario", str(scen), "--method", "EMCDR-CML",
+                 "--source-emb", chain["src_emb"],
+                 "--target-emb", chain["tgt_emb"], "--lambda", "4",
+                 "--out", str(out)]) == 2
+    assert "--lambda applies" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_l2_on_a_metric_objective_exits_2(chain, tmp_path, capsys):

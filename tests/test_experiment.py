@@ -17,7 +17,6 @@ from crossrec.evaluation import EvalConfig, id_keys, rank_of_test_item
 from crossrec.experiment import (
     METHODS,
     ExperimentConfig,
-    MethodArtifacts,
     config_from_mapping,
     derive_seed,
     make_scorer,
@@ -320,7 +319,7 @@ def test_make_scorer_scores_each_row_once_per_user(monkeypatch, method):
 
     monkeypatch.setattr(EmbeddingSpace, "scores", counted)
     scorer = make_scorer(scen, ExperimentConfig(method=method),
-                         MethodArtifacts(unified_space=space))
+                         {"unified_space": space})
     item_rows = data.id_rows(space.item_index, scen.target.item_ids,
                              data.TARGET_PREFIX)
     keys = id_keys(scen.target.item_ids)
@@ -357,7 +356,7 @@ def test_make_scorer_scores_whole_blocks_where_draws_barely_overlap(
 
     monkeypatch.setattr(EmbeddingSpace, "scores", counted)
     scorer = make_scorer(scen, ExperimentConfig(method="BPR", **evals),
-                         MethodArtifacts(unified_space=space))
+                         {"unified_space": space})
     item_rows = data.id_rows(space.item_index, scen.target.item_ids,
                              data.TARGET_PREFIX)
     rows = np.random.default_rng(3).choice(scen.target.n_items, size=40,
