@@ -125,6 +125,13 @@ def _cmd_eval(args):
     cfg = _resolve_config(args)
     _check_flags(args, cfg)
     cfg.validate()
+    for name in experiment.ARTIFACTS:  # an unused artifact flag is an error
+        flag = experiment.artifact_io(name)[1]
+        takers = [m for m in experiment.METHODS
+                  if name in experiment.required_artifacts(m)]
+        if cfg.method not in takers and vars(args)[flag[2:].replace("-", "_")]:
+            raise ConfigError(f"{flag} applies to {' and '.join(takers)} "
+                              f"only, not {cfg.method}")
     scenario = data.load_scenario(args.scenario)
     # a too-small negative pool fails before any artifact is read
     evaluation.heldout_rows(scenario, cfg.eval_negatives)

@@ -284,20 +284,28 @@ def _field_codes(code, starts, stops):
             [ids[k] for k in order])
 
 
+def read_lines(path, error):
+    """``(lineno, line)`` of ``path``; non-UTF-8 raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_lines(path):
     """``path`` parsed one line at a time, as :func:`load_interactions`."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise MalformedLine(path, lineno, "expected user<TAB>item")
-            if not _check_id(fields[0]) or not _check_id(fields[1]):
-                raise MalformedLine(path, lineno, f"bad id in {fields[:2]!r}")
-            pairs.append(fields[:2])
+    for lineno, line in read_lines(path, DataError):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise MalformedLine(path, lineno, "expected user<TAB>item")
+        if not _check_id(fields[0]) or not _check_id(fields[1]):
+            raise MalformedLine(path, lineno, f"bad id in {fields[:2]!r}")
+        pairs.append(fields[:2])
     if not pairs:
         raise EmptyDataset(f"no interactions in {path}")
     return InteractionSet(pairs)
@@ -541,12 +549,7 @@ def read_key_values(path, error):
     """Flat UTF-8 ``key=value`` file, ``#`` comments allowed, each key once;
     breaking a rule raises ``error`` naming ``path`` (and the line)."""
     out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc})") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(path, error):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -588,20 +591,19 @@ def load_scenario(in_dir):
     """Inverse of :func:`save_scenario`."""
     split, train_overlap = load_meta(in_dir)
     source = load_interactions(os.path.join(in_dir, _SOURCE_FILE))
-    with open(os.path.join(in_dir, _OVERLAP_FILE), encoding="utf-8") as fh:
-        overlap = tuple(line.strip() for line in fh if line.strip())
+    overlap = tuple(line.strip() for _, line in read_lines(
+        os.path.join(in_dir, _OVERLAP_FILE), DataError) if line.strip())
     heldout = {}
     test_path = os.path.join(in_dir, _TEST_FILE)
-    with open(test_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if fields == [""]:
-                continue
-            if (len(fields) != 3 or not all(map(_check_id, fields))
-                    or fields[0] in heldout):
-                raise MalformedLine(test_path, lineno, "expected a new user "
-                                    f"and two items, got {fields!r}")
-            heldout[fields[0]] = (fields[1], fields[2])
+    for lineno, line in read_lines(test_path, DataError):
+        fields = line.rstrip("\n").split("\t")
+        if fields == [""]:
+            continue
+        if (len(fields) != 3 or not all(map(_check_id, fields))
+                or fields[0] in heldout):
+            raise MalformedLine(test_path, lineno, "expected a new user "
+                                f"and two items, got {fields!r}")
+        heldout[fields[0]] = (fields[1], fields[2])
     if not heldout:
         raise DegenerateScenario(f"{test_path}: no test users")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IdLookup
+from .data import IdLookup, read_lines
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -305,38 +305,36 @@ def header_count(path, field, text):
 
 
 def load_embeddings(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if (len(header) != 8 or header[0] != "K" or header[2] != "users"
-                or header[4] != "items" or header[6] != "kind"):
-            raise ValueError(f"{path}: bad embedding header")
-        dim, n_users, n_items = (header_count(path, header[k - 1],
-                                              header[k]) for k in (1, 3, 5))
-        kind = header[7]
-        if kind not in _KINDS:
-            raise ValueError(f"{path}: unknown embedding kind {kind!r}")
-        # a row ("U <id>", dim " <x>", newline) takes 2 * dim + 4 bytes or
-        # more, so counts the file cannot hold fail before any allocation
-        size = os.path.getsize(path)
-        if (n_users + n_items) * (2 * dim + 4) > size:
-            raise ValueError(f"{path}: header declares more rows than its "
-                             f"{size} bytes can hold")
-        user_ids, items_ids = [], []
-        U = np.empty((n_users, dim))
-        V = np.empty((n_items, dim))
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != dim + 2 or fields[0] not in ("U", "V"):
-                raise ValueError(f"{path}: bad embedding row")
-            ids, mat = ((user_ids, U) if fields[0] == "U"
-                        else (items_ids, V))
-            if len(ids) == mat.shape[0]:
-                raise ValueError(f"{path}: more {fields[0]} rows than the "
-                                 f"header declares")
-            mat[len(ids)] = parse_floats(fields[2:], path, lineno)
-            ids.append(fields[1])
+    lines = read_lines(path, ValueError)
+    header = next(lines, (1, ""))[1].split()
+    if (len(header) != 8 or header[0] != "K" or header[2] != "users"
+            or header[4] != "items" or header[6] != "kind"):
+        raise ValueError(f"{path}: bad embedding header")
+    dim, n_users, n_items = (header_count(path, header[k - 1],
+                                          header[k]) for k in (1, 3, 5))
+    kind = header[7]
+    if kind not in _KINDS:
+        raise ValueError(f"{path}: unknown embedding kind {kind!r}")
+    # a row ("U <id>", dim " <x>", newline) takes 2 * dim + 4 bytes or
+    # more, so counts the file cannot hold fail before any allocation
+    size = os.path.getsize(path)
+    if (n_users + n_items) * (2 * dim + 4) > size:
+        raise ValueError(f"{path}: header declares more rows than its "
+                         f"{size} bytes can hold")
+    user_ids, items_ids = [], []
+    U, V = np.empty((n_users, dim)), np.empty((n_items, dim))
+    for lineno, line in lines:
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != dim + 2 or fields[0] not in ("U", "V"):
+            raise ValueError(f"{path}: bad embedding row")
+        ids, mat = (user_ids, U) if fields[0] == "U" else (items_ids, V)
+        if len(ids) == mat.shape[0]:
+            raise ValueError(f"{path}: more {fields[0]} rows than the "
+                             f"header declares")
+        mat[len(ids)] = parse_floats(fields[2:], path, lineno)
+        ids.append(fields[1])
     if len(user_ids) != n_users or len(items_ids) != n_items:
         raise ValueError(f"{path}: row counts disagree with header")
     return EmbeddingSpace(user_ids, items_ids, U, V, kind)

@@ -166,7 +166,7 @@ def _key(name):
 
 
 def _csv_ints(text):
-    return tuple(int(x) for x in text.split(",") if x)
+    return tuple(int(x) for x in text.split(","))  # "5,,10" is bad
 
 
 # config key (and CLI flag dest) -> (attribute, parser); the parser is the

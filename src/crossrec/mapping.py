@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteLoss,
     NoOverlapUsers,
 )
-from .data import id_rows
+from .data import id_rows, read_lines
 from .embed import (_fmt_row, _in_sorted, header_count, metric_hinge,
                     parse_floats, project_rows)
 from .optim import Adam
@@ -320,13 +320,13 @@ def save_mapping(net, path):
 
 
 def load_mapping(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "K":
-            raise ValueError(f"{path}: bad mapping header")
-        k = header_count(path, "K", header[1])
-        rows = [np.array(parse_floats(line.split(), path, lineno))
-                for lineno, line in enumerate(fh, start=2) if line.strip()]
+    lines = read_lines(path, ValueError)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2 or header[0] != "K":
+        raise ValueError(f"{path}: bad mapping header")
+    k = header_count(path, "K", header[1])
+    rows = [np.array(parse_floats(line.split(), path, lineno))
+            for lineno, line in lines if line.strip()]
     expect = 2 * k + 1 + k + 1
     if len(rows) != expect:
         raise ValueError(f"{path}: expected {expect} rows, got {len(rows)}")

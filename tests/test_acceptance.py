@@ -675,37 +675,40 @@ def test_criterion_4_oracle_equivalence():
 
 # -- shared benchmark construction (criteria 5 and 6) ---------------------
 
-BENCH = dict(users=2000, items=1500, k_true=8, overlap=0.3, density=0.004)
-BENCH_THRESHOLDS = dict(min_overlap_interactions=3,
-                        min_other_interactions=3)
+# the criterion-6 setup as config keys, for the parser `run` uses: the
+# README's one-shot example config without its seed and phi
+BENCH_KEYS = {
+    "hops": "2", "lambda": "4.0",
+    "synth.users": "2000", "synth.source_items": "1500",
+    "synth.target_items": "1500", "synth.k_true": "8",
+    "synth.overlap": "0.3", "synth.density": "0.004",
+    "min_overlap": "3", "min_other": "3",
+    "embed.dim": "16", "embed.epochs": "600", "embed.lr": "0.01",
+    "map.epochs": "1200", "map.lr": "0.002", "map.batch": "64",
+    "eval.cutoffs": "10", "eval.repeats": "5", "eval.negatives": "999",
+}
 
 
-def _bench_scenario(seed, phi):
-    d = experiment.derive_seed
-    src, tgt = synth.generate_synthetic(
-        BENCH["users"], BENCH["items"], BENCH["items"], BENCH["k_true"],
-        BENCH["overlap"], BENCH["density"], d(seed, 0))
-    return data.build_scenario(
-        src, tgt,
-        data.SplitSeedConfig(seed=d(seed, 1), test_fraction=0.5, phi=phi,
-                             **BENCH_THRESHOLDS))
+def bench_config(seed, phi, method=experiment.METHOD_SSCDR):
+    cfg = experiment.config_from_mapping(
+        {**BENCH_KEYS, "seed": str(seed), "phi": str(phi), "method": method})
+    cfg.validate()
+    return cfg
 
 
 def test_criterion_5_random_scorer_sanity():
-    scen = _bench_scenario(0, 1.0)
+    cfg = bench_config(0, 1.0)
+    scen = experiment.prepare_scenario(cfg)
     n_users = len(scen.test_users)
     assert n_users >= 200
-    repeats = 5
+    repeats = cfg.eval_repeats
     rng = np.random.default_rng(12345)
 
     def random_scorer(k, rows):
         return rng.standard_normal(len(rows))
 
-    rep = evaluation.evaluate(
-        random_scorer, scen,
-        evaluation.EvalConfig(cutoffs=(10,), repeats=repeats,
-                              negatives=999,
-                              seed=experiment.derive_seed(0, 6)))
+    rep = evaluation.evaluate(random_scorer, scen,
+                              experiment.eval_config(cfg))
     hr = rep.averaged()[("HR", 10)]
     p = 10.0 / 1000.0
     sigma = math.sqrt(p * (1 - p) / (n_users * repeats))
@@ -717,84 +720,37 @@ def test_criterion_5_random_scorer_sanity():
 
 # -- criterion 6: directional replication --------------------------------
 
-EMBED_BENCH = dict(dim=16, margin=1.0, learning_rate=0.01, epochs=600,
-                   batch_size=1024)
-MAP_BENCH = dict(lam=4.0, margin=1.0, learning_rate=0.002, epochs=1200,
-                 batch_size=64)
-HOPS_BENCH = 2
+# the methods scored at each phi, in the order their results print
+_BENCH_GRID = ((0.05, ("EMCDR-CML", "SSCDR-naive", "SSCDR")),
+               (1.0, ("EMCDR-CML", "SSCDR-naive", "SSCDR", "ITEMPOP", "CML",
+                      "BPR", "EMCDR-BPR")))
 
 
 def _bench_seed_results(seed):
-    """H@10 for every method at phi=5% and phi=100% for one seed.
+    """H@10 of every method at phi=5% and phi=100% for one seed, each
+    configured, trained and scored as `run` does it.
 
-    Embedding spaces are shared across methods and phi values: the seed
-    slots make per-method training reproduce the exact same spaces, and
-    neither domain's interactions depend on phi.
+    An artifact trains once per seed, keyed by what `train_artifact`
+    reads: a space by its name and the method's objective, since neither
+    domain depends on phi; a net also by the method's mapping mode and
+    the scenario's phi.
     """
-    d = experiment.derive_seed
-    s5 = _bench_scenario(seed, 0.05)
-    s100 = _bench_scenario(seed, 1.0)
-
-    def etrain(inter, slot, objective):
-        cfg = embed.EmbedTrainConfig(seed=d(seed, slot), **EMBED_BENCH)
-        return embed.train_embeddings(inter, cfg, objective=objective)
-
-    src_m = etrain(s5.source, 2, embed.KIND_METRIC)
-    tgt_m = etrain(s5.target, 3, embed.KIND_METRIC)
-
-    def mtrain(scenario, mode, lam, spaces=(None, None)):
-        cfg = mapping.MapTrainConfig(
-            mode=mode, seed=d(seed, 5),
-            **{**MAP_BENCH, "lam": lam})
-        s, t = spaces
-        return mapping.train_mapping(s if s is not None else src_m,
-                                     t if t is not None else tgt_m,
-                                     scenario, cfg)
-
-    ecfg = evaluation.EvalConfig(cutoffs=(10,), repeats=5, negatives=999,
-                                 seed=d(seed, 6))
-
-    def h10(method, scenario, hops=0, **art_kw):
-        cfg = experiment.ExperimentConfig(method=method, hops=hops)
-        scorer = experiment.make_scorer(scenario, cfg, art_kw)
-        return evaluation.evaluate(scorer, scenario,
-                                   ecfg).averaged()[("HR", 10)]
-
-    out = {}
-    sup5 = mtrain(s5, mapping.MODE_SUPERVISED, 0.0)
-    semi5 = mtrain(s5, mapping.MODE_SEMI, MAP_BENCH["lam"])
-    out["EMCDR-CML@5"] = h10("EMCDR-CML", s5, source_space=src_m,
-                             target_space=tgt_m, net=sup5)
-    out["SSCDR-naive@5"] = h10("SSCDR-naive", s5, source_space=src_m,
-                               target_space=tgt_m, net=semi5)
-    out["SSCDR@5"] = h10("SSCDR", s5, source_space=src_m,
-                         target_space=tgt_m, net=semi5, hops=HOPS_BENCH)
-
-    sup100 = mtrain(s100, mapping.MODE_SUPERVISED, 0.0)
-    semi100 = mtrain(s100, mapping.MODE_SEMI, MAP_BENCH["lam"])
-    out["EMCDR-CML@100"] = h10("EMCDR-CML", s100, source_space=src_m,
-                               target_space=tgt_m, net=sup100)
-    out["SSCDR-naive@100"] = h10("SSCDR-naive", s100, source_space=src_m,
-                                 target_space=tgt_m, net=semi100)
-    out["SSCDR@100"] = h10("SSCDR", s100, source_space=src_m,
-                           target_space=tgt_m, net=semi100,
-                           hops=HOPS_BENCH)
-    out["ITEMPOP@100"] = h10("ITEMPOP", s100)
-
-    unified = data.build_unified(s100)
-    uni_m = etrain(unified, 4, embed.KIND_METRIC)
-    out["CML@100"] = h10("CML", s100, unified_space=uni_m)
-    del uni_m
-    uni_i = etrain(unified, 4, embed.KIND_INNER)
-    out["BPR@100"] = h10("BPR", s100, unified_space=uni_i)
-    del uni_i
-
-    src_i = etrain(s5.source, 2, embed.KIND_INNER)
-    tgt_i = etrain(s5.target, 3, embed.KIND_INNER)
-    supb = mtrain(s100, mapping.MODE_SUPERVISED, 0.0,
-                  spaces=(src_i, tgt_i))
-    out["EMCDR-BPR@100"] = h10("EMCDR-BPR", s100, source_space=src_i,
-                               target_space=tgt_i, net=supb)
+    trained, out = {}, {}
+    for phi, methods in _BENCH_GRID:
+        scenario = experiment.prepare_scenario(bench_config(seed, phi))
+        for method in methods:
+            cfg = bench_config(seed, phi, method)
+            objective, mode = experiment._PLAN[method]
+            art = {}
+            for name in experiment.required_artifacts(method):
+                key = (name, objective) + ((mode, phi) if name == "net"
+                                           else ())
+                if key not in trained:
+                    trained[key] = experiment.train_artifact(
+                        name, scenario, cfg, art)
+                art[name] = trained[key]
+            report, _ = experiment.evaluate_method(scenario, cfg, art)
+            out[f"{method}@{round(phi * 100)}"] = report.averaged()[("HR", 10)]
     return out
 
 

@@ -521,7 +521,8 @@ _CHECKED_WHATEVER_THE_METHOD = [
                                "embed.dim=0", "map.lr=nan", "embed.l2=nan")),
     *((m, v) for m in ("BPR", "CML") for v in ("lambda=nan", "map.lr=inf")),
     ("ITEMPOP", "phi=inf"), ("SSCDR", "phi=nan"),
-    ("ITEMPOP", "eval.cutoffs=10,10"),
+    ("ITEMPOP", "eval.cutoffs=10,10"), ("ITEMPOP", "eval.cutoffs=5,,10"),
+    ("ITEMPOP", "eval.cutoffs=10,"),
     ("BPR", "test_fraction=nan"), ("ITEMPOP", "min_other=0"),
     *(("ITEMPOP", v) for v in ("synth.density=nan", "synth.overlap=inf",
                                "synth.source_items=0")),
@@ -598,6 +599,28 @@ def test_each_command_checks_the_flags_it_takes(chain, tmp_path, capsys):
                  "--target-emb", chain["tgt_emb"], "--lambda", "4",
                  "--out", str(out)]) == 2
     assert "--lambda applies" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, flag, path", [
+    ("ITEMPOP", "--mapping", "missing.txt"),
+    ("ITEMPOP", "--source-emb", "src_emb"),
+    ("EMCDR-CML", "--unified-emb", "missing.txt"),
+    ("SSCDR", "--unified-emb", "src_emb")])
+def test_eval_rejects_an_artifact_flag_its_method_does_not_use(
+        chain, tmp_path, capsys, method, flag, path):
+    path = chain.get(path, str(tmp_path / path))
+    used = [] if method == "ITEMPOP" else [
+        "--source-emb", chain["src_emb"], "--target-emb", chain["tgt_emb"],
+        "--mapping", chain["net"]]
+    out = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"],
+                 "--scenario", str(chain["scen"]), "--method", method,
+                 *used, flag, path, "--out", str(out)]) == 2
+    takers = ("BPR and CML" if flag == "--unified-emb" else
+              "EMCDR-BPR and EMCDR-CML and SSCDR-naive and SSCDR")
+    assert capsys.readouterr().err == (
+        f"error: {flag} applies to {takers} only, not {method}\n")
     assert not out.exists()
 
 
@@ -937,19 +960,35 @@ def test_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_non_utf8_scenario_meta_exits_3_naming_the_file(chain, tmp_path,
-                                                        capsys):
+@pytest.mark.parametrize("kind", ["source.tsv", "meta.txt", "overlap.txt",
+                                  "test.tsv", "embedding", "mapping"])
+def test_non_utf8_data_file_exits_3_naming_the_file(chain, tmp_path, capsys,
+                                                    kind):
     scen = tmp_path / "scen"
     shutil.copytree(chain["scen"], scen)
-    meta = scen / "meta.txt"
-    meta.write_bytes(meta.read_bytes() + b"# \xff\n")
-    report = tmp_path / "r.tsv"
-    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
-                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    raw = chain["root"] / "raw"
+    files = {name: scen / name
+             for name in ("meta.txt", "overlap.txt", "test.tsv")}
+    for name, src in (("source.tsv", raw / "source.tsv"),
+                      ("embedding", chain["src_emb"]),
+                      ("mapping", chain["net"])):
+        files[name] = pathlib.Path(shutil.copy(src, tmp_path))
+    bad = files[kind]
+    bad.write_bytes(bad.read_bytes() + b"u\xff\ti1\n")
+    out = tmp_path / "out"
+    if kind == "source.tsv":
+        argv = ["build-scenario", "--source", str(bad),
+                "--target", str(raw / "target.tsv")]
+    else:
+        argv = ["eval", "--scenario", str(scen), "--method", "SSCDR",
+                "--source-emb", str(files["embedding"]),
+                "--target-emb", chain["tgt_emb"],
+                "--mapping", str(files["mapping"])]
+    assert main([*argv, "--config", chain["pipe_cfg"], "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {meta}: not UTF-8 text (")
+    assert err.startswith(f"error: {bad}: not UTF-8 text (")
     assert err.count("\n") == 1
-    assert not report.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", [k for k in _META_KEYS

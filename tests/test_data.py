@@ -197,9 +197,10 @@ def test_load_interactions_reports_invalid_utf8_at_its_file_offset(
     # the line reader reports it, not the byte parser's decode of one id
     p = tmp_path / "bad.tsv"
     p.write_bytes(b"u1\ti1\nu2\ti\xff2\n")
-    with pytest.raises(UnicodeDecodeError) as exc:
+    with pytest.raises(DataError) as exc:
         load_interactions(p)
-    assert exc.value.start == 10
+    assert str(exc.value).startswith(f"{p}: not UTF-8 text (")
+    assert "byte 0xff in position 10:" in str(exc.value)
 
 
 def test_load_interactions_rejects_id_with_space(tmp_path):
@@ -221,21 +222,26 @@ def test_load_interactions_empty_file(tmp_path):
 
 def _reference_load(path):
     """The line-by-line parser that preceded the bulk loader, with the
-    index layout computed independently: the oracle for the loader."""
+    index layout computed independently: the oracle for the loader.  A
+    file that is not UTF-8 is a data error naming it."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise MalformedLine(path, lineno, "expected user<TAB>item")
-            user, item = fields[0], fields[1]
-            if not data._check_id(user) or not data._check_id(item):
-                raise MalformedLine(path, lineno,
-                                    f"bad id in {fields[:2]!r}")
-            pairs.append((user, item))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) < 2:
+                    raise MalformedLine(path, lineno,
+                                        "expected user<TAB>item")
+                user, item = fields[0], fields[1]
+                if not data._check_id(user) or not data._check_id(item):
+                    raise MalformedLine(path, lineno,
+                                        f"bad id in {fields[:2]!r}")
+                pairs.append((user, item))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not pairs:
         raise EmptyDataset(f"no interactions in {path}")
     uindex, iindex = {}, {}
@@ -255,8 +261,6 @@ def _outcome(load, path):
         got = load(path)
     except DataError as exc:
         return type(exc), getattr(exc, "lineno", None), str(exc)
-    except UnicodeDecodeError as exc:
-        return type(exc)  # where decoding stops depends on the reader
     if isinstance(got, InteractionSet):
         pair_u, pair_i = got.pair_arrays()
         return (got.user_ids, got.item_ids, pair_u.tolist(),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pathlib
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from crossrec.experiment import (
     run_experiment,
 )
 from crossrec.mapping import MapTrainConfig
+from test_acceptance import BENCH_KEYS, bench_config
 
 TINY = dict(
     synth_users=60, synth_source_items=50, synth_target_items=50,
@@ -282,6 +284,66 @@ def test_phi_controls_supervision_size(tmp_path):
     assert len(scen_lo.train_overlap_users) == math.floor(0.25 * pool + 0.5)
     assert set(scen_lo.train_overlap_users) <= \
         set(scen_hi.train_overlap_users)
+
+
+# -- what criterion 6 relies on -----------------------------------------------
+
+@pytest.mark.parametrize("seed", range(5))  # criterion 6's seeds
+def test_scenarios_differing_in_phi_share_all_but_the_linked_users(seed):
+    """Criterion 6 trains each space on one scenario of a seed and serves
+    every phi with it: both domains, the overlap, the test users and their
+    held-out items do not depend on phi, and the linked users nest."""
+    scens = [experiment.prepare_scenario(bench_config(seed, phi))
+             for phi in (0.05, 0.1, 0.5, 1.0)]
+    first = scens[0]
+    for scen in scens[1:]:
+        for domain in ("source", "target"):
+            a, b = getattr(first, domain), getattr(scen, domain)
+            assert (a.user_ids, a.item_ids) == (b.user_ids, b.item_ids)
+            for x, y in zip(a.pair_arrays(), b.pair_arrays()):
+                assert np.array_equal(x, y)
+        assert (scen.overlap_users, scen.test_users, scen.heldout) == \
+            (first.overlap_users, first.test_users, first.heldout)
+    linked = [set(scen.train_overlap_users) for scen in scens]
+    assert all(a < b for a, b in zip(linked, linked[1:]))
+
+
+def test_shared_artifacts_train_alike_under_each_method(tmp_path):
+    """A metric space trains the same for EMCDR-CML, SSCDR-naive and SSCDR,
+    one net for SSCDR-naive and SSCDR, and EMCDR-CML's supervised net does
+    not read lambda."""
+    cfgs = [tiny_config(m, tmp_path) for m in ("EMCDR-CML", "SSCDR-naive",
+                                               "SSCDR")]
+    scenario = experiment.prepare_scenario(cfgs[0])
+    art = {}
+    for name in ("source_space", "target_space"):
+        spaces = [experiment.train_artifact(name, scenario, cfg, {})
+                  for cfg in cfgs]
+        for space in spaces[1:]:
+            assert (space.user_ids, space.item_ids) == \
+                (spaces[0].user_ids, spaces[0].item_ids)
+            assert np.array_equal(space.U, spaces[0].U)
+            assert np.array_equal(space.V, spaces[0].V)
+        art[name] = spaces[0]
+    for a, b in ((cfgs[1], cfgs[2]),
+                 (dataclasses.replace(cfgs[0], map_lam=0.0),
+                  dataclasses.replace(cfgs[0], map_lam=4.0))):
+        nets = [experiment.train_artifact("net", scenario, cfg, art)
+                for cfg in (a, b)]
+        for attr in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(nets[0], attr),
+                                  getattr(nets[1], attr)), attr
+
+
+def test_readme_one_shot_config_is_the_criterion_6_setup(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "with a config file of `key = value` lines")[1].split("```")[1]
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(block, encoding="utf-8")
+    keys = data.read_key_values(cfg, ConfigError)
+    del keys["seed"], keys["phi"]
+    assert keys == BENCH_KEYS
 
 
 # -- scorer -------------------------------------------------------------------
