@@ -125,6 +125,21 @@ def test_step_chain_matches_run_byte_for_byte(chain):
             (run_out / "scenario" / name).read_bytes()
 
 
+def test_step_chain_writes_the_golden_bytes(chain):
+    import golden  # it imports this module's configs
+    files = {"source_embeddings.txt": chain["src_emb"],
+             "target_embeddings.txt": chain["tgt_emb"],
+             "mapping.txt": chain["net"], "report.tsv": chain["report"]}
+    files.update((f"scenario/{p.name}", str(p))
+                 for p in chain["scen"].iterdir())
+    # the chain runs RUN_CFG's SSCDR run as steps; only `run` writes a
+    # manifest
+    want = golden.load()[golden.case_key("smoke", 11, "SSCDR")]
+    del want["manifest.txt"]
+    got = {name: golden.digest(path) for name, path in files.items()}
+    assert not golden.differing(want, got), golden.differing(want, got)
+
+
 def test_run_writes_complete_manifest(chain):
     manifest = (chain["run_out"] / "manifest.txt").read_text()
     assert manifest.startswith("status=complete\n")
