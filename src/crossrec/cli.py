@@ -44,6 +44,8 @@ def _check_flags(args, cfg):
     # config keys may serve several methods, and build-scenario too, so
     # only the flags are checked: --hops needs SSCDR, --lambda a
     # semi-supervised mapping, --phi the scenario's
+    if cfg.method not in experiment.METHODS:
+        cfg.validate()  # names the unknown method before any flag
     flags = vars(args)
     semi = [method for method, (_, mode) in experiment._PLAN.items()
             if mode == mapping.MODE_SEMI]

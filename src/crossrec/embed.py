@@ -13,9 +13,7 @@ pairing each with one freshly sampled negative item, and applies Adam to
 the touched rows.  A metric triplet whose hinge is inactive has a zero
 subgradient, so it adds no gradient row; the rows it touches still take
 their lazy Adam step with a zero gradient (and are projected).  Leaving
-the zero rows out changes no byte, because each row's gradient sum starts
-at +0.0 and adds its terms in input order, and ``x + (±0.0) == x`` for
-every value such a sum can hold.
+the zero rows out changes no byte (see :mod:`.optim`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .errors import (
     NonFiniteInput,
     NonFiniteLoss,
 )
-from .optim import Adam
+from .optim import Adam, put_rows
 
 KIND_METRIC = "metric"
 KIND_INNER = "inner"
@@ -45,12 +43,14 @@ _BALL_TOL = 1e-6
 
 
 def project_rows(mat, rows=None):
-    """Divide in place each row of ``mat`` (or each of its rows ``rows``)
-    whose norm exceeds 1 by that norm; return the norms from before."""
-    norms = np.linalg.norm(mat if rows is None else mat[rows], axis=1)
-    big = norms > 1.0
-    if np.any(big):
-        mat[big if rows is None else rows[big]] /= norms[big][:, None]
+    """Divide in place each row of the C-contiguous ``mat`` (or each of its
+    distinct ``rows``) over norm 1 by its norm; return the norms from before.
+    One take, and one put of the rows outside the ball (see :mod:`.optim`)."""
+    sub = mat if rows is None else mat.take(rows, axis=0)
+    norms = np.linalg.norm(sub, axis=1)
+    big = np.flatnonzero(norms > 1.0)
+    put_rows(mat, big if rows is None else rows.take(big),
+             sub.take(big, axis=0) / norms.take(big)[:, None])
     return norms
 
 
@@ -75,8 +75,8 @@ def metric_hinge(A, P, N, margin):
     arg = margin + dp - dn
     loss = float(np.sum(np.maximum(arg, 0.0)))
     rows = np.flatnonzero(arg > 0.0)
-    return (arg, loss, rows, 2.0 * (N[rows] - P[rows]), 2.0 * pa[rows],
-            2.0 * an[rows])
+    return (arg, loss, rows, 2.0 * (N.take(rows, 0) - P.take(rows, 0)),
+            2.0 * pa.take(rows, 0), 2.0 * an.take(rows, 0))
 
 
 def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
@@ -244,7 +244,8 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
             b = order[start:start + cfg.batch_size]
             bu, bi, bk = pos_u[b], pos_i[b], neg_i[b]
             loss, live, gu, gp, gn = triplet_loss_and_grads(
-                objective, U[bu], V[bi], V[bk], cfg.margin, cfg.l2_reg)
+                objective, U.take(bu, axis=0), V.take(bi, axis=0),
+                V.take(bk, axis=0), cfg.margin, cfg.l2_reg)
             epoch_loss += loss
 
             rows_u = opt_u.step_rows(U, bu, bu[live], gu)

@@ -14,7 +14,10 @@ carry a gradient, so a caller can leave out gradient rows that are all
 zero, such as those of inactive hinges; a touched row left with no
 gradient still takes its lazy step with a zero gradient.  Leaving them
 out changes no bit: a bin starts at +0.0, a sum that starts there is
-never -0.0, and adding ±0.0 to any other value leaves it as it was.
+never -0.0, and adding ±0.0 to any other value leaves it as it was.  Rows
+move by ``take`` and :func:`put_rows`, not by fancy indexing: for 1,000
+rows of 16 float64 (numpy 2.4) they take about 1.8 and 3.5 us where
+``V[rows]`` and ``V[rows] = X`` take 6.9 us each.
 """
 
 import numpy as np
@@ -23,6 +26,14 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+
+
+def put_rows(a, rows, values):
+    """``a[rows] = values`` for distinct ``rows``, as ``np.put`` of rows."""
+    if not a.flags.c_contiguous:  # the view needs rows back to back
+        raise ValueError("put_rows writes rows of a C-contiguous array only")
+    row = np.dtype((np.void, a.itemsize * (a.size // max(len(a), 1))))
+    np.put(a.view(row), rows, np.ascontiguousarray(values, a.dtype).view(row))
 
 
 class Adam:
@@ -70,8 +81,9 @@ class Adam:
         g = np.bincount(cells.ravel(), weights=grads.ravel(),
                         minlength=rows.shape[0] * width)
         g = g.reshape((rows.shape[0],) + param.shape[1:])
-        m, v = self.m[rows], self.v[rows]
+        m, v = self.m.take(rows, axis=0), self.v.take(rows, axis=0)
         delta = self._advance(m, v, g)
-        self.m[rows], self.v[rows] = m, v
-        param[rows] -= delta
+        put_rows(param, rows, param.take(rows, axis=0) - delta)
+        put_rows(self.m, rows, m)
+        put_rows(self.v, rows, v)
         return rows

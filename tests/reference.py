@@ -1,8 +1,9 @@
 """References the tests hold the package's kernels to: a full sort where
 the evaluator counts, a squared distance apart from the spaces' scores,
 one triplet with dense gradients where training takes batches of compact
-rows, and the mapping's two loss terms apart where training fuses them
-into one pass."""
+rows, the mapping's two loss terms apart where training fuses them into
+one pass, and a unit-ball projection by fancy indexing where training
+moves rows with take and put."""
 
 import numpy as np
 
@@ -36,6 +37,16 @@ def triplet(kind, u, v_pos, v_neg, margin=1.0):
         np.asarray(x, dtype=float)[None] for x in (u, v_pos, v_neg)),
         margin=margin)
     return loss, tuple(dense(rows, grads, 1)[:, 0])
+
+
+def project_rows(mat, rows=None):
+    """Divide in place each row of ``mat`` (or each of its rows ``rows``)
+    whose norm exceeds 1 by that norm; return the norms from before."""
+    norms = np.linalg.norm(mat if rows is None else mat[rows], axis=1)
+    big = norms > 1.0
+    if np.any(big):
+        mat[big if rows is None else rows[big]] /= norms[big][:, None]
+    return norms
 
 
 def supervised_loss(net, source_vecs, target_vecs):

@@ -65,6 +65,14 @@ def _with(cfg, *lines):
     return "".join(kept) + "".join(line + "\n" for line in lines)
 
 
+def _read(path, encoding=None):
+    """The bytes of the file ``path``, or its text in ``encoding``; the
+    file is closed before this returns."""
+    with open(path, "rb" if encoding is None else "r",
+              encoding=encoding) as fh:
+        return fh.read()
+
+
 def _write(path, text):
     path.write_text(textwrap.dedent(text), encoding="utf-8")
     return str(path)
@@ -116,7 +124,7 @@ def test_step_chain_matches_run_byte_for_byte(chain):
             (chain["tgt_emb"], "target_embeddings.txt"),
             (chain["net"], "mapping.txt"),
             (chain["report"], "report.tsv")):
-        step = open(step_path, "rb").read()
+        step = _read(step_path)
         full = (run_out / run_name).read_bytes()
         assert step == full, f"{run_name} differs between chain and run"
     for name in ("source.tsv", "target_train.tsv", "overlap.txt",
@@ -136,8 +144,9 @@ def test_step_chain_writes_the_golden_bytes(chain):
     # manifest
     want = golden.load()[golden.case_key("smoke", 11, "SSCDR")]
     del want["manifest.txt"]
-    got = {name: golden.digest(path) for name, path in files.items()}
-    assert not golden.differing(want, got), golden.differing(want, got)
+    bad = golden.differing(want, {name: golden.digest(path)
+                                  for name, path in files.items()})
+    assert not bad, f"differs from tests/golden.json: {', '.join(bad)}"
 
 
 def test_run_writes_complete_manifest(chain):
@@ -163,7 +172,7 @@ def test_export_vectors_round_trip(chain, tmp_path):
 
 def test_nan_artifact_exits_4(chain, tmp_path):
     poisoned = tmp_path / "poisoned.txt"
-    lines = open(chain["src_emb"], encoding="utf-8").read().splitlines(True)
+    lines = _read(chain["src_emb"], "utf-8").splitlines(True)
     for k, line in enumerate(lines):
         if line.startswith("U "):
             parts = line.split()
@@ -318,7 +327,7 @@ def test_run_over_saved_scenario_reports_its_phi(chain, tmp_path):
                  "--scenario", str(scen), "--method", "ITEMPOP",
                  "--out", report]) == 0
     run_report = (tmp_path / "o" / "report.tsv").read_bytes()
-    assert run_report == open(report, "rb").read()
+    assert run_report == _read(report)
     assert run_report.splitlines()[1].startswith(b"ITEMPOP\t0.3\t")
     manifest = (tmp_path / "o" / "manifest.txt").read_text()
     assert "\nconfig.phi=0.3\n" in manifest
@@ -381,7 +390,7 @@ def test_export_vectors_takes_hops_from_the_config(chain, tmp_path,
                      "--source-emb", chain["src_emb"],
                      "--mapping", chain["net"], "--out", path, *flag]) == 0
         assert "(hops=1)" in capsys.readouterr().out
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert _read(paths[0]) == _read(paths[1])
 
 
 def test_export_vectors_rejects_negative_hops(chain, tmp_path, capsys):
@@ -617,6 +626,20 @@ def test_each_command_checks_the_flags_it_takes(chain, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_unknown_method_is_named_before_a_flag_check(chain, tmp_path,
+                                                        capsys):
+    run_cfg = _write(tmp_path / "r.cfg", RUN_CFG)
+    for argv in (["eval", "--config", chain["pipe_cfg"], "--scenario",
+                  str(chain["scen"]), "--hops", "3"],
+                 ["run", "--config", run_cfg, "--lambda", "4"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--method", "BOGUS", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown method 'BOGUS'; expected one of ITEMPOP, BPR, "
+            "CML, EMCDR-BPR, EMCDR-CML, SSCDR-naive, SSCDR\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("method, flag, path", [
     ("ITEMPOP", "--mapping", "missing.txt"),
     ("ITEMPOP", "--source-emb", "src_emb"),
@@ -660,7 +683,7 @@ def test_l2_on_a_metric_objective_exits_2(chain, tmp_path, capsys):
 
 
 def _space_rows(path):
-    lines = open(path, encoding="utf-8").read().splitlines(True)
+    lines = _read(path, "utf-8").splitlines(True)
     return lines[0].split(), lines[1:]
 
 
@@ -767,8 +790,8 @@ def test_row_order_of_saved_spaces_does_not_matter(chain, exported, data):
             header, rows = _space_rows(chain[key])
             paths[key] = _write_space(tmp / f"{key}.txt", header,
                                       data.draw(st.permutations(rows)))
-        want = {"train-map": open(chain["net"], "rb").read(),
-                "eval": open(chain["report"], "rb").read(),
+        want = {"train-map": _read(chain["net"]),
+                "eval": _read(chain["report"]),
                 "export-hops0": exported["0"],
                 "export-hops2": exported["2"]}
         for command, expected in want.items():
@@ -788,7 +811,7 @@ def _poison(src, dst, value):
     """Copy of the artifact at ``src`` whose first value in its first item
     row (a space's first ``V`` row, a mapping's first weight) is
     ``value``."""
-    lines = open(src, encoding="utf-8").read().splitlines(True)
+    lines = _read(src, "utf-8").splitlines(True)
     k = next(k for k, line in enumerate(lines)
              if k > 0 and not line.startswith("U "))
     parts = lines[k].split()
@@ -899,7 +922,7 @@ def test_step_chain_trains_what_run_trains(chain, tmp_path, capsys, method):
     assert {p.name for p in run_out.iterdir() if p.is_file()} == \
         {_RUN_FILES[step] for step in files} | {"manifest.txt"}
     for step, path in files.items():
-        assert open(path, "rb").read() == \
+        assert _read(path) == \
             (run_out / _RUN_FILES[step]).read_bytes(), step
 
 
@@ -943,7 +966,7 @@ def test_space_of_the_wrong_kind_exits_3(chain, exported, tmp_path, capsys,
     if command == "eval-exported":
         # an export-vectors file holds inferred vectors, not a space
         src_emb = str(tmp_path / "exported.txt")
-        open(src_emb, "wb").write(exported["0"])
+        pathlib.Path(src_emb).write_bytes(exported["0"])
         command, method, kind, want = "eval", "SSCDR", "inferred", "metric"
     out = tmp_path / "out"
     argv = _step(chain, command, src_emb, chain["tgt_emb"], str(out))
@@ -1068,7 +1091,7 @@ def test_bad_header_count_exits_3_naming_the_file(chain, tmp_path, capsys,
         _write_space(bad, header, rows)
         code = _eval_sscdr(chain, tmp_path / "r.tsv", src_emb=str(bad))
     else:
-        lines = open(chain["net"], encoding="utf-8").read().splitlines(True)
+        lines = _read(chain["net"], "utf-8").splitlines(True)
         bad.write_text("K x\n" + "".join(lines[1:]), encoding="utf-8")
         code = _eval_sscdr(chain, tmp_path / "r.tsv", net=str(bad))
     assert code == 3

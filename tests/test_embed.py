@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import reference
 from reference import dense, distance, triplet
 
 from crossrec import optim
@@ -54,6 +55,22 @@ def test_project_unit_ball_values():
                                atol=1e-12)
     z = _projected([0.0, 0.0, 0.0])
     np.testing.assert_array_equal(z, [0.0, 0.0, 0.0])
+
+
+def test_project_rows_matches_the_fancy_index_oracle():
+    rng = np.random.default_rng(8)
+    for n, k, n_rows in ((50, 16, 20), (30, 3, 30), (10, 4, 0)):
+        mat = rng.uniform(-0.6, 0.6, size=(n, k))
+        mat[::3] *= 4.0  # every third row lies outside the ball
+        for rows in (None, np.sort(rng.permutation(n)[:n_rows]),
+                     rng.permutation(n)[:n_rows]):
+            got, want = mat.copy(), mat.copy()
+            norms = project_rows(got, rows)
+            want_norms = reference.project_rows(want, rows)
+            assert norms.tobytes() == want_norms.tobytes()
+            assert got.tobytes() == want.tobytes()
+            if n_rows:
+                assert np.any(want_norms > 1.0)
 
 
 @settings(max_examples=80)

@@ -9,7 +9,5 @@ import golden
                          ids=[golden.case_key(*c) for c in golden.CASES])
 def test_run_writes_the_golden_bytes(case, tmp_path):
     want = golden.load()[golden.case_key(*case)]
-    got = golden.run_hashes(*case, str(tmp_path))
-    assert not golden.differing(want, got), (
-        f"differs from tests/golden.json: "
-        f"{', '.join(golden.differing(want, got))}")
+    bad = golden.differing(want, golden.run_hashes(*case, str(tmp_path)))
+    assert not bad, f"differs from tests/golden.json: {', '.join(bad)}"

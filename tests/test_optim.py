@@ -1,8 +1,9 @@
 """The Adam updates both training loops run."""
 
 import numpy as np
+import pytest
 
-from crossrec.optim import Adam
+from crossrec.optim import Adam, put_rows
 
 
 def _steps(rng, n_rows, n_steps):
@@ -129,3 +130,32 @@ def test_a_step_with_no_gradient_rows_still_steps_every_touched_row():
     np.testing.assert_array_equal(param[5], start[5])
     np.testing.assert_array_equal(param[[0, 2, 4]], before[[0, 2, 4]])
     assert not opt.m[[4, 5]].any() and not opt.v[[4, 5]].any()
+
+
+def test_put_rows_writes_what_fancy_index_assignment_writes():
+    rng = np.random.default_rng(6)
+    for shape in ((9,), (9, 1), (9, 4), (40, 16)):
+        for n_rows in (0, 1, 5, shape[0]):
+            a = rng.normal(size=shape)
+            rows = rng.permutation(shape[0])[:n_rows]
+            values = rng.normal(size=(n_rows,) + shape[1:])
+            want = a.copy()
+            want[rows] = values
+            put_rows(a, rows, values)
+            assert a.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column slice",
+                                    "row slice"])
+def test_put_rows_refuses_an_array_that_is_not_c_contiguous(layout):
+    base = np.random.default_rng(7).normal(size=(6, 4))
+    a = {"fortran": np.asfortranarray(base), "column slice": base[:, :3],
+         "row slice": base[::2]}[layout]
+    before = a.copy()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        put_rows(a, np.array([0, 2]), np.zeros((2, a.shape[1])))
+    assert a.tobytes() == before.tobytes()
+    opt = Adam(a.shape, 0.1)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        opt.step_rows(a, np.array([0, 1]), np.array([0, 1]),
+                      np.ones((2, a.shape[1])))
