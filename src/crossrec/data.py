@@ -152,30 +152,6 @@ class InteractionSet(IdLookup):
     def n_interactions(self):
         return int(self._pair_i.shape[0])
 
-    # -- id-level access -----------------------------------------------
-
-    def has_pair(self, user, item):
-        u = self._uindex.get(user)
-        i = self._iindex.get(item)
-        if u is None or i is None:
-            return False
-        items = self.item_neighbors(u)
-        k = np.searchsorted(items, i)
-        return k < items.shape[0] and items[k] == i
-
-    def items_of(self, user):
-        """Item ids interacted with by ``user`` (empty for unknown users)."""
-        u = self._uindex.get(user)
-        if u is None:
-            return ()
-        return tuple(self.item_ids[i] for i in self.item_neighbors(u))
-
-    def users_of(self, item):
-        i = self._iindex.get(item)
-        if i is None:
-            return ()
-        return tuple(self.user_ids[u] for u in self.user_neighbors(i))
-
     # -- index-level access (for the numeric code) ----------------------
 
     def pair_arrays(self):
@@ -185,19 +161,11 @@ class InteractionSet(IdLookup):
     def item_neighbors(self, u_idx):
         return self._pair_i[self._indptr[u_idx]:self._indptr[u_idx + 1]]
 
-    def user_neighbors(self, i_idx):
-        return self._pair_u[self._pair_i == i_idx]
-
     def user_degrees(self):
         return np.diff(self._indptr)
 
     def item_degrees(self):
         return np.bincount(self._pair_i, minlength=self.n_items)
-
-    def pairs(self):
-        """All (user_id, item_id) pairs sorted by (user, item) index."""
-        return [(self.user_ids[u], self.item_ids[i])
-                for u, i in zip(self._pair_u, self._pair_i)]
 
     def _subset(self, user_mask, pair_mask, item_mask):
         """The users, items and pairs the boolean masks keep, in their

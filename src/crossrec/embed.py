@@ -110,10 +110,10 @@ def triplet_loss_and_grads(kind, U, Vp, Vn, margin=1.0, l2=0.0):
 class EmbedTrainConfig:
     dim: int = 50
     margin: float = 1.0
-    learning_rate: float = 0.001
-    l2_reg: float = 0.0
+    lr: float = 0.001
+    l2: float = 0.0
     epochs: int = 100
-    batch_size: int = 1024
+    batch: int = 1024
     seed: int = 0
 
     def __post_init__(self):
@@ -121,21 +121,21 @@ class EmbedTrainConfig:
             raise ConfigError(f"dim must be positive, got {self.dim}")
         if not (np.isfinite(self.margin) and self.margin > 0):
             raise ConfigError(f"margin must be positive, got {self.margin}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError("learning_rate must be positive")
-        if not (np.isfinite(self.l2_reg) and self.l2_reg >= 0):
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise ConfigError("l2_reg must be non-negative")
-        if self.epochs < 1 or self.batch_size < 1:
+        if self.epochs < 1 or self.batch < 1:
             raise ConfigError("epochs and batch_size must be positive")
 
 
 def check_objective(objective, cfg):
-    """Reject an unknown objective, and ``l2_reg`` (``embed.l2``) on a
+    """Reject an unknown objective, and ``l2`` (``embed.l2``) on a
     metric one: only ``inner`` spaces are regularized."""
     if objective not in (KIND_METRIC, KIND_INNER):
         raise ConfigError(f"unknown objective {objective!r}")
-    if objective == KIND_METRIC and cfg.l2_reg > 0:
-        raise ConfigError(f"embed.l2 = {cfg.l2_reg}, but metric spaces "
+    if objective == KIND_METRIC and cfg.l2 > 0:
+        raise ConfigError(f"embed.l2 = {cfg.l2}, but metric spaces "
                           f"are not regularized")
 
 
@@ -232,20 +232,20 @@ def train_embeddings(interactions, cfg, objective=KIND_METRIC,
     if np.any(interactions.user_degrees() >= n_items):
         raise InsufficientCandidates(0, 1)  # some user holds every item
 
-    opt_u = Adam(U.shape, cfg.learning_rate)
-    opt_v = Adam(V.shape, cfg.learning_rate)
+    opt_u = Adam(U.shape, cfg.lr)
+    opt_v = Adam(V.shape, cfg.lr)
     metric = objective == KIND_METRIC
 
     for epoch in range(1, cfg.epochs + 1):
         neg_i = _sample_negatives_array(rng, pos_u, codes, n_items)
         order = rng.permutation(n_pairs)
         epoch_loss = 0.0
-        for start in range(0, n_pairs, cfg.batch_size):
-            b = order[start:start + cfg.batch_size]
+        for start in range(0, n_pairs, cfg.batch):
+            b = order[start:start + cfg.batch]
             bu, bi, bk = pos_u[b], pos_i[b], neg_i[b]
             loss, live, gu, gp, gn = triplet_loss_and_grads(
                 objective, U.take(bu, axis=0), V.take(bi, axis=0),
-                V.take(bk, axis=0), cfg.margin, cfg.l2_reg)
+                V.take(bk, axis=0), cfg.margin, cfg.l2)
             epoch_loss += loss
 
             rows_u = opt_u.step_rows(U, bu, bu[live], gu)
@@ -289,9 +289,13 @@ def save_embeddings(space, path):
 
 
 def parse_floats(fields, path, lineno):
-    """``fields`` as floats; a NaN or infinity among them raises
-    :class:`NonFiniteInput` naming ``path:lineno``."""
-    row = [float(x) for x in fields]
+    """``fields`` as floats; a field that is not one raises ``ValueError``,
+    and a NaN or infinity :class:`NonFiniteInput`, each naming
+    ``path:lineno``."""
+    try:
+        row = [float(x) for x in fields]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not all(map(math.isfinite, row)):
         raise NonFiniteInput(f"{path}:{lineno}: non-finite value")
     return row

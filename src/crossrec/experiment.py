@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -50,13 +50,6 @@ METHODS = (METHOD_ITEMPOP, METHOD_BPR, METHOD_CML, METHOD_EMCDR_BPR,
 # every artifact name, in the order the step flags load them
 ARTIFACTS = ("unified_space", "source_space", "target_space", "net")
 
-# fixed sub-seed slots, independent of the method
-_SLOT_SYNTH = 0
-_SLOT_SPLIT = 1
-_SLOT_EMBED = {"source": 2, "target": 3, "unified": 4}
-_SLOT_MAPPING = 5
-_SLOT_EVAL = 6
-
 # method -> (embedding objective, mapping mode); None where the method
 # trains no embedding or no mapping.  Methods without a mapping train one
 # unified space over both domains.  `run` and every step train through
@@ -72,6 +65,32 @@ _PLAN = {
 }
 
 
+# stage -> (sub-seed slot, prefix of its fields in ExperimentConfig, its
+# config class), in the order validate checks them.  The stage classes
+# alone declare, default and check these settings; the experiment fills
+# in each one's _FILLED fields.  Slot 0 seeds the generator.
+_STAGES = {"source": (2, "embed_", embed.EmbedTrainConfig),
+           "target": (3, "embed_", embed.EmbedTrainConfig),
+           "unified": (4, "embed_", embed.EmbedTrainConfig),
+           "map": (5, "map_", mapping.MapTrainConfig),
+           "eval": (6, "eval_", evaluation.EvalConfig),
+           "split": (1, "", data.SplitSeedConfig)}
+_SLOT_SYNTH = 0
+_FILLED = ("seed", "mode")
+
+
+def _settings(cls):
+    """The fields of the stage class ``cls`` that a config key sets."""
+    return [f for f in fields(cls) if f.name not in _FILLED]
+
+
+# one field per stage setting: its prefixed name, type and default
+_StageSettings = make_dataclass("_StageSettings", [
+    (prefix + f.name, f.type, f.default)
+    for prefix, cls in dict.fromkeys(stage[1:] for stage in _STAGES.values())
+    for f in _settings(cls)])
+
+
 def derive_seed(seed, slot):
     """Stable per-purpose sub-seed from the experiment seed."""
     if seed < 0:
@@ -80,11 +99,10 @@ def derive_seed(seed, slot):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_StageSettings):
     method: str = METHOD_SSCDR
     out_dir: str = "run"
     seed: int = 0
-    phi: float = data.SplitSeedConfig.phi
     hops: int = 2
     scenario_dir: str = ""
     source_path: str = ""
@@ -95,25 +113,6 @@ class ExperimentConfig:
     synth_k_true: int = 8
     synth_overlap: float = 0.3
     synth_density: float = 0.004
-    test_fraction: float = data.SplitSeedConfig.test_fraction
-    min_overlap_interactions: int = (
-        data.SplitSeedConfig.min_overlap_interactions)
-    min_other_interactions: int = data.SplitSeedConfig.min_other_interactions
-    embed_dim: int = 50
-    embed_margin: float = 1.0
-    embed_lr: float = 0.001
-    embed_l2: float = 0.0
-    embed_epochs: int = 100
-    embed_batch: int = 1024
-    map_lam: float = 0.5
-    map_margin: float = 1.0
-    map_lr: float = 0.001
-    map_epochs: int = 100
-    map_batch: int = 64
-    eval_cutoffs: tuple = (10, 20)
-    eval_repeats: int = 5
-    eval_negatives: int = 999
-    eval_positive: str = "test"
 
     def validate(self):
         if self.method not in METHODS:
@@ -134,15 +133,13 @@ class ExperimentConfig:
             raise ConfigError("source and target files go together")
         if self.synth_users > 0:
             synth.check_synthetic(*_synth_args(self))
-        # every config checks its values (the seed too) before work,
+        # every stage checks its values (the seed too) before work,
         # whatever the method; only embed.l2 has a rule per objective
         objective = _PLAN[self.method][0]
-        embed_cfg = embed_config(self, "source")
-        if objective is not None:
-            embed.check_objective(objective, embed_cfg)
-        map_config(self)
-        eval_config(self)
-        split_config(self)
+        for name in _STAGES:
+            stage = stage_config(self, name)
+            if name == "source" and objective is not None:
+                embed.check_objective(objective, stage)
 
     def check_hops(self):
         """Reject a negative ``hops``; every command that reads it
@@ -209,39 +206,19 @@ def prepare_scenario(cfg):
     else:
         source = data.load_interactions(cfg.source_path)
         target = data.load_interactions(cfg.target_path)
-    return data.build_scenario(source, target, split_config(cfg))
+    return data.build_scenario(source, target, stage_config(cfg, "split"))
 
 
-def split_config(cfg):
-    return data.SplitSeedConfig(
-        cfg.phi, derive_seed(cfg.seed, _SLOT_SPLIT), cfg.test_fraction,
-        cfg.min_overlap_interactions, cfg.min_other_interactions)
-
-
-def embed_config(cfg, domain):
-    """Training config of the ``source``, ``target`` or ``unified`` space."""
-    return embed.EmbedTrainConfig(
-        dim=cfg.embed_dim, margin=cfg.embed_margin,
-        learning_rate=cfg.embed_lr, l2_reg=cfg.embed_l2,
-        epochs=cfg.embed_epochs, batch_size=cfg.embed_batch,
-        seed=derive_seed(cfg.seed, _SLOT_EMBED[domain]))
-
-
-def map_config(cfg):
-    """Training config of the mapping, in ``cfg.method``'s mode (the
-    semi-supervised one for a method without a mapping)."""
-    return mapping.MapTrainConfig(
-        lam=cfg.map_lam, margin=cfg.map_margin, learning_rate=cfg.map_lr,
-        epochs=cfg.map_epochs, batch_size=cfg.map_batch,
-        mode=_PLAN[cfg.method][1] or mapping.MODE_SEMI,
-        seed=derive_seed(cfg.seed, _SLOT_MAPPING))
-
-
-def eval_config(cfg):
-    return evaluation.EvalConfig(
-        cutoffs=cfg.eval_cutoffs, repeats=cfg.eval_repeats,
-        negatives=cfg.eval_negatives, positive=cfg.eval_positive,
-        seed=derive_seed(cfg.seed, _SLOT_EVAL))
+def stage_config(cfg, name):
+    """The config of stage ``name`` (a key of ``_STAGES``): its settings
+    from ``cfg``, its seed from its slot and, for ``map``, the mode of
+    ``cfg.method`` (the semi-supervised one for a method without a
+    mapping)."""
+    slot, prefix, cls = _STAGES[name]
+    kv = {f.name: getattr(cfg, prefix + f.name) for f in _settings(cls)}
+    if name == "map":
+        kv["mode"] = _PLAN[cfg.method][1] or mapping.MODE_SEMI
+    return cls(seed=derive_seed(cfg.seed, slot), **kv)
 
 
 def required_artifacts(method):
@@ -289,12 +266,12 @@ def train_artifact(name, scenario, cfg, art, loss_history=None):
     if name == "net":
         _check_space_kinds(cfg, art)
         return mapping.train_mapping(art["source_space"], art["target_space"],
-                                     scenario, map_config(cfg),
+                                     scenario, stage_config(cfg, "map"),
                                      loss_history=loss_history)
     domain = name[:-len("_space")]
     interactions = (data.build_unified(scenario) if domain == "unified"
                     else getattr(scenario, domain))
-    return embed.train_embeddings(interactions, embed_config(cfg, domain),
+    return embed.train_embeddings(interactions, stage_config(cfg, domain),
                                   objective=_PLAN[cfg.method][0],
                                   loss_history=loss_history)
 
@@ -356,7 +333,7 @@ def evaluate_method(scenario, cfg, art):
     """The report of ``cfg.method`` scored with ``art`` on ``scenario``,
     and its ``report.tsv`` text, labelled with the scenario's phi."""
     report = evaluation.evaluate(make_scorer(scenario, cfg, art), scenario,
-                                 eval_config(cfg))
+                                 stage_config(cfg, "eval"))
     return report, report.to_tsv(cfg.method)
 
 

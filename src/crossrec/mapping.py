@@ -89,9 +89,9 @@ def mlp_forward(net, x):
 class MapTrainConfig:
     lam: float = 0.5
     margin: float = 1.0
-    learning_rate: float = 0.001
+    lr: float = 0.001
     epochs: int = 100
-    batch_size: int = 64
+    batch: int = 64
     mode: str = MODE_SEMI
     seed: int = 0
 
@@ -101,9 +101,9 @@ class MapTrainConfig:
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
         if not all(np.isfinite(x) and x > 0
-                   for x in (self.margin, self.learning_rate)):
+                   for x in (self.margin, self.lr)):
             raise ConfigError("margin and learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
+        if self.epochs < 1 or self.batch < 1:
             raise ConfigError("epochs and batch_size must be positive")
 
 
@@ -257,7 +257,7 @@ def train_mapping(source_space, target_space, scenario, cfg,
     rng_neg = np.random.default_rng(seeds[2])
 
     net = init_mapping(dim, rng_init)
-    opts = [Adam(p.shape, cfg.learning_rate)
+    opts = [Adam(p.shape, cfg.lr)
             for p in (net.w1, net.b1, net.w2, net.b2)]
 
     n = len(linked)
@@ -283,8 +283,8 @@ def train_mapping(source_space, target_space, scenario, cfg,
     for epoch in range(1, cfg.epochs + 1):
         order = rng_perm.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            b = order[start:start + cfg.batch_size]
+        for start in range(0, n, cfg.batch):
+            b = order[start:start + cfg.batch]
             Sb, Tb = S[b], T[b]
             if semi:
                 pj, nk = _sample_excluding(rng_neg, src.n_items, u_rows[b],
@@ -325,9 +325,18 @@ def load_mapping(path):
     if len(header) != 2 or header[0] != "K":
         raise ValueError(f"{path}: bad mapping header")
     k = header_count(path, "K", header[1])
-    rows = [np.array(parse_floats(line.split(), path, lineno))
-            for lineno, line in lines if line.strip()]
     expect = 2 * k + 1 + k + 1
+    rows = []
+    for lineno, line in lines:
+        fields = line.split()
+        if not fields:
+            continue
+        # w1 rows, then b1, w2 rows and b2: K, 2K, 2K and K values
+        width = 2 * k if 2 * k <= len(rows) <= 3 * k else k
+        if len(rows) < expect and len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} values, "
+                             f"got {len(fields)}")
+        rows.append(np.array(parse_floats(fields, path, lineno)))
     if len(rows) != expect:
         raise ValueError(f"{path}: expected {expect} rows, got {len(rows)}")
     w1 = np.stack(rows[:2 * k])

@@ -2,8 +2,9 @@
 the evaluator counts, a squared distance apart from the spaces' scores,
 one triplet with dense gradients where training takes batches of compact
 rows, the mapping's two loss terms apart where training fuses them into
-one pass, and a unit-ball projection by fancy indexing where training
-moves rows with take and put."""
+one pass, a unit-ball projection by fancy indexing where training
+moves rows with take and put, and the id-level views of an interaction
+set that the numeric code reads by index."""
 
 import numpy as np
 
@@ -82,3 +83,36 @@ def unsupervised_triplet_loss(net, pos_item_vecs, neg_item_vecs,
     dp = np.einsum("ij,ij->i", Yp - A, Yp - A)
     dn = np.einsum("ij,ij->i", Yn - A, Yn - A)
     return float(np.sum(np.maximum(margin + dp - dn, 0.0)))
+
+
+def items_of(s, user):
+    """Item ids ``user`` interacted with in ``s`` (empty for unknown users)."""
+    if not s.has_user(user):
+        return ()
+    return tuple(s.item_ids[i] for i in s.item_neighbors(s.user_index(user)))
+
+
+def user_neighbors(s, i):
+    """Rows of the users of item row ``i`` in ``s``."""
+    users, items = s.pair_arrays()
+    return users[items == i]
+
+
+def users_of(s, item):
+    """User ids that interacted with ``item`` in ``s`` (empty for unknown
+    items)."""
+    try:
+        i = s.item_index(item)
+    except KeyError:
+        return ()
+    return tuple(s.user_ids[u] for u in user_neighbors(s, i))
+
+
+def has_pair(s, user, item):
+    """Whether ``s`` holds the pair (``user``, ``item``)."""
+    return item in items_of(s, user)
+
+
+def id_pairs(s):
+    """All (user_id, item_id) pairs of ``s`` sorted by (user, item) index."""
+    return [(s.user_ids[u], s.item_ids[i]) for u, i in zip(*s.pair_arrays())]

@@ -147,7 +147,8 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     (test_user,) = scen.test_users
     held = scen.heldout[test_user]
     for item in held:
-        assert not unified.has_pair(test_user, data.TARGET_PREFIX + item)
+        assert not reference.has_pair(unified, test_user,
+                                      data.TARGET_PREFIX + item)
 
     # negative sampling: exclusion, determinism, exhaustion
     inter = data.InteractionSet([("u", "1")],
@@ -201,8 +202,8 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     # tiny metric training run: ball invariant and determinism
     inter = data.InteractionSet(
         [(f"u{k}", f"i{j}") for k in range(4) for j in range(4) if j != k])
-    cfg = embed.EmbedTrainConfig(dim=2, epochs=5, learning_rate=0.05,
-                                 batch_size=16, seed=9)
+    cfg = embed.EmbedTrainConfig(dim=2, epochs=5, lr=0.05,
+                                 batch=16, seed=9)
     space = embed.train_embeddings(inter, cfg, objective=embed.KIND_METRIC)
     assert np.all(np.linalg.norm(space.U, axis=1) <= 1 + 1e-6)
     assert np.all(np.linalg.norm(space.V, axis=1) <= 1 + 1e-6)
@@ -265,7 +266,7 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     # ball invariant after training
     scen = _toy_scenario(0)
     s_src, s_tgt = _toy_spaces(scen)
-    kwargs = dict(margin=1.0, learning_rate=0.01, epochs=5, batch_size=8,
+    kwargs = dict(margin=1.0, lr=0.01, epochs=5, batch=8,
                   seed=4)
     sup = mapping.train_mapping(
         s_src, s_tgt, scen,
@@ -412,8 +413,8 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
     assert tgt.n_interactions == 4000
     a = synth.generate_synthetic(30, 20, 25, 3, 0.4, 0.2, seed=6)
     b = synth.generate_synthetic(30, 20, 25, 3, 0.4, 0.2, seed=6)
-    assert sorted(a[0].pairs()) == sorted(b[0].pairs())
-    assert sorted(a[1].pairs()) == sorted(b[1].pairs())
+    assert sorted(reference.id_pairs(a[0])) == sorted(reference.id_pairs(b[0]))
+    assert sorted(reference.id_pairs(a[1])) == sorted(reference.id_pairs(b[1]))
 
     dt = time.monotonic() - t0
     assert dt < 5.0, f"analytic suite took {dt:.2f}s (budget 5s)"
@@ -432,11 +433,11 @@ def _toy_scenario(seed):
 
 
 def _toy_spaces(scen):
-    cfg = embed.EmbedTrainConfig(dim=6, epochs=8, learning_rate=0.01,
-                                 batch_size=256, seed=11)
+    cfg = embed.EmbedTrainConfig(dim=6, epochs=8, lr=0.01,
+                                 batch=256, seed=11)
     s = embed.train_embeddings(scen.source, cfg)
-    cfg = embed.EmbedTrainConfig(dim=6, epochs=8, learning_rate=0.01,
-                                 batch_size=256, seed=12)
+    cfg = embed.EmbedTrainConfig(dim=6, epochs=8, lr=0.01,
+                                 batch=256, seed=12)
     t = embed.train_embeddings(scen.target, cfg)
     return s, t
 
@@ -561,8 +562,8 @@ def test_criterion_3_reduction_equivalence():
     for seed in range(10):
         scen = _toy_scenario(seed)
         s_src, s_tgt = _toy_spaces(scen)
-        kwargs = dict(margin=1.0, learning_rate=0.01, epochs=10,
-                      batch_size=8, seed=seed)
+        kwargs = dict(margin=1.0, lr=0.01, epochs=10,
+                      batch=8, seed=seed)
         sup = mapping.train_mapping(
             s_src, s_tgt, scen,
             mapping.MapTrainConfig(lam=0.0, mode=mapping.MODE_SUPERVISED,
@@ -708,7 +709,7 @@ def test_criterion_5_random_scorer_sanity():
         return rng.standard_normal(len(rows))
 
     rep = evaluation.evaluate(random_scorer, scen,
-                              experiment.eval_config(cfg))
+                              experiment.stage_config(cfg, "eval"))
     hr = rep.averaged()[("HR", 10)]
     p = 10.0 / 1000.0
     sigma = math.sqrt(p * (1 - p) / (n_users * repeats))

@@ -837,6 +837,48 @@ def test_non_finite_artifact_exits_4_naming_the_file(chain, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def _b1_line(lines):
+    """Index of a mapping's ``b1`` row: after the header and 2K w1 rows."""
+    return 2 * int(lines[0].split()[1]) + 1
+
+
+# artifact, index of the line to edit, the edit of its fields, and the
+# message after ``path:lineno: `` (the chain's K is 8)
+_BAD_ROWS = {
+    "space-non-numeric": (
+        "src_emb", lambda lines: next(k for k, line in enumerate(lines)
+                                      if line.startswith("V ")),
+        lambda f: f[:2] + ["abc"] + f[3:],
+        "could not convert string to float: 'abc'"),
+    "mapping-non-numeric": ("net", lambda lines: 1,
+                            lambda f: ["x" + f[0]] + f[1:],
+                            "could not convert string to float: 'x"),
+    "mapping-row-short": ("net", lambda lines: 1, lambda f: f[:-1],
+                          "expected 8 values, got 7"),
+    "mapping-b1-long": ("net", _b1_line, lambda f: f + ["0.5"],
+                        "expected 16 values, got 17"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ROWS))
+def test_malformed_artifact_row_exits_3_naming_the_file_and_line(
+        chain, tmp_path, capsys, case):
+    artifact, pick, edit, text = _BAD_ROWS[case]
+    lines = _read(chain[artifact], "utf-8").splitlines(True)
+    k = pick(lines)
+    lines[k] = " ".join(edit(lines[k].split())) + "\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(lines), encoding="utf-8")
+    argv = _step(chain, "export-hops2", chain["src_emb"], chain["tgt_emb"],
+                 str(tmp_path / "out"))
+    code = main([str(bad) if a == chain[artifact] else a for a in argv])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{k + 1}: {text}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # criterion-7-like domains whose target pool is far below 999 negatives
 SMALL_POOL_CFG = """\
 synth.users=200

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import user_neighbors
 
 from crossrec.coldstart import aggregate_hops, aggregate_step, infer_cold_start
 from crossrec.data import InteractionSet
@@ -70,7 +71,7 @@ def _brute(U0, V0, data):
     def item(j, h):
         if h == 0:
             return V0[j]
-        users = data.user_neighbors(j)
+        users = user_neighbors(data, j)
         total = item(j, h - 1) + sum(user(i, h - 1) for i in users)
         return total / (len(users) + 1)
 

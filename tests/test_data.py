@@ -1,4 +1,5 @@
 import bisect
+import functools
 import os
 import tempfile
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import has_pair, id_pairs, items_of, users_of
 
 from crossrec import data
 from crossrec.data import (
@@ -41,18 +43,18 @@ def test_interaction_set_basics():
     assert s.n_users == 2
     assert s.n_items == 2
     assert s.n_interactions == 3  # duplicate collapsed
-    assert s.items_of("a") == ("x", "y")
-    assert s.items_of("b") == ("x",)
-    assert s.users_of("x") == ("a", "b")
-    assert s.has_pair("a", "y")
-    assert not s.has_pair("b", "y")
-    assert s.items_of("nobody") == ()
+    assert items_of(s, "a") == ("x", "y")
+    assert items_of(s, "b") == ("x",)
+    assert users_of(s, "x") == ("a", "b")
+    assert has_pair(s, "a", "y")
+    assert not has_pair(s, "b", "y")
+    assert items_of(s, "nobody") == ()
 
 
 def test_interaction_set_explicit_universe_keeps_zero_degree_items():
     s = InteractionSet([("a", "x")], items=["x", "y", "z"])
     assert s.n_items == 3
-    assert s.users_of("z") == ()
+    assert users_of(s, "z") == ()
     assert list(s.item_degrees()) == [1, 0, 0]
 
 
@@ -74,7 +76,7 @@ def test_interaction_set_rejects_ids_starting_with_hash(pairs, items):
     # written out, such a user's line would read back as a comment
     with pytest.raises(ValueError, match="bad (user|item) id '#"):
         InteractionSet(pairs, items=items)
-    assert InteractionSet([("u#", "a#b")]).pairs() == [("u#", "a#b")]
+    assert id_pairs(InteractionSet([("u#", "a#b")])) == [("u#", "a#b")]
 
 
 def _built_indexes(s):
@@ -91,6 +93,8 @@ def _built_indexes(s):
 
 _LOOKUPS = ("has_user", "user_index", "item_index", "has_pair", "items_of",
             "users_of")
+# the lookups that are reference views over a set, not its own methods
+_VIEWS = {"has_pair": has_pair, "items_of": items_of, "users_of": users_of}
 
 
 def _made(how, pairs, seed, tmp_path_factory):
@@ -150,7 +154,9 @@ def test_id_lookups_match_eagerly_built_dicts(tmp_path_factory, how, raw,
         u, i = users[a % len(users)], items[b % len(items)]
         args = {"has_pair": (u, i), "has_user": (u,), "user_index": (u,),
                 "items_of": (u,)}.get(name, (i,))
-        assert _outcome_of(getattr(s, name), *args) \
+        call = (functools.partial(_VIEWS[name], s) if name in _VIEWS
+                else getattr(s, name))
+        assert _outcome_of(call, *args) \
             == _outcome_of(expected[name], *args), (name, args)
 
 
@@ -160,8 +166,8 @@ def test_id_lookups_match_eagerly_built_dicts(tmp_path_factory, how, raw,
 def test_interaction_set_adjacency_is_exact_inverse(raw):
     pairs = [(f"u{a}", f"i{b}") for a, b in raw]
     s = InteractionSet(pairs)
-    forward = {(u, i) for u in s.user_ids for i in s.items_of(u)}
-    backward = {(u, i) for i in s.item_ids for u in s.users_of(i)}
+    forward = {(u, i) for u in s.user_ids for i in items_of(s, u)}
+    backward = {(u, i) for i in s.item_ids for u in users_of(s, i)}
     assert forward == backward == set(pairs)
     assert s.n_interactions == len(set(pairs))
     pu, pi = s.pair_arrays()
@@ -181,7 +187,7 @@ def test_load_interactions_parses_comments_blanks_and_extras(tmp_path):
                  "u2\ti1\n")
     s = load_interactions(p)
     assert s.n_interactions == 3
-    assert s.items_of("u1") == ("i1", "i2")
+    assert items_of(s, "u1") == ("i1", "i2")
 
 
 def test_load_interactions_malformed_line(tmp_path):
@@ -355,7 +361,7 @@ def test_load_interactions_matches_the_line_parser_at_scale(scale_file):
     assert _outcome(load_interactions, p) == expected
     # the writer's bytes are those of sorted formatted pairs
     assert p.read_text(encoding="utf-8") == "".join(
-        sorted(f"{u}\t{i}\n" for u, i in source.pairs()))
+        sorted(f"{u}\t{i}\n" for u, i in id_pairs(source)))
 
 
 def _traced_peak(call):
@@ -423,8 +429,8 @@ def test_write_interactions_sorts_formatted_pairs(tmp_path_factory, pairs):
     p = tmp_path_factory.mktemp("write") / "inter.tsv"
     write_interactions(p, s)
     assert p.read_text(encoding="utf-8") == "".join(
-        sorted(f"{u}\t{i}\n" for u, i in s.pairs()))
-    assert set(load_interactions(p).pairs()) == set(s.pairs())
+        sorted(f"{u}\t{i}\n" for u, i in id_pairs(s)))
+    assert set(id_pairs(load_interactions(p))) == set(id_pairs(s))
 
 
 def test_write_interactions_sorts_whole_lines_not_id_pairs(tmp_path):
@@ -435,7 +441,7 @@ def test_write_interactions_sorts_whole_lines_not_id_pairs(tmp_path):
     p = tmp_path / "inter.tsv"
     write_interactions(p, s)
     assert p.read_bytes() == b"a\x01\tx\na\tx\nb\tx\x01\nb\tx\n"
-    assert set(load_interactions(p).pairs()) == set(s.pairs())
+    assert set(id_pairs(load_interactions(p))) == set(id_pairs(s))
 
 
 # -- build_scenario ------------------------------------------------------
@@ -484,8 +490,8 @@ def test_filtering_drops_thin_users():
 
 def _reference_filter(source, target, min_overlap, min_other):
     """The dict-of-sets fixed point the index-level filter must reach."""
-    src = {u: set(source.items_of(u)) for u in source.user_ids}
-    tgt = {u: set(target.items_of(u)) for u in target.user_ids}
+    src = {u: set(items_of(source, u)) for u in source.user_ids}
+    tgt = {u: set(items_of(target, u)) for u in target.user_ids}
     changed = True
     while changed:
         changed = False
@@ -580,8 +586,8 @@ def test_heldout_items_come_from_the_users_target_history():
     for u in scen.test_users:
         t, v = scen.heldout[u]
         assert t != v
-        assert target.has_pair(u, t)
-        assert target.has_pair(u, v)
+        assert has_pair(target, u, t)
+        assert has_pair(target, u, v)
         # the training view never contains a test user
         assert not scen.target.has_user(u)
 
@@ -633,18 +639,18 @@ def test_build_unified_counts_and_prefixes():
                                       + scen.target.n_interactions)
     for u in scen.test_users:
         t, v = scen.heldout[u]
-        assert not unified.has_pair(u, "t:" + t)
-        assert not unified.has_pair(u, "t:" + v)
+        assert not has_pair(unified, u, "t:" + t)
+        assert not has_pair(unified, u, "t:" + v)
     sample_user = scen.overlap_users[0]
-    for i in scen.source.items_of(sample_user):
-        assert unified.has_pair(sample_user, "s:" + i)
+    for i in items_of(scen.source, sample_user):
+        assert has_pair(unified, sample_user, "s:" + i)
 
 
 # -- sample_negatives ----------------------------------------------------
 
 def _blocked(s, user, exclude):
     """Rows of ``user``'s training items and of the ``exclude`` ids."""
-    return [s.item_index(i) for i in set(s.items_of(user)) | exclude]
+    return [s.item_index(i) for i in set(items_of(s, user)) | exclude]
 
 
 def test_sample_negatives_avoids_history_and_exclusions():
@@ -680,7 +686,7 @@ def test_sample_negatives_insufficient_pool():
 def test_sample_negatives_matches_the_list_pool(n_seen, seed):
     items = [f"i{k:02d}" for k in range(40)]
     s = InteractionSet([("u", i) for i in items[:n_seen:2]], items=items)
-    blocked = {"i05", "i33"} | set(s.items_of("u"))
+    blocked = {"i05", "i33"} | set(items_of(s, "u"))
     pool = [i for i in items if i not in blocked]
     pick = np.random.default_rng(seed).choice(len(pool), size=5,
                                               replace=False)
@@ -717,8 +723,8 @@ def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
     assert back.train_overlap_users == scen.train_overlap_users
     assert back.heldout == scen.heldout
     assert sorted(back.overlap_users) == sorted(scen.overlap_users)
-    assert set(back.source.pairs()) == set(scen.source.pairs())
-    assert set(back.target.pairs()) == set(scen.target.pairs())
+    assert set(id_pairs(back.source)) == set(id_pairs(scen.source))
+    assert set(id_pairs(back.target)) == set(id_pairs(scen.target))
     assert set(back.target.item_ids) == set(scen.target.item_ids)
 
     # saving the loaded scenario reproduces the original bytes

@@ -255,11 +255,11 @@ def test_embed_config_validation():
     with pytest.raises(ConfigError):
         EmbedTrainConfig(margin=0.0)
     with pytest.raises(ConfigError):
-        EmbedTrainConfig(learning_rate=-0.1)
+        EmbedTrainConfig(lr=-0.1)
     with pytest.raises(ConfigError):
-        EmbedTrainConfig(l2_reg=-1e-9)
+        EmbedTrainConfig(l2=-1e-9)
     for bad in (np.nan, np.inf):
-        for field in ("margin", "learning_rate", "l2_reg"):
+        for field in ("margin", "lr", "l2"):
             with pytest.raises(ConfigError):
                 EmbedTrainConfig(**{field: bad})
 
@@ -283,8 +283,8 @@ def _toy_interactions(n_users=6, n_items=9, per_user=4):
 
 def test_train_embeddings_metric_loss_decreases_and_stays_in_ball():
     data = _toy_interactions()
-    cfg = EmbedTrainConfig(dim=8, learning_rate=0.05, epochs=50,
-                           batch_size=8, seed=3)
+    cfg = EmbedTrainConfig(dim=8, lr=0.05, epochs=50,
+                           batch=8, seed=3)
     history = []
     space = train_embeddings(data, cfg, objective="metric",
                              loss_history=history)
@@ -299,8 +299,8 @@ def test_train_embeddings_metric_loss_decreases_and_stays_in_ball():
 
 def test_train_embeddings_inner_loss_decreases():
     data = _toy_interactions()
-    cfg = EmbedTrainConfig(dim=8, learning_rate=0.05, epochs=50,
-                           batch_size=8, l2_reg=0.001, seed=3)
+    cfg = EmbedTrainConfig(dim=8, lr=0.05, epochs=50,
+                           batch=8, l2=0.001, seed=3)
     history = []
     space = train_embeddings(data, cfg, objective="inner",
                              loss_history=history)
@@ -310,14 +310,14 @@ def test_train_embeddings_inner_loss_decreases():
 
 def test_train_embeddings_is_deterministic():
     data = _toy_interactions()
-    cfg = EmbedTrainConfig(dim=4, learning_rate=0.02, epochs=10,
-                           batch_size=4, seed=11)
+    cfg = EmbedTrainConfig(dim=4, lr=0.02, epochs=10,
+                           batch=4, seed=11)
     a = train_embeddings(data, cfg)
     b = train_embeddings(data, cfg)
     np.testing.assert_array_equal(a.U, b.U)
     np.testing.assert_array_equal(a.V, b.V)
     c = train_embeddings(data, EmbedTrainConfig(
-        dim=4, learning_rate=0.02, epochs=10, batch_size=4, seed=12))
+        dim=4, lr=0.02, epochs=10, batch=4, seed=12))
     assert not np.array_equal(a.U, c.U)
 
 
@@ -333,8 +333,8 @@ def test_negative_sampling_never_hits_observed_pairs():
     pairs = [("u0", i) for i in items[:5]]
     pairs += [(f"u{k}", items[j]) for k in range(1, 4) for j in range(3)]
     data = InteractionSet(pairs, items=items)
-    cfg = EmbedTrainConfig(dim=3, learning_rate=0.05, epochs=30,
-                           batch_size=4, seed=0)
+    cfg = EmbedTrainConfig(dim=3, lr=0.05, epochs=30,
+                           batch=4, seed=0)
     space = train_embeddings(data, cfg)  # would loop forever on a bug
     assert space.U.shape == (4, 3)
 
@@ -399,8 +399,8 @@ def _reference_train(data, cfg, objective):
     V = rng.uniform(-scale, scale, size=(n_items, cfg.dim))
     pos_u, pos_i = data.pair_arrays()
     codes = pos_u * n_items + pos_i
-    opt_u = optim.Adam(U.shape, cfg.learning_rate)
-    opt_v = optim.Adam(V.shape, cfg.learning_rate)
+    opt_u = optim.Adam(U.shape, cfg.lr)
+    opt_v = optim.Adam(V.shape, cfg.lr)
     history, active, rounds = [], 0.0, 0
     for _ in range(cfg.epochs):
         neg = rng.integers(0, n_items, size=pos_u.shape[0])
@@ -414,8 +414,8 @@ def _reference_train(data, cfg, objective):
         rounds = max(rounds, n_rounds)
         order = rng.permutation(pos_u.shape[0])
         epoch_loss, n_active = 0.0, 0
-        for start in range(0, order.shape[0], cfg.batch_size):
-            b = order[start:start + cfg.batch_size]
+        for start in range(0, order.shape[0], cfg.batch):
+            b = order[start:start + cfg.batch]
             bu, bi, bk = pos_u[b], pos_i[b], neg[b]
             A, P, N = U[bu], V[bi], V[bk]
             if objective == "metric":
@@ -428,7 +428,7 @@ def _reference_train(data, cfg, objective):
                 n_active += int(np.sum(arg > 0.0))
             else:
                 loss, _, gu, gp, gn = triplet_loss_and_grads(
-                    "inner", A, P, N, l2=cfg.l2_reg)
+                    "inner", A, P, N, l2=cfg.l2)
             epoch_loss += loss
             rows_u = _dense_lazy_adam(opt_u, U, bu, gu)
             rows_v = _dense_lazy_adam(opt_v, V, np.concatenate([bi, bk]),
@@ -452,8 +452,8 @@ def test_training_matches_the_dense_loop_bit_for_bit(objective, l2):
     pairs += [(f"u{a}", f"i{j}") for a in range(1, 25)
               for j in rng.choice(n_items, 5, replace=False)]
     data = InteractionSet(pairs, items=[f"i{j}" for j in range(n_items)])
-    cfg = EmbedTrainConfig(dim=6, learning_rate=0.05, l2_reg=l2,
-                           epochs=80, batch_size=32, seed=9)
+    cfg = EmbedTrainConfig(dim=6, lr=0.05, l2=l2,
+                           epochs=80, batch=32, seed=9)
     U, V, ref_history, active, rounds = _reference_train(data, cfg,
                                                          objective)
     assert rounds >= 3
@@ -471,8 +471,8 @@ def test_training_matches_the_dense_loop_bit_for_bit(objective, l2):
 
 def test_embedding_save_load_round_trip(tmp_path):
     data = _toy_interactions()
-    cfg = EmbedTrainConfig(dim=5, learning_rate=0.05, epochs=5,
-                           batch_size=8, seed=2)
+    cfg = EmbedTrainConfig(dim=5, lr=0.05, epochs=5,
+                           batch=8, seed=2)
     space = train_embeddings(data, cfg)
     path = tmp_path / "emb.txt"
     save_embeddings(space, path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ranking
+from reference import items_of, ranking
 
 from crossrec.data import (
     CrossDomainScenario,
@@ -367,7 +367,8 @@ def _string_ranks(scen, table, cfg, positive):
         for k, user in enumerate(scen.test_users):
             test_item, valid_item = scen.heldout[user]
             pos = test_item if positive == "test" else valid_item
-            blocked = {test_item, valid_item} | set(scen.target.items_of(user))
+            blocked = ({test_item, valid_item}
+                       | set(items_of(scen.target, user)))
             pool = [i for i in items if i not in blocked]
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed + r, k]))

@@ -156,12 +156,48 @@ def test_validate_requires_exactly_one_data_source(tmp_path):
         cfg.validate()
 
 
+# (method, bad values of two stages, the message validate raises): the
+# source space's settings come first, then its objective's embed.l2 rule,
+# the mapping, the evaluation and last the split
+_FIRST_ERRORS = [
+    ("SSCDR", {"embed.l2": "0.1", "phi": "inf"},
+     "embed.l2 = 0.1, but metric spaces are not regularized"),
+    ("EMCDR-CML", {"embed.l2": "0.1", "lambda": "-1"},
+     "embed.l2 = 0.1, but metric spaces are not regularized"),
+    ("CML", {"embed.l2": "0.1", "eval.cutoffs": "5,5"},
+     "embed.l2 = 0.1, but metric spaces are not regularized"),
+    ("CML", {"embed.dim": "0", "embed.l2": "0.1"},
+     "dim must be positive, got 0"),
+    ("ITEMPOP", {"embed.l2": "0.1", "map.lr": "nan"},
+     "margin and learning_rate must be positive"),
+    ("EMCDR-BPR", {"embed.lr": "nan", "test_fraction": "1"},
+     "learning_rate must be positive"),
+    ("BPR", {"map.lr": "nan", "eval.repeats": "0"},
+     "margin and learning_rate must be positive"),
+    ("SSCDR-naive", {"lambda": "-1", "phi": "inf"},
+     "lam must be non-negative, got -1.0"),
+    ("EMCDR-BPR", {"eval.cutoffs": "5,5", "test_fraction": "1"},
+     "cutoffs must be distinct"),
+    ("ITEMPOP", {"test_fraction": "1", "phi": "inf"},
+     "test_fraction must be in (0, 1), got 1.0"),
+    ("SSCDR", {"seed": "-1", "embed.dim": "0"},
+     "seed must be non-negative, got -1"),
+]
+
+
+@pytest.mark.parametrize("method,values,message", _FIRST_ERRORS)
+def test_validate_reports_the_first_bad_stage(method, values, message):
+    cfg = config_from_mapping({"scenario": "s", "method": method, **values})
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert str(exc.value) == message
+
+
 def test_default_train_configs_are_the_dataclass_defaults():
     cfg = ExperimentConfig()
-    for got, want in ((experiment.embed_config(cfg, "source"),
-                       EmbedTrainConfig()),
-                      (experiment.map_config(cfg), MapTrainConfig()),
-                      (experiment.eval_config(cfg), EvalConfig())):
+    for name, want in (("source", EmbedTrainConfig()),
+                       ("map", MapTrainConfig()), ("eval", EvalConfig())):
+        got = experiment.stage_config(cfg, name)
         assert dataclasses.replace(got, seed=want.seed) == want
 
 
@@ -344,6 +380,26 @@ def test_readme_one_shot_config_is_the_criterion_6_setup(tmp_path):
     keys = data.read_key_values(cfg, ConfigError)
     del keys["seed"], keys["phi"]
     assert keys == BENCH_KEYS
+
+
+def test_readme_config_table_is_the_config():
+    # each row: key, field, type (``ints`` for a comma-separated tuple)
+    # and default (``(empty)`` for "", a note like `` (off)`` after it)
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Config keys\n")[1].split("\n## ")[0]
+    rows = [[cell.strip(" `") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(row[0] for row in rows) == sorted(experiment.KEYS)
+    default = ExperimentConfig()
+    for key, attr, type_name, written in rows:
+        value = getattr(default, attr)
+        assert attr == experiment.KEYS[key][0], key
+        assert type_name == ("ints" if isinstance(value, tuple)
+                             else type(value).__name__), key
+        assert written.split(" (")[0] == (
+            ",".join(map(str, value)) if isinstance(value, tuple)
+            else str(value) or "(empty)"), key
 
 
 # -- scorer -------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import supervised_loss, unsupervised_triplet_loss
+from reference import items_of, supervised_loss, unsupervised_triplet_loss
 
 from crossrec import mapping
 from crossrec.data import (CrossDomainScenario, InteractionSet,
@@ -220,8 +220,8 @@ def test_train_mapping_loss_decreases():
     scen = _mapping_scenario()
     src, tgt = _paired_spaces(scen, 6, seed=1)
     history = []
-    cfg = MapTrainConfig(lam=0.5, learning_rate=0.01, epochs=40,
-                         batch_size=4, seed=5)
+    cfg = MapTrainConfig(lam=0.5, lr=0.01, epochs=40,
+                         batch=4, seed=5)
     net = train_mapping(src, tgt, scen, cfg, loss_history=history)
     assert len(history) == 40
     assert history[-1] < history[0]
@@ -233,10 +233,10 @@ def test_lambda_zero_is_bit_identical_to_supervised_only():
     scen = _mapping_scenario()
     src, tgt = _paired_spaces(scen, 5, seed=2)
     semi = MapTrainConfig(lam=0.0, mode="semi-supervised",
-                          learning_rate=0.02, epochs=15, batch_size=4,
+                          lr=0.02, epochs=15, batch=4,
                           seed=9)
     sup = MapTrainConfig(lam=0.7, mode="supervised-only",
-                         learning_rate=0.02, epochs=15, batch_size=4,
+                         lr=0.02, epochs=15, batch=4,
                          seed=9)
     a = train_mapping(src, tgt, scen, semi)
     b = train_mapping(src, tgt, scen, sup)
@@ -248,9 +248,9 @@ def test_semi_supervised_differs_from_supervised():
     scen = _mapping_scenario()
     src, tgt = _paired_spaces(scen, 5, seed=2)
     a = train_mapping(src, tgt, scen, MapTrainConfig(
-        lam=0.5, learning_rate=0.02, epochs=15, batch_size=4, seed=9))
+        lam=0.5, lr=0.02, epochs=15, batch=4, seed=9))
     b = train_mapping(src, tgt, scen, MapTrainConfig(
-        lam=0.0, learning_rate=0.02, epochs=15, batch_size=4, seed=9))
+        lam=0.0, lr=0.02, epochs=15, batch=4, seed=9))
     assert not np.array_equal(a.w1, b.w1)
 
 
@@ -333,12 +333,12 @@ def test_semi_supervised_triplets_are_drawn_for_linked_users(monkeypatch):
 
     monkeypatch.setattr(mapping, "mapping_loss_and_grads", capture)
     train_mapping(src, tgt, scen, MapTrainConfig(
-        lam=0.5, learning_rate=0.01, epochs=20, batch_size=3, seed=4))
+        lam=0.5, lr=0.01, epochs=20, batch=3, seed=4))
     assert len(triplets) == 20 * len(linked)
     for user, pos, neg in triplets:
         assert user in linked
-        assert pos in source.items_of(user)
-        assert neg not in source.items_of(user)
+        assert pos in items_of(source, user)
+        assert neg not in items_of(source, user)
     assert {u for u, _, _ in triplets} == set(linked)
 
 
@@ -346,7 +346,7 @@ def test_train_mapping_recovers_a_rotation():
     scen = _mapping_scenario(n_users=60, n_items=40, per_user=5)
     src, tgt = _paired_spaces(scen, 8, seed=4, rotate=True)
     cfg = MapTrainConfig(lam=0.0, mode="supervised-only",
-                         learning_rate=0.01, epochs=300, batch_size=16,
+                         lr=0.01, epochs=300, batch=16,
                          seed=0)
     net = train_mapping(src, tgt, scen, cfg)
     mapped = net.forward_batch(src.U)
@@ -371,7 +371,7 @@ def test_train_mapping_never_reads_test_user_targets():
     tgt = EmbeddingSpace(tgt.user_ids, tgt.item_ids, poisoned, tgt.V,
                          "metric")
     net = train_mapping(src, tgt, scen, MapTrainConfig(
-        lam=0.5, learning_rate=0.02, epochs=10, batch_size=4, seed=1))
+        lam=0.5, lr=0.02, epochs=10, batch=4, seed=1))
     assert np.all(np.isfinite(net.w1))
     assert np.all(np.isfinite(net.b2))
 
@@ -404,7 +404,7 @@ def test_map_config_validation():
     with pytest.raises(ConfigError):
         MapTrainConfig(margin=0.0)
     for bad in (np.nan, np.inf):
-        for field in ("lam", "margin", "learning_rate"):
+        for field in ("lam", "margin", "lr"):
             with pytest.raises(ConfigError):
                 MapTrainConfig(**{field: bad})
 

@@ -44,11 +44,6 @@ def test_every_src_definition_is_reached_outside_the_tests():
     assert not unreached, f"reached only by tests: {', '.join(unreached)}"
 
 
-# InteractionSet's id-level API, kept for callers outside the commands
-_KEPT_METHODS = {"InteractionSet.has_pair", "InteractionSet.items_of",
-                 "InteractionSet.users_of", "InteractionSet.pairs"}
-
-
 def _attributes(*trees):
     """How often each name is used as an attribute (``.name``)."""
     return Counter(node.attr for tree in trees for node in ast.walk(tree)
@@ -68,5 +63,4 @@ def test_every_src_method_is_reached_outside_the_tests():
                         and not fn.name.startswith("__")
                         and uses[fn.name] == _attributes(fn)[fn.name]):
                     unreached.append(f"{cls.name}.{fn.name}")
-    unreached = sorted(set(unreached) - _KEPT_METHODS)
     assert not unreached, f"reached only by tests: {', '.join(unreached)}"
