@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import coldstart, data, embed, evaluation, experiment, mapping
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, CrossRecError, NumericError
 
 
 def _resolve_config(args):
@@ -241,15 +241,10 @@ def main(argv=None):
         return 0 if not exc.code else int(exc.code)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (CrossRecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DataError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return (2 if isinstance(exc, ConfigError)
+                else 4 if isinstance(exc, NumericError) else 3)
 
 
 if __name__ == "__main__":

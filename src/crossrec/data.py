@@ -48,7 +48,7 @@ def _id_index(ids, kind):
     index = dict.fromkeys(ids)
     for x in index:
         if not _check_id(x):
-            raise ValueError(f"bad {kind} id {x!r}")
+            raise DataError(f"bad {kind} id {x!r}")
     return dict(zip(index, range(len(index))))
 
 
@@ -71,7 +71,7 @@ def id_rows(index, ids, prefix=""):
 class IdLookup:
     """Users and items by id: ``user_ids`` and ``item_ids`` in row order,
     and their id -> row dicts, each built on first use unless set.  A
-    repeated id fails the build with a ``ValueError`` naming it."""
+    repeated id fails the build with a :class:`DataError` naming it."""
 
     __slots__ = ("user_ids", "item_ids", "_uindex", "_iindex")
 
@@ -83,7 +83,7 @@ class IdLookup:
         index = dict(zip(ids, range(len(ids))))
         if len(index) < len(ids):
             dup = next(x for k, x in enumerate(ids) if index[x] != k)
-            raise ValueError(f"repeated {kind} id {dup!r}")
+            raise DataError(f"repeated {kind} id {dup!r}")
         setattr(self, name, index)
         return index
 

@@ -27,9 +27,11 @@ import numpy as np
 from .data import IdLookup, read_lines
 from .errors import (
     ConfigError,
+    DataError,
     DimensionMismatch,
     EmptyDataset,
     InsufficientCandidates,
+    MalformedLine,
     NonFiniteInput,
     NonFiniteLoss,
 )
@@ -122,11 +124,11 @@ class EmbedTrainConfig:
         if not (np.isfinite(self.margin) and self.margin > 0):
             raise ConfigError(f"margin must be positive, got {self.margin}")
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError("learning_rate must be positive")
+            raise ConfigError("lr must be positive")
         if not (np.isfinite(self.l2) and self.l2 >= 0):
-            raise ConfigError("l2_reg must be non-negative")
+            raise ConfigError("l2 must be non-negative")
         if self.epochs < 1 or self.batch < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+            raise ConfigError("epochs and batch must be positive")
 
 
 def check_objective(objective, cfg):
@@ -152,24 +154,19 @@ class EmbeddingSpace(IdLookup):
 
     def __init__(self, user_ids, item_ids, U, V, kind):
         if kind not in _KINDS:
-            raise ConfigError(f"unknown embedding kind {kind!r}")
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
+            raise DataError(f"unknown embedding kind {kind!r}")
+        U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
         if U.ndim != 2 or V.ndim != 2 or (U.shape[0] and V.shape[0]
                                           and U.shape[1] != V.shape[1]):
             raise DimensionMismatch(f"U {U.shape} vs V {V.shape}")
         if U.shape[0] != len(user_ids) or V.shape[0] != len(item_ids):
             raise DimensionMismatch("matrix rows must match id counts")
-        if kind == KIND_METRIC:
-            for mat in (U, V):
-                if mat.size and np.max(np.linalg.norm(mat, axis=1)) \
-                        > 1.0 + _BALL_TOL:
-                    raise ValueError("metric rows must lie in the unit ball")
-        self.user_ids = tuple(user_ids)
-        self.item_ids = tuple(item_ids)
-        self.U = U
-        self.V = V
-        self.kind = kind
+        if kind == KIND_METRIC and any(
+                m.size and np.linalg.norm(m, axis=1).max() > 1.0 + _BALL_TOL
+                for m in (U, V)):
+            raise DataError("metric rows must lie in the unit ball")
+        self.user_ids, self.item_ids = tuple(user_ids), tuple(item_ids)
+        self.U, self.V, self.kind = U, V, kind
         self._uindex, self._iindex  # built now: a repeated id fails here
         self.U.setflags(write=False)
         self.V.setflags(write=False)
@@ -288,58 +285,69 @@ def save_embeddings(space, path):
                 fh.write(f"{tag} {x} {_fmt_row(row)}\n")
 
 
-def parse_floats(fields, path, lineno):
-    """``fields`` as floats; a field that is not one raises ``ValueError``,
-    and a NaN or infinity :class:`NonFiniteInput`, each naming
-    ``path:lineno``."""
+def read_artifact(path, *names):
+    """The values of the header ``<name> <value> ..`` of ``path``, one
+    per ``names``, each a count but a ``kind``, and ``(lineno, fields)``
+    of every non-blank line after it; a fault raises :class:`DataError`."""
+    lines = read_lines(path, DataError)
+    header = next(lines, (1, ""))[1].split()
+    if header[::2] != list(names) or len(header) != 2 * len(names):
+        raise DataError(f"{path}: expected the header "
+                        f"'{' '.join(f'{n} <{n}>' for n in names)}'")
+    for name, text in zip(names, header[1::2]):
+        if name != "kind" and not text.isdecimal():
+            raise DataError(f"{path}: header field {name} is {text!r}, "
+                            f"not a count")
+    rows = ((lineno, line.split()) for lineno, line in lines)
+    return ([text if name == "kind" else int(text)
+             for name, text in zip(names, header[1::2])],
+            ((lineno, fields) for lineno, fields in rows if fields))
+
+
+def parse_row(path, lineno, fields, width):
+    """``fields`` as ``width`` floats: a wrong width or a non-float raises
+    :class:`MalformedLine`, a NaN or infinity :class:`NonFiniteInput`."""
+    if len(fields) != width:
+        raise MalformedLine(path, lineno, f"expected {width} values, "
+                            f"got {len(fields)}")
     try:
-        row = [float(x) for x in fields]
+        row = list(map(float, fields))
     except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+        raise MalformedLine(path, lineno, str(exc)) from None
     if not all(map(math.isfinite, row)):
         raise NonFiniteInput(f"{path}:{lineno}: non-finite value")
     return row
 
 
-def header_count(path, field, text):
-    """Header field ``field`` of ``path`` as a non-negative int."""
-    if not text.isdecimal():
-        raise ValueError(f"{path}: header field {field} is {text!r}, "
-                         f"not a count")
-    return int(text)
+def build_artifact(path, cls, *args):
+    """``cls(*args)``; a :class:`DataError` it raises gains ``path``."""
+    try:
+        return cls(*args)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_embeddings(path):
-    lines = read_lines(path, ValueError)
-    header = next(lines, (1, ""))[1].split()
-    if (len(header) != 8 or header[0] != "K" or header[2] != "users"
-            or header[4] != "items" or header[6] != "kind"):
-        raise ValueError(f"{path}: bad embedding header")
-    dim, n_users, n_items = (header_count(path, header[k - 1],
-                                          header[k]) for k in (1, 3, 5))
-    kind = header[7]
-    if kind not in _KINDS:
-        raise ValueError(f"{path}: unknown embedding kind {kind!r}")
+    (dim, n_users, n_items, kind), rows = read_artifact(
+        path, "K", "users", "items", "kind")
     # a row ("U <id>", dim " <x>", newline) takes 2 * dim + 4 bytes or
     # more, so counts the file cannot hold fail before any allocation
     size = os.path.getsize(path)
     if (n_users + n_items) * (2 * dim + 4) > size:
-        raise ValueError(f"{path}: header declares more rows than its "
-                         f"{size} bytes can hold")
-    user_ids, items_ids = [], []
-    U, V = np.empty((n_users, dim)), np.empty((n_items, dim))
-    for lineno, line in lines:
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != dim + 2 or fields[0] not in ("U", "V"):
-            raise ValueError(f"{path}: bad embedding row")
-        ids, mat = (user_ids, U) if fields[0] == "U" else (items_ids, V)
-        if len(ids) == mat.shape[0]:
-            raise ValueError(f"{path}: more {fields[0]} rows than the "
-                             f"header declares")
-        mat[len(ids)] = parse_floats(fields[2:], path, lineno)
-        ids.append(fields[1])
-    if len(user_ids) != n_users or len(items_ids) != n_items:
-        raise ValueError(f"{path}: row counts disagree with header")
-    return EmbeddingSpace(user_ids, items_ids, U, V, kind)
+        raise DataError(f"{path}: header declares more rows than its "
+                        f"{size} bytes can hold")
+    ids = {"U": [], "V": []}
+    mats = {"U": np.empty((n_users, dim)), "V": np.empty((n_items, dim))}
+    for lineno, fields in rows:
+        if fields[0] not in ids or len(fields) < 2:
+            raise MalformedLine(path, lineno, "expected U <id> or V <id>")
+        got, mat = ids[fields[0]], mats[fields[0]]
+        if len(got) == mat.shape[0]:
+            raise MalformedLine(path, lineno, f"more {fields[0]} rows than "
+                                f"the header declares")
+        mat[len(got)] = parse_row(path, lineno, fields[2:], dim)
+        got.append(fields[1])
+    if len(ids["U"]) != n_users or len(ids["V"]) != n_items:
+        raise DataError(f"{path}: row counts disagree with header")
+    return build_artifact(path, EmbeddingSpace, ids["U"], ids["V"],
+                          mats["U"], mats["V"], kind)

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 import numpy as np
 
 from . import coldstart, data, embed, evaluation, mapping, synth
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionMismatch
 
 METHOD_ITEMPOP = "ITEMPOP"
 METHOD_BPR = "BPR"
@@ -231,15 +231,20 @@ def required_artifacts(method):
     return ("source_space", "target_space", "net")
 
 
-def _check_space_kinds(cfg, art):
-    """Every space ``cfg.method`` uses must be of its objective's kind; a
-    space of another kind is a data error naming both."""
+def _check_artifacts(cfg, art):
+    """Every space ``cfg.method`` uses must be of its objective's kind, a
+    data error naming both kinds, and every artifact of one K, else a
+    :class:`DimensionMismatch` naming both artifacts and both K."""
     objective = _PLAN[cfg.method][0]
-    for name in required_artifacts(cfg.method):
-        space = art.get(name)
-        if name != "net" and space.kind != objective:
-            raise DataError(f"{name} is a {space.kind} space, but "
+    names = required_artifacts(cfg.method)  # the first is a space
+    for name in names:
+        got = art.get(name)  # None for the mapping while it is trained
+        if name != "net" and got.kind != objective:
+            raise DataError(f"{name} is a {got.kind} space, but "
                             f"{cfg.method} uses {objective} spaces")
+        if got is not None and got.dim != art[names[0]].dim:
+            raise DimensionMismatch(f"{name} has K={got.dim}, but {names[0]} "
+                                    f"has K={art[names[0]].dim}")
 
 
 def artifact_io(name):
@@ -264,7 +269,7 @@ def train_artifact(name, scenario, cfg, art, loss_history=None):
         raise ConfigError(f"{cfg.method} does not train {name} (it trains "
                           f"{', '.join(needed) or 'nothing'})")
     if name == "net":
-        _check_space_kinds(cfg, art)
+        _check_artifacts(cfg, art)
         return mapping.train_mapping(art["source_space"], art["target_space"],
                                      scenario, stage_config(cfg, "map"),
                                      loss_history=loss_history)
@@ -286,7 +291,8 @@ def make_scorer(scenario, cfg, art):
     unified space), test user and, with hops, source user and item needs
     a row, found by id; a missing one raises :class:`IndexMismatch`, a
     missing artifact :class:`ConfigError` naming its flag, and a space of
-    the wrong kind :class:`DataError`, before anything is scored.
+    the wrong kind or an artifact of another K a :class:`DataError`,
+    before anything is scored.
     With ``cfg``'s repeats over 1 and its draw covering half the catalogue
     or more, consecutive calls for one user score each target row at most
     once.  An inner-space score is then equal to scoring ``rows`` in one
@@ -298,7 +304,7 @@ def make_scorer(scenario, cfg, art):
                if art.get(name) is None]
     if missing:
         raise ConfigError(f"{cfg.method} needs {', '.join(missing)}")
-    _check_space_kinds(cfg, art)
+    _check_artifacts(cfg, art)
     objective, mode = _PLAN[cfg.method]
     target = scenario.target
     if objective is None:  # popularity

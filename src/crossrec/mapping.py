@@ -27,14 +27,16 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     DimensionMismatch,
     EmptyBatch,
+    MalformedLine,
     NonFiniteLoss,
     NoOverlapUsers,
 )
-from .data import id_rows, read_lines
-from .embed import (_fmt_row, _in_sorted, header_count, metric_hinge,
-                    parse_floats, project_rows)
+from .data import id_rows
+from .embed import (_fmt_row, _in_sorted, build_artifact, metric_hinge,
+                    parse_row, project_rows, read_artifact)
 from .optim import Adam
 
 MODE_SUPERVISED = "supervised-only"
@@ -47,10 +49,7 @@ class MappingNetwork:
     __slots__ = ("w1", "b1", "w2", "b2")
 
     def __init__(self, w1, b1, w2, b2):
-        w1 = np.asarray(w1, dtype=float)
-        b1 = np.asarray(b1, dtype=float)
-        w2 = np.asarray(w2, dtype=float)
-        b2 = np.asarray(b2, dtype=float)
+        w1, b1, w2, b2 = (np.asarray(a, dtype=float) for a in (w1, b1, w2, b2))
         k = w1.shape[1]
         if (w1.shape != (2 * k, k) or b1.shape != (2 * k,)
                 or w2.shape != (k, 2 * k) or b2.shape != (k,)):
@@ -102,9 +101,9 @@ class MapTrainConfig:
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
         if not all(np.isfinite(x) and x > 0
                    for x in (self.margin, self.lr)):
-            raise ConfigError("margin and learning_rate must be positive")
+            raise ConfigError("margin and lr must be positive")
         if self.epochs < 1 or self.batch < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+            raise ConfigError("epochs and batch must be positive")
 
 
 class _Backprop:
@@ -320,27 +319,16 @@ def save_mapping(net, path):
 
 
 def load_mapping(path):
-    lines = read_lines(path, ValueError)
-    header = next(lines, (1, ""))[1].split()
-    if len(header) != 2 or header[0] != "K":
-        raise ValueError(f"{path}: bad mapping header")
-    k = header_count(path, "K", header[1])
+    (k,), lines = read_artifact(path, "K")
     expect = 2 * k + 1 + k + 1
-    rows = []
-    for lineno, line in lines:
-        fields = line.split()
-        if not fields:
-            continue
-        # w1 rows, then b1, w2 rows and b2: K, 2K, 2K and K values
+    rows = []  # w1 rows, then b1, w2 rows and b2: K, 2K, 2K and K values
+    for lineno, fields in lines:
+        if len(rows) == expect:
+            raise MalformedLine(path, lineno, f"more than the {expect} rows "
+                                f"the header declares")
         width = 2 * k if 2 * k <= len(rows) <= 3 * k else k
-        if len(rows) < expect and len(fields) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} values, "
-                             f"got {len(fields)}")
-        rows.append(np.array(parse_floats(fields, path, lineno)))
+        rows.append(parse_row(path, lineno, fields, width))
     if len(rows) != expect:
-        raise ValueError(f"{path}: expected {expect} rows, got {len(rows)}")
-    w1 = np.stack(rows[:2 * k])
-    b1 = rows[2 * k]
-    w2 = np.stack(rows[2 * k + 1:3 * k + 1])
-    b2 = rows[3 * k + 1]
-    return MappingNetwork(w1, b1, w2, b2)
+        raise DataError(f"{path}: expected {expect} rows, got {len(rows)}")
+    return build_artifact(path, MappingNetwork, rows[:2 * k], rows[2 * k],
+                          rows[2 * k + 1:3 * k + 1], rows[3 * k + 1])

@@ -14,12 +14,13 @@ import sys
 import tempfile
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossrec
-from crossrec import embed
+from crossrec import embed, experiment, mapping
 from crossrec.cli import main
 from crossrec.data import load_scenario
 
@@ -284,7 +285,7 @@ def test_mismatched_embedding_dims_exit_3(chain, tmp_path, capsys):
                  "--out", str(tmp_path / "map.txt")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: target_space has K=6, but source_space has K=8\n"
 
 
 def test_non_finite_lambda_exits_2(chain, tmp_path, capsys):
@@ -514,6 +515,22 @@ def test_failed_run_marks_its_manifest(tmp_path, capsys):
     manifest = (out / "manifest.txt").read_text()
     assert manifest.startswith("status=failed\nerror=MalformedLine\n")
     capsys.readouterr()
+
+
+def test_an_error_of_no_crossrec_class_is_not_an_exit_code(
+        tmp_path, capsys, monkeypatch):
+    # only crossrec's errors and OSError are exits; any other is a bug
+    def broken(*args):
+        raise ValueError("broken stage")
+    monkeypatch.setattr(experiment, "evaluate_method", broken)
+    cfg = _write(tmp_path / "r.cfg", RUN_CFG)
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="broken stage"):
+        main(["run", "--config", cfg, "--method", "ITEMPOP",
+              "--out", str(out)])
+    assert _read(out / "manifest.txt", "utf-8").startswith(
+        "status=failed\nerror=ValueError\n")
+    assert capsys.readouterr().err == ""
 
 
 def test_negative_seed_is_rejected_before_any_file(tmp_path, capsys):
@@ -762,8 +779,20 @@ def test_space_with_a_repeated_id_exits_3(chain, tmp_path, capsys):
                  "--out", str(tmp_path / "r.tsv")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert repr(user) in err
+    assert err == f"error: {doubled}: repeated user id {user!r}\n"
+
+
+def test_space_row_outside_the_unit_ball_exits_3(chain, tmp_path, capsys):
+    header, rows = _space_rows(chain["src_emb"])
+    k = next(k for k, r in enumerate(rows) if r.startswith("V "))
+    fields = rows[k].split()
+    rows[k] = " ".join(fields[:2] + ["1"] * (len(fields) - 2)) + "\n"
+    outside = _write_space(tmp_path / "outside.txt", header, rows)
+    report = tmp_path / "r.tsv"
+    assert _eval_sscdr(chain, report, src_emb=outside) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {outside}: metric rows must lie in the unit ball\n"
+    assert not report.exists()
 
 
 @pytest.fixture(scope="module")
@@ -857,6 +886,13 @@ _BAD_ROWS = {
                           "expected 8 values, got 7"),
     "mapping-b1-long": ("net", _b1_line, lambda f: f + ["0.5"],
                         "expected 16 values, got 17"),
+    "space-row-short": ("src_emb", lambda lines: 3, lambda f: f[:-1],
+                        "expected 8 values, got 7"),
+    # the first V row made a U row: one U row more than the header says
+    "space-extra-u-row": (
+        "src_emb", lambda lines: next(k for k, line in enumerate(lines)
+                                      if line.startswith("V ")),
+        lambda f: ["U"] + f[1:], "more U rows than the header declares"),
 }
 
 
@@ -877,6 +913,35 @@ def test_malformed_artifact_row_exits_3_naming_the_file_and_line(
     assert err.startswith(f"error: {bad}:{k + 1}: {text}")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def _artifact_of_dim(chain, name, dim, path):
+    """A zero-valued space (``tgt_emb``'s ids) or mapping of K ``dim``."""
+    if name == "net":
+        net = mapping.init_mapping(dim, np.random.default_rng(0))
+        mapping.save_mapping(net, path)
+    else:
+        space = embed.load_embeddings(chain[name])
+        embed.save_embeddings(embed.EmbeddingSpace(
+            space.user_ids, space.item_ids, np.zeros((len(space.user_ids),
+                                                      dim)),
+            np.zeros((len(space.item_ids), dim)), space.kind), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("artifact, dim, message", [
+    ("tgt_emb", 4, "target_space has K=4, but source_space has K=8"),
+    ("net", 2, "net has K=2, but source_space has K=8")],
+    ids=["target-space", "mapping"])
+def test_artifacts_of_another_dim_exit_3_before_scoring(
+        chain, tmp_path, capsys, artifact, dim, message):
+    other = _artifact_of_dim(chain, artifact, dim, tmp_path / "other.txt")
+    report = tmp_path / "r.tsv"
+    argv = _step(chain, "eval", chain["src_emb"], chain["tgt_emb"],
+                 str(report))
+    assert main([other if a == chain[artifact] else a for a in argv]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
 
 
 # criterion-7-like domains whose target pool is far below 999 negatives

@@ -59,13 +59,13 @@ def test_interaction_set_explicit_universe_keeps_zero_degree_items():
 
 
 def test_interaction_set_rejects_whitespace_ids():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         InteractionSet([("a b", "x")])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         InteractionSet([("a", "x\ty")])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         InteractionSet([("a\u2003b", "x")])  # em space
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         InteractionSet([("a", "x\x1cy")])  # file separator
 
 
@@ -74,7 +74,7 @@ def test_interaction_set_rejects_whitespace_ids():
     ([("u", "a")], ["a", "#b"])], ids=["user", "item", "universe"])
 def test_interaction_set_rejects_ids_starting_with_hash(pairs, items):
     # written out, such a user's line would read back as a comment
-    with pytest.raises(ValueError, match="bad (user|item) id '#"):
+    with pytest.raises(DataError, match="bad (user|item) id '#"):
         InteractionSet(pairs, items=items)
     assert id_pairs(InteractionSet([("u#", "a#b")])) == [("u#", "a#b")]
 

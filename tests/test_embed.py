@@ -19,7 +19,7 @@ from crossrec.embed import (
     train_embeddings,
     triplet_loss_and_grads,
 )
-from crossrec.errors import ConfigError, EmptyDataset
+from crossrec.errors import ConfigError, DataError, EmptyDataset
 
 # frozen oracle values, computed with mpmath at 30 digits:
 #   log(1 + exp(-10)) and log(1 + e)
@@ -267,7 +267,7 @@ def test_embed_config_validation():
 def test_metric_space_rejects_rows_outside_the_ball():
     U = np.array([[0.9, 0.9]])  # norm > 1
     V = np.zeros((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="unit ball"):
         EmbeddingSpace(("u",), ("i",), U, V, "metric")
     # the same rows are fine for an inner-product space
     EmbeddingSpace(("u",), ("i",), U, V, "inner")
@@ -524,8 +524,10 @@ def test_saved_rows_match_the_per_float_format(tmp_path):
 def test_load_embeddings_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("not a header\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError) as exc:
         load_embeddings(p)
+    assert str(exc.value) == (f"{p}: expected the header 'K <K> users "
+                              "<users> items <items> kind <kind>'")
 
 
 def test_load_embeddings_rejects_rows_beyond_the_header(tmp_path):
@@ -536,8 +538,10 @@ def test_load_embeddings_rejects_rows_beyond_the_header(tmp_path):
     for extra in ("U u2 0 0\n", "V i2 0 0\n"):
         bad = tmp_path / "extra.txt"
         bad.write_text(path.read_text() + extra)
-        with pytest.raises(ValueError, match="more"):
+        with pytest.raises(DataError) as exc:
             load_embeddings(bad)
+        assert str(exc.value) == (f"{bad}:4: more {extra[0]} rows than "
+                                  "the header declares")
 
 
 @pytest.mark.parametrize("users, items, repeated", [
@@ -545,7 +549,7 @@ def test_load_embeddings_rejects_rows_beyond_the_header(tmp_path):
     (("u",), ("i", "j", "j"), "'j'"),
 ])
 def test_space_rejects_repeated_ids(users, items, repeated):
-    with pytest.raises(ValueError, match=f"repeated .* id {repeated}"):
+    with pytest.raises(DataError, match=f"repeated .* id {repeated}"):
         EmbeddingSpace(users, items, np.zeros((len(users), 2)),
                        np.zeros((len(items), 2)), "inner")
 

@@ -169,11 +169,11 @@ _FIRST_ERRORS = [
     ("CML", {"embed.dim": "0", "embed.l2": "0.1"},
      "dim must be positive, got 0"),
     ("ITEMPOP", {"embed.l2": "0.1", "map.lr": "nan"},
-     "margin and learning_rate must be positive"),
+     "margin and lr must be positive"),
     ("EMCDR-BPR", {"embed.lr": "nan", "test_fraction": "1"},
-     "learning_rate must be positive"),
+     "lr must be positive"),
     ("BPR", {"map.lr": "nan", "eval.repeats": "0"},
-     "margin and learning_rate must be positive"),
+     "margin and lr must be positive"),
     ("SSCDR-naive", {"lambda": "-1", "phi": "inf"},
      "lam must be non-negative, got -1.0"),
     ("EMCDR-BPR", {"eval.cutoffs": "5,5", "test_fraction": "1"},

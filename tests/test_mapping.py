@@ -8,6 +8,7 @@ from crossrec.data import (CrossDomainScenario, InteractionSet,
 from crossrec.embed import EmbeddingSpace
 from crossrec.errors import (
     ConfigError,
+    DataError,
     DimensionMismatch,
     EmptyBatch,
     NoOverlapUsers,
@@ -444,5 +445,10 @@ def test_saved_mapping_rows_match_the_per_float_format(tmp_path):
 def test_load_mapping_rejects_wrong_row_count(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("K 2\n1 2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError) as exc:
         load_mapping(p)
+    assert str(exc.value) == f"{p}: expected 8 rows, got 1"
+    p.write_text("K 1\n1\n2\n3 4\n5 6\n7\n\n8\n")  # b2, a blank, more
+    with pytest.raises(DataError) as exc:
+        load_mapping(p)
+    assert str(exc.value) == f"{p}:8: more than the 5 rows the header declares"
