@@ -159,6 +159,7 @@ def _cmd_export_vectors(args):
     cfg.check_hops()
     scenario = data.load_scenario(args.scenario)
     art = _load_artifacts(args)
+    experiment.check_dims(art)  # of any method, so no kind rule
     users = scenario.test_users
     inferred = coldstart.cold_start_queries(
         art["source_space"], scenario.source, art["net"], cfg.hops, users)

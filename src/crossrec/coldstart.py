@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import id_rows
 from .errors import IndexMismatch
-from .mapping import mlp_forward
 
 
 def aggregate_step(U, V, interactions):
@@ -52,18 +51,19 @@ def aggregate_hops(space, interactions, hops):
     return U, V
 
 
-def infer_cold_start(net, source_user_vec):
-    """Translate an (aggregated) source user vector into the target space."""
-    return mlp_forward(net, source_user_vec)
+def infer_cold_start(net, X):
+    """Translate the (aggregated) source user vectors, the rows of ``X``,
+    into the target space."""
+    return net.forward_batch(X)
 
 
 def cold_start_queries(source_space, interactions, net, hops, users):
-    """Target-space query vectors of the source users ``users``: each
-    user's row after ``hops`` aggregation steps, translated by ``net``."""
+    """Target-space query vectors of the source users ``users``: their
+    rows after ``hops`` aggregation steps, translated by ``net`` in one
+    pass."""
     U, index = source_space.U, source_space.user_index
     if hops > 0:  # aggregated rows follow the interactions' order
         U, _ = aggregate_hops(source_space, interactions, hops)
         index = interactions.user_index
-    return np.stack([infer_cold_start(net, U[r])
-                     for r in id_rows(index, users)])
+    return infer_cold_start(net, U[id_rows(index, users)])
 

@@ -231,20 +231,27 @@ def required_artifacts(method):
     return ("source_space", "target_space", "net")
 
 
+def check_dims(art):
+    """Every artifact ``art`` (a dict by name) holds must have the K of the
+    first it holds in ``ARTIFACTS`` order, else a
+    :class:`DimensionMismatch` naming both artifacts and both K."""
+    held = [name for name in ARTIFACTS if art.get(name) is not None]
+    for name in held[1:]:
+        if art[name].dim != art[held[0]].dim:
+            raise DimensionMismatch(f"{name} has K={art[name].dim}, but "
+                                    f"{held[0]} has K={art[held[0]].dim}")
+
+
 def _check_artifacts(cfg, art):
     """Every space ``cfg.method`` uses must be of its objective's kind, a
-    data error naming both kinds, and every artifact of one K, else a
-    :class:`DimensionMismatch` naming both artifacts and both K."""
+    data error naming both kinds, and every artifact of one K
+    (:func:`check_dims`; the mapping is absent while it is trained)."""
     objective = _PLAN[cfg.method][0]
-    names = required_artifacts(cfg.method)  # the first is a space
-    for name in names:
-        got = art.get(name)  # None for the mapping while it is trained
-        if name != "net" and got.kind != objective:
-            raise DataError(f"{name} is a {got.kind} space, but "
+    for name in required_artifacts(cfg.method):
+        if name != "net" and art[name].kind != objective:
+            raise DataError(f"{name} is a {art[name].kind} space, but "
                             f"{cfg.method} uses {objective} spaces")
-        if got is not None and got.dim != art[names[0]].dim:
-            raise DimensionMismatch(f"{name} has K={got.dim}, but {names[0]} "
-                                    f"has K={art[names[0]].dim}")
+    check_dims(art)
 
 
 def artifact_io(name):

@@ -76,14 +76,6 @@ def init_mapping(dim, rng):
     return MappingNetwork(w1, b1, w2, b2)
 
 
-def mlp_forward(net, x):
-    """Map one source vector; the result always has norm <= 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.dim,):
-        raise DimensionMismatch(f"expected ({net.dim},), got {x.shape}")
-    return net.forward_batch(x[None])[0]
-
-
 @dataclass(frozen=True)
 class MapTrainConfig:
     lam: float = 0.5
@@ -239,11 +231,8 @@ def train_mapping(source_space, target_space, scenario, cfg,
     each batch user also contributes one (positive item, negative item)
     triplet, resampled every epoch, anchored at the user's target vector.
     Rows of both spaces are found by id, so their order does not matter.
+    Both spaces share one K: ``experiment.train_artifact`` checks it.
     """
-    if source_space.dim != target_space.dim:
-        raise DimensionMismatch(
-            f"source dim {source_space.dim} != target dim "
-            f"{target_space.dim}")
     linked = scenario.train_overlap_users
     if not linked:
         raise NoOverlapUsers("no train-overlap users")

@@ -8,7 +8,9 @@ where the run was written.  Two configs cover both branches of
 ``experiment.make_scorer``: ``smoke`` is ``tests/test_cli.py``'s 60-user
 config, whose two repeats of 30 negatives cover half the catalogue, so its
 scorer keeps a memo; ``direct`` draws 10 negatives, so its scorer scores
-each candidate block afresh.
+each candidate block afresh.  ``golden.json`` also pins what
+``export-vectors`` writes over the ``smoke`` SSCDR run of seed 11 (the run
+``tests/test_cli.py``'s step chain reproduces) at hops 0 and 2.
 
 A change that means to alter an artifact re-records the file::
 
@@ -34,6 +36,8 @@ CONFIGS = {"smoke": RUN_CFG,
 SEEDS = (11, 12)
 CASES = [(config, seed, method) for config in CONFIGS for seed in SEEDS
          for method in experiment.METHODS]
+EXPORT_KEY = "export-smoke-11-SSCDR"
+EXPORT_HOPS = (0, 2)
 
 
 def case_key(config, seed, method):
@@ -69,6 +73,26 @@ def run_hashes(config, seed, method, root):
     return hashes
 
 
+def export_hashes(root):
+    """Run the ``smoke`` SSCDR case of seed 11 under ``root`` and export
+    its test users' vectors at each of ``EXPORT_HOPS``; the digest of each
+    export, by ``hops<N>.txt``."""
+    run_hashes("smoke", 11, "SSCDR", root)
+    out = os.path.join(root, "out")
+    hashes = {}
+    for hops in EXPORT_HOPS:
+        path = os.path.join(root, f"hops{hops}.txt")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["export-vectors",
+                         "--scenario", os.path.join(out, "scenario"),
+                         "--source-emb",
+                         os.path.join(out, "source_embeddings.txt"),
+                         "--mapping", os.path.join(out, "mapping.txt"),
+                         "--hops", str(hops), "--out", path]) == 0
+        hashes[os.path.basename(path)] = digest(path)
+    return hashes
+
+
 def load():
     with open(PATH, encoding="utf-8") as fh:
         return json.load(fh)
@@ -85,10 +109,13 @@ def record():
     for case in CASES:
         with tempfile.TemporaryDirectory() as root:
             golden[case_key(*case)] = run_hashes(*case, root)
+    with tempfile.TemporaryDirectory() as root:
+        golden[EXPORT_KEY] = export_hashes(root)
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"recorded {len(golden)} runs in {PATH}")
+    print(f"recorded {len(CASES)} runs and {len(EXPORT_HOPS)} exports in "
+          f"{PATH}")
 
 
 if __name__ == "__main__":

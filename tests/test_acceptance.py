@@ -213,15 +213,15 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
 
     # translator forward pass: zero net, constant net, projected constant
     zero4 = _const_net(4, np.zeros(4))
-    _vec_close(mapping.mlp_forward(zero4, np.array([1.0, -2, 3, 0.5])),
+    _vec_close(zero4.forward_batch(np.array([[1.0, -2, 3, 0.5]]))[0],
                np.zeros(4))
     b2 = np.array([0.3, 0.0, 0.4, 0.0])
     half = _const_net(4, b2)
     for seed in range(3):
         x = np.random.default_rng(seed).uniform(-1, 1, 4)
-        _vec_close(mapping.mlp_forward(half, x), b2)
+        _vec_close(half.forward_batch(x[None])[0], b2)
     two = _const_net(4, 4 * b2)  # raw norm 2 -> halved by the projection
-    _vec_close(mapping.mlp_forward(two, x), 2 * b2)
+    _vec_close(two.forward_batch(x[None])[0], 2 * b2)
 
     # supervised mapping loss: perfect fit, one residual, sum of squares
     net = _tanh_net()
@@ -279,7 +279,7 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
         assert np.array_equal(getattr(sup, attr), getattr(semi, attr))
     for u in scen.overlap_users:
         if s_src.has_user(u):
-            out = mapping.mlp_forward(sup, s_src.U[s_src.user_index(u)])
+            out = sup.forward_batch(s_src.U[[s_src.user_index(u)]])[0]
             assert np.linalg.norm(out) <= 1 + 1e-6
 
     # one aggregation hop, by hand
@@ -311,20 +311,20 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
                (u0 + 3 * c) / 4.0)
 
     # cold-start inference composes aggregation and the translator
-    _vec_close(coldstart.infer_cold_start(zero4, np.array([1.0, 2, 3, 4])),
+    _vec_close(coldstart.infer_cold_start(zero4,
+                                          np.array([[1.0, 2, 3, 4]]))[0],
                np.zeros(4))
-    raw = coldstart.aggregate_hops(space, inter, 0)[0][0]
-    got = coldstart.infer_cold_start(
-        _const_net(2, np.array([0.1, 0.2])), raw)
-    _vec_close(got, mapping.mlp_forward(_const_net(2, np.array([0.1, 0.2])),
-                                        space.U[space.user_index("a")]))
+    raw = coldstart.aggregate_hops(space, inter, 0)[0][:1]
+    const = _const_net(2, np.array([0.1, 0.2]))
+    got = coldstart.infer_cold_start(const, raw)[0]
+    _vec_close(got, const.forward_batch(space.U[[space.user_index("a")]])[0])
     rng = np.random.default_rng(0)
     wild = mapping.MappingNetwork(rng.uniform(-2, 2, (4, 2)),
                                   rng.uniform(-2, 2, 4),
                                   rng.uniform(-2, 2, (2, 4)),
                                   rng.uniform(-2, 2, 2))
     for _ in range(5):
-        out = coldstart.infer_cold_start(wild, rng.uniform(-1, 1, 2))
+        out = coldstart.infer_cold_start(wild, rng.uniform(-1, 1, (1, 2)))[0]
         assert np.linalg.norm(out) <= 1 + 1e-6
 
     # top-N ranking: metric, inner, and the id tie-break

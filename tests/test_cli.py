@@ -6,6 +6,8 @@ invocation with the same seed, then the tests compare artifacts byte for
 byte.  Exit-code tests poke each error path.
 """
 
+import contextlib
+import io
 import os
 import pathlib
 import shutil
@@ -807,6 +809,15 @@ def exported(chain):
     return out
 
 
+def test_export_vectors_writes_the_golden_bytes(chain, exported):
+    import golden  # it imports this module's configs
+    got = {f"hops{hops}.txt": golden.digest(chain["root"] /
+                                            f"exported{hops}.txt")
+           for hops in exported}
+    bad = golden.differing(golden.load()[golden.EXPORT_KEY], got)
+    assert not bad, f"differs from tests/golden.json: {', '.join(bad)}"
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.data())
 def test_row_order_of_saved_spaces_does_not_matter(chain, exported, data):
@@ -916,7 +927,8 @@ def test_malformed_artifact_row_exits_3_naming_the_file_and_line(
 
 
 def _artifact_of_dim(chain, name, dim, path):
-    """A zero-valued space (``tgt_emb``'s ids) or mapping of K ``dim``."""
+    """A zero-valued space (the ids of the space ``name``) or mapping of K
+    ``dim``."""
     if name == "net":
         net = mapping.init_mapping(dim, np.random.default_rng(0))
         mapping.save_mapping(net, path)
@@ -929,19 +941,78 @@ def _artifact_of_dim(chain, name, dim, path):
     return str(path)
 
 
-@pytest.mark.parametrize("artifact, dim, message", [
-    ("tgt_emb", 4, "target_space has K=4, but source_space has K=8"),
-    ("net", 2, "net has K=2, but source_space has K=8")],
-    ids=["target-space", "mapping"])
+@pytest.mark.parametrize("command, artifact, dim, message", [
+    ("eval", "tgt_emb", 4, "target_space has K=4, but source_space has K=8"),
+    ("eval", "net", 2, "net has K=2, but source_space has K=8"),
+    ("export-hops0", "net", 2, "net has K=2, but source_space has K=8"),
+    ("export-hops0", "src_emb", 4, "net has K=8, but source_space has K=4")],
+    ids=["target-space", "mapping", "export-mapping", "export-source-space"])
 def test_artifacts_of_another_dim_exit_3_before_scoring(
-        chain, tmp_path, capsys, artifact, dim, message):
+        chain, tmp_path, capsys, command, artifact, dim, message):
     other = _artifact_of_dim(chain, artifact, dim, tmp_path / "other.txt")
-    report = tmp_path / "r.tsv"
-    argv = _step(chain, "eval", chain["src_emb"], chain["tgt_emb"],
-                 str(report))
+    out = tmp_path / "out"
+    argv = _step(chain, command, chain["src_emb"], chain["tgt_emb"],
+                 str(out))
     assert main([other if a == chain[artifact] else a for a in argv]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not report.exists()
+    assert not out.exists()
+
+
+def _corrupt(draw, chain, artifact, how, path):
+    """Write to ``path`` a copy of the chain's ``artifact`` corrupted the
+    way ``how`` names, with ``draw`` choosing where."""
+    if how == "other-k":
+        return _artifact_of_dim(chain, artifact, draw(st.sampled_from(
+            [1, 2, 4, 7, 9, 16])), path)
+    lines = _read(chain[artifact], "utf-8").splitlines(True)
+    if how == "empty":
+        lines = []
+    elif how == "header-count":  # a space's K, U or V count, a mapping's K
+        header = lines[0].split()
+        k = draw(st.sampled_from([1, 3, 5] if artifact == "src_emb" else [1]))
+        header[k] = str(int(header[k]) + draw(st.sampled_from([-1, 1])))
+        lines[0] = " ".join(header) + "\n"
+    else:  # edit one value of one row; a space row starts with tag and id
+        k = draw(st.integers(1, len(lines) - 1))
+        fields = lines[k].split()
+        j = draw(st.integers(2 if artifact == "src_emb" else 0,
+                             len(fields) - 1))
+        if how == "drop":
+            del fields[j]
+        elif how == "add":
+            fields.insert(j, fields[j])
+        else:
+            fields[j] = draw(st.sampled_from(
+                ["nan", "-nan", "inf", "-inf", "Infinity"]
+                if how == "non-finite" else ["abc", "1,5", "1.2.3", "e5"]))
+        lines[k] = " ".join(fields) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_corrupt_artifact_fails_export_with_one_error_line(chain, data):
+    """export-vectors over a corrupted copy of the chain's source space or
+    mapping exits 3, or 4 for a NaN or infinity, with one ``error:`` line
+    and no output file."""
+    artifact = data.draw(st.sampled_from(["src_emb", "net"]))
+    how = data.draw(st.sampled_from(["drop", "add", "non-number",
+                                     "non-finite", "header-count", "empty",
+                                     "other-k"]))
+    hops = data.draw(st.sampled_from(["0", "2"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        bad = _corrupt(data.draw, chain, artifact, how, tmp / "bad.txt")
+        argv = _step(chain, f"export-hops{hops}", chain["src_emb"],
+                     chain["tgt_emb"], str(tmp / "out"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([bad if a == chain[artifact] else a for a in argv])
+        assert code == (4 if how == "non-finite" else 3), err.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert not (tmp / "out").exists()
 
 
 # criterion-7-like domains whose target pool is far below 999 negatives

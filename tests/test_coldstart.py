@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import user_neighbors
 
-from crossrec.coldstart import aggregate_hops, aggregate_step, infer_cold_start
-from crossrec.data import InteractionSet
+from crossrec.coldstart import (aggregate_hops, aggregate_step,
+                                cold_start_queries, infer_cold_start)
+from crossrec.data import InteractionSet, id_rows
 from crossrec.embed import EmbeddingSpace
 from crossrec.errors import IndexMismatch
 from crossrec.mapping import MappingNetwork
@@ -163,6 +164,29 @@ def test_infer_cold_start_is_the_mapping_forward():
     k = 3
     net = MappingNetwork(np.zeros((2 * k, k)), np.zeros(2 * k),
                          np.zeros((k, 2 * k)), np.array([0.0, 0.3, 0.0]))
-    np.testing.assert_allclose(infer_cold_start(net, [1.0, 1.0, 1.0]),
+    np.testing.assert_allclose(infer_cold_start(net, [[1.0, 1.0, 1.0]])[0],
                                [0.0, 0.3, 0.0])
+
+
+def test_cold_start_queries_translate_the_aligned_rows_in_one_pass():
+    rng = np.random.default_rng(7)
+    data = _random_graph(rng, 30, 20, 0.2)
+    U = rng.uniform(-0.5, 0.5, (data.n_users, 4))
+    V = rng.uniform(-0.5, 0.5, (data.n_items, 4))
+    order = rng.permutation(data.n_users)  # the space's rows, reordered
+    space = EmbeddingSpace([data.user_ids[k] for k in order], data.item_ids,
+                           U[order], V, "metric")
+    # weights large enough that some outputs are projected
+    net = MappingNetwork(*(rng.uniform(-2, 2, shape)
+                           for shape in ((8, 4), (8,), (4, 8), (4,))))
+    users = [data.user_ids[k]
+             for k in rng.choice(data.n_users, 12, replace=False)]
+    for hops in (0, 2):
+        rows = aggregate_hops(space, data, hops)[0][
+            id_rows(data.user_index, users)]
+        got = cold_start_queries(space, data, net, hops, users)
+        np.testing.assert_array_equal(got, net.forward_batch(rows))
+        one_by_one = np.stack([net.forward_batch(r[None])[0] for r in rows])
+        np.testing.assert_allclose(got, one_by_one, rtol=0, atol=1e-15)
+        assert (np.linalg.norm(got, axis=1) > 0.999).any(), hops
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from reference import items_of, supervised_loss, unsupervised_triplet_loss
 
-from crossrec import mapping
+from crossrec import experiment, mapping
 from crossrec.data import (CrossDomainScenario, InteractionSet,
                            SplitSeedConfig)
 from crossrec.embed import EmbeddingSpace
@@ -20,7 +20,6 @@ from crossrec.mapping import (
     init_mapping,
     load_mapping,
     mapping_loss_and_grads,
-    mlp_forward,
     save_mapping,
     train_mapping,
 )
@@ -45,24 +44,20 @@ def _ball_rows(rng, n, k):
 
 def test_forward_zero_network_maps_to_zero():
     net = _zero_net(3)
-    np.testing.assert_array_equal(mlp_forward(net, [0.5, -0.2, 0.1]),
+    np.testing.assert_array_equal(net.forward_batch([[0.5, -0.2, 0.1]])[0],
                                   np.zeros(3))
 
 
 def test_forward_constant_output_inside_ball_is_untouched():
     net = _net_with_b2([0.3, 0.4])  # norm 0.5
-    np.testing.assert_allclose(mlp_forward(net, [9.0, -9.0]), [0.3, 0.4])
+    np.testing.assert_allclose(net.forward_batch([[9.0, -9.0]])[0],
+                               [0.3, 0.4])
 
 
 def test_forward_projects_outputs_outside_ball():
     net = _net_with_b2([1.2, 1.6])  # norm 2.0
-    np.testing.assert_allclose(mlp_forward(net, [0.0, 0.0]), [0.6, 0.8],
-                               atol=1e-12)
-
-
-def test_forward_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        mlp_forward(_zero_net(3), [1.0, 2.0])
+    np.testing.assert_allclose(net.forward_batch([[0.0, 0.0]])[0],
+                               [0.6, 0.8], atol=1e-12)
 
 
 def test_output_norm_bounded_for_any_input():
@@ -72,7 +67,7 @@ def test_output_norm_bounded_for_any_input():
     Y = net.forward_batch(X)
     assert np.linalg.norm(Y, axis=1).max() <= 1.0 + 1e-12
     for x in X[:10]:
-        assert np.linalg.norm(mlp_forward(net, x)) <= 1.0 + 1e-12
+        assert np.linalg.norm(net.forward_batch(x[None])[0]) <= 1.0 + 1e-12
 
 
 # -- losses ---------------------------------------------------------------
@@ -394,7 +389,9 @@ def test_train_mapping_dimension_mismatch():
     src, _ = _paired_spaces(scen, 5, seed=2)
     _, tgt = _paired_spaces(scen, 6, seed=2)
     with pytest.raises(DimensionMismatch):
-        train_mapping(src, tgt, scen, MapTrainConfig(epochs=1))
+        experiment.train_artifact(
+            "net", scen, experiment.ExperimentConfig(map_epochs=1),
+            {"source_space": src, "target_space": tgt})
 
 
 def test_map_config_validation():
