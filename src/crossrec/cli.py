@@ -14,6 +14,9 @@ Subcommands::
     run              full pipeline: scenario, training, evaluation
     export-vectors   write inferred target-space vectors for test users
 
+:func:`main` checks the flags of every command by one rule: an optional
+flag of a command that takes ``--method`` needs a method that reads it.
+
 All randomness derives from the single ``--seed`` through the fixed stream
 slots of :mod:`crossrec.experiment`, and each step trains what ``method``
 trains, so ``run`` and an equivalent chain of the step subcommands produce
@@ -41,17 +44,15 @@ def _resolve_config(args):
 
 
 def _check_flags(args, cfg):
-    # config keys may serve several methods, and build-scenario too, so
-    # only the flags are checked: --hops needs SSCDR, --lambda a
-    # semi-supervised mapping, --phi the scenario's
+    # a config file may serve several methods, and build-scenario too, so
+    # only flags are checked
     if cfg.method not in experiment.METHODS:
         cfg.validate()  # names the unknown method before any flag
     flags = vars(args)
-    semi = [method for method, (_, mode) in experiment._PLAN.items()
-            if mode == mapping.MODE_SEMI]
-    for flag, takers in (("hops", [experiment.METHOD_SSCDR]),
-                         ("lambda", semi)):
-        if flags.get(flag) is not None and cfg.method not in takers:
+    optional = _COMMANDS[args.command][3].split() if "method" in flags else ()
+    for flag, takers in _TAKERS.items():
+        if (flag in optional and flags[flag] is not None
+                and cfg.method not in takers):
             raise ConfigError(f"--{flag} applies to {' and '.join(takers)} "
                               f"only, not {cfg.method}")
     if flags.get("phi") is not None and cfg.scenario_dir:
@@ -61,15 +62,7 @@ def _check_flags(args, cfg):
                               f"{saved:g} of scenario {cfg.scenario_dir}")
 
 
-def _add_common(p, out_required=False):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", help="experiment seed")
-    p.add_argument("--out", required=out_required,
-                   help="output file or directory")
-
-
-def _cmd_gen_synth(args):
-    cfg = _resolve_config(args)
+def _cmd_gen_synth(args, cfg):
     if cfg.synth_users < 1:
         raise ConfigError("gen-synth needs synth.users > 0")
     source, target = experiment.generate_domains(cfg)
@@ -81,9 +74,7 @@ def _cmd_gen_synth(args):
     return 0
 
 
-def _cmd_build_scenario(args):
-    cfg = _resolve_config(args)
-    _check_flags(args, cfg)
+def _cmd_build_scenario(args, cfg):
     cfg.validate()
     scenario = experiment.prepare_scenario(cfg)
     data.save_scenario(scenario, cfg.out_dir)
@@ -101,16 +92,15 @@ def _load_artifacts(args):
     art = {}
     for name in experiment.ARTIFACTS:
         _, flag, _, load = experiment.artifact_io(name)
-        path = getattr(args, flag[2:].replace("-", "_"), None)
+        path = vars(args).get(flag[2:])
         if path:
             art[name] = load(path)
     return art
 
 
-def _train_step(args, name):
-    """Train the artifact ``name``, save to ``--out``."""
-    cfg = _resolve_config(args)
-    _check_flags(args, cfg)
+def _train_step(args, cfg):
+    """Train the mapping or the ``--domain`` space, save to ``--out``."""
+    name = "net" if args.command == "train-map" else f"{args.domain}_space"
     cfg.validate()
     scenario = data.load_scenario(args.scenario)
     history = []
@@ -123,17 +113,8 @@ def _train_step(args, name):
     return 0
 
 
-def _cmd_eval(args):
-    cfg = _resolve_config(args)
-    _check_flags(args, cfg)
+def _cmd_eval(args, cfg):
     cfg.validate()
-    for name in experiment.ARTIFACTS:  # an unused artifact flag is an error
-        flag = experiment.artifact_io(name)[1]
-        takers = [m for m in experiment.METHODS
-                  if name in experiment.required_artifacts(m)]
-        if cfg.method not in takers and vars(args)[flag[2:].replace("-", "_")]:
-            raise ConfigError(f"{flag} applies to {' and '.join(takers)} "
-                              f"only, not {cfg.method}")
     scenario = data.load_scenario(args.scenario)
     # a too-small negative pool fails before any artifact is read
     evaluation.heldout_rows(scenario, cfg.eval_negatives)
@@ -145,17 +126,14 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_run(args):
-    cfg = _resolve_config(args)
-    _check_flags(args, cfg)
+def _cmd_run(args, cfg):
     report = experiment.run_experiment(cfg)
     print(report.format_table(title=f"{cfg.method} phi={report.phi:g}"))
     print(f"artifacts in {cfg.out_dir}")
     return 0
 
 
-def _cmd_export_vectors(args):
-    cfg = _resolve_config(args)
+def _cmd_export_vectors(args, cfg):
     cfg.check_hops()
     scenario = data.load_scenario(args.scenario)
     art = _load_artifacts(args)
@@ -171,77 +149,82 @@ def _cmd_export_vectors(args):
     return 0
 
 
+# each flag's help text, and the choices of --domain
+_HELP = {
+    "config": "flat key=value config file",
+    "seed": "experiment seed",
+    "out": "output file or directory",
+    "source": "source interactions tsv",
+    "target": "target interactions tsv",
+    "phi": "train-overlap fraction",
+    "scenario": "scenario directory",
+    "domain": "domain of the space to train",
+    "method": f"one of {', '.join(experiment.METHODS)}",
+    "hops": "aggregation hops before the mapping",
+    "lambda": "weight of the unsupervised term",
+    **{experiment.artifact_io(name)[1][2:]:
+       f"saved {experiment.artifact_io(name)[0]}"
+       for name in experiment.ARTIFACTS},
+}
+_CHOICES = {"domain": ("source", "target", "unified")}
+
+# command -> (help, handler, required flags, optional flags); every command
+# also takes --config and --seed
+_COMMANDS = {
+    "gen-synth": ("generate synthetic domains", _cmd_gen_synth, "out", ""),
+    "build-scenario": ("filter and split two domains", _cmd_build_scenario,
+                       "out", "source target phi"),
+    "train-embed": ("train one embedding space", _train_step,
+                    "out scenario domain", "method"),
+    "train-map": ("train the cross-domain mapping", _train_step,
+                  "out scenario source-emb target-emb", "method lambda"),
+    "eval": ("evaluate saved artifacts", _cmd_eval, "out scenario method",
+             "unified-emb source-emb target-emb mapping hops"),
+    "run": ("full pipeline from one config", _cmd_run, "",
+            "out method phi hops lambda"),
+    "export-vectors": ("export inferred cold-start vectors",
+                       _cmd_export_vectors, "out scenario source-emb mapping",
+                       "hops"),
+}
+
+# each method-bound flag -> the methods that read it: SSCDR aggregates, a
+# semi-supervised mapping weighs lambda, a method scores with its artifacts
+_TAKERS = {
+    "hops": [experiment.METHOD_SSCDR],
+    "lambda": [method for method, (_, mode) in experiment._PLAN.items()
+               if mode == mapping.MODE_SEMI],
+    **{experiment.artifact_io(name)[1][2:]:
+       [method for method in experiment.METHODS
+        if name in experiment.required_artifacts(method)]
+       for name in experiment.ARTIFACTS},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="crossrec",
         description="cross-domain cold-start recommendation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-synth", help="generate synthetic domains")
-    _add_common(p, out_required=True)
-    p.set_defaults(func=_cmd_gen_synth)
-
-    p = sub.add_parser("build-scenario", help="filter and split two domains")
-    _add_common(p, out_required=True)
-    p.add_argument("--source", help="source interactions tsv")
-    p.add_argument("--target", help="target interactions tsv")
-    p.add_argument("--phi", help="train-overlap fraction")
-    p.set_defaults(func=_cmd_build_scenario)
-
-    p = sub.add_parser("train-embed", help="train one embedding space")
-    _add_common(p, out_required=True)
-    p.add_argument("--scenario", required=True, help="scenario directory")
-    p.add_argument("--method")
-    p.add_argument("--domain", required=True,
-                   choices=("source", "target", "unified"))
-    p.set_defaults(func=lambda args: _train_step(args, f"{args.domain}_space"))
-
-    p = sub.add_parser("train-map", help="train the cross-domain mapping")
-    _add_common(p, out_required=True)
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--source-emb", required=True)
-    p.add_argument("--target-emb", required=True)
-    p.add_argument("--method")
-    p.add_argument("--lambda", help="weight of the unsupervised term")
-    p.set_defaults(func=lambda args: _train_step(args, "net"))
-
-    p = sub.add_parser("eval", help="evaluate saved artifacts")
-    _add_common(p, out_required=True)
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--method", required=True)
-    for name in experiment.ARTIFACTS:
-        p.add_argument(experiment.artifact_io(name)[1])
-    p.add_argument("--hops")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("run", help="full pipeline from one config")
-    _add_common(p)
-    p.add_argument("--method")
-    p.add_argument("--phi")
-    p.add_argument("--hops")
-    p.add_argument("--lambda")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("export-vectors",
-                       help="export inferred cold-start vectors")
-    _add_common(p, out_required=True)
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--source-emb", required=True)
-    p.add_argument("--mapping", required=True)
-    p.add_argument("--hops")
-    p.set_defaults(func=_cmd_export_vectors)
-
+    for command, (text, func, required, optional) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        required = required.split()
+        for flag in ["config", "seed", *required, *optional.split()]:
+            p.add_argument(f"--{flag}", dest=flag, help=_HELP[flag],
+                           required=flag in required,
+                           choices=_CHOICES.get(flag))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     try:
-        return args.func(args)
+        cfg = _resolve_config(args)
+        _check_flags(args, cfg)
+        return args.func(args, cfg)
     except (CrossRecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (2 if isinstance(exc, ConfigError)

@@ -556,11 +556,19 @@ def load_meta(in_dir):
 
 
 def load_scenario(in_dir):
-    """Inverse of :func:`save_scenario`."""
+    """Inverse of :func:`save_scenario`.  Overlap ids must be distinct, and
+    test users overlap users with no training pairs (else ``DataError``)."""
     split, train_overlap = load_meta(in_dir)
     source = load_interactions(os.path.join(in_dir, _SOURCE_FILE))
-    overlap = tuple(line.strip() for _, line in read_lines(
-        os.path.join(in_dir, _OVERLAP_FILE), DataError) if line.strip())
+    overlap_path = os.path.join(in_dir, _OVERLAP_FILE)
+    overlap = {}
+    for lineno, line in read_lines(overlap_path, DataError):
+        user = line.strip()
+        if user and (user in overlap or not _check_id(user)):
+            raise MalformedLine(overlap_path, lineno,
+                                f"expected a new user id, got {user!r}")
+        overlap[user] = None
+    overlap.pop("", None)  # from blank lines
     heldout = {}
     test_path = os.path.join(in_dir, _TEST_FILE)
     for lineno, line in read_lines(test_path, DataError):
@@ -568,14 +576,22 @@ def load_scenario(in_dir):
         if fields == [""]:
             continue
         if (len(fields) != 3 or not all(map(_check_id, fields))
-                or fields[0] in heldout):
+                or fields[0] in heldout or fields[1] == fields[2]):
             raise MalformedLine(test_path, lineno, "expected a new user "
-                                f"and two items, got {fields!r}")
+                                f"and two distinct items, got {fields!r}")
         heldout[fields[0]] = (fields[1], fields[2])
     if not heldout:
         raise DegenerateScenario(f"{test_path}: no test users")
+    unlisted = set(heldout).difference(overlap)
+    if unlisted:
+        raise DataError(f"{overlap_path}: lacks test user {min(unlisted)!r}")
 
-    train = load_interactions(os.path.join(in_dir, _TARGET_FILE))
+    target_path = os.path.join(in_dir, _TARGET_FILE)
+    train = load_interactions(target_path)
+    leaked = set(heldout).intersection(train.user_ids)
+    if leaked:
+        raise DataError(f"{target_path}: test user {min(leaked)!r} has "
+                        "training pairs")
     # held-out items the training pairs never touch join the universe
     extra = {i for p in heldout.values() for i in p}.difference(train.item_ids)
     target = InteractionSet._from_indices(
@@ -585,7 +601,7 @@ def load_scenario(in_dir):
     return CrossDomainScenario(
         source=source,
         target=target,
-        overlap_users=overlap,
+        overlap_users=tuple(overlap),
         test_users=tuple(sorted(heldout)),
         train_overlap_users=train_overlap,
         heldout=heldout,

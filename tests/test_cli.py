@@ -209,6 +209,37 @@ def test_help_exits_0(capsys):
     assert "gen-synth" in capsys.readouterr().out
 
 
+_COMMANDS = ("gen-synth", "build-scenario", "train-embed", "train-map",
+             "eval", "run", "export-vectors")
+
+
+def _flag_help(text):
+    """Each option of ``--help`` output ``text`` -> its help text (empty
+    for none); the output must be wide enough that no help wraps."""
+    out, flag = {}, None
+    for line in text.split("\noptions:\n", 1)[1].splitlines():
+        if line.startswith("  -"):  # help follows two spaces or a newline
+            head, _, help_text = line.strip().partition("  ")
+            flag = head.split()[0].rstrip(",")
+            out[flag] = help_text.strip()
+        else:
+            out[flag] = (out[flag] + " " + line.strip()).strip()
+    return out
+
+
+def test_every_command_gives_a_flag_the_same_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")
+    seen = {}
+    for command in _COMMANDS:
+        assert main([command, "--help"]) == 0
+        for flag, help_text in _flag_help(capsys.readouterr().out).items():
+            assert help_text, f"{command} {flag} has no help"
+            assert seen.setdefault(flag, help_text) == help_text, \
+                f"{command} {flag}"
+    assert {"--config", "--out", "--phi", "--hops", "--lambda",
+            "--mapping"} <= set(seen)
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -505,6 +536,49 @@ def test_scenario_without_test_users_exits_3(chain, tmp_path, capsys):
     assert not report.exists()
 
 
+def _break_relation(scen, case):
+    """Edit the saved scenario ``scen`` to break one relation between its
+    files that build_scenario guarantees; the edited file, and the line
+    the error names or None."""
+    s = load_scenario(str(scen))
+    user = s.test_users[0]
+    path = scen / {"test-user-trains": "target_train.tsv",
+                   "equal-held-out-items": "test.tsv"}.get(case, "overlap.txt")
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    lineno = None
+    if case == "test-user-trains":  # its own test item: a silent leak
+        lines.append(f"{user}\t{s.heldout[user][0]}\n")
+    elif case == "test-user-not-overlap":
+        lines.remove(f"{user}\n")
+    elif case == "equal-held-out-items":
+        test_user, item, _ = lines[1].split("\t")
+        lines[1], lineno = f"{test_user}\t{item}\t{item}\n", 2
+    else:
+        lines.append({"overlap-id-with-space": "a b\n",
+                      "overlap-id-with-hash": "#x\n",
+                      "overlap-id-twice": lines[0]}[case])
+        lineno = len(lines)
+    path.write_text("".join(lines), encoding="utf-8")
+    return path, lineno
+
+
+@pytest.mark.parametrize("case", [
+    "test-user-trains", "test-user-not-overlap", "overlap-id-with-space",
+    "overlap-id-with-hash", "overlap-id-twice", "equal-held-out-items"])
+def test_scenario_breaking_a_split_relation_exits_3(chain, tmp_path, capsys,
+                                                    case):
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    path, lineno = _break_relation(scen, case)
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", "ITEMPOP", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    where = f"{path}:{lineno}: " if lineno else f"{path}: "
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+    assert not report.exists()
+
+
 def test_failed_run_marks_its_manifest(tmp_path, capsys):
     src = tmp_path / "src.tsv"
     src.write_text("u1\ti1\nnot_a_pair\n", encoding="utf-8")
@@ -678,6 +752,59 @@ def test_eval_rejects_an_artifact_flag_its_method_does_not_use(
               "EMCDR-BPR and EMCDR-CML and SSCDR-naive and SSCDR")
     assert capsys.readouterr().err == (
         f"error: {flag} applies to {takers} only, not {method}\n")
+    assert not out.exists()
+
+
+# each method-bound flag -> the commands that take it, the methods that
+# read it
+_FLAG_TAKERS = {
+    "--hops": (("run", "eval"), ("SSCDR",)),
+    "--lambda": (("run", "train-map"), ("SSCDR-naive", "SSCDR")),
+    "--unified-emb": (("eval",), ("BPR", "CML")),
+    **{flag: (("eval",), ("EMCDR-BPR", "EMCDR-CML", "SSCDR-naive", "SSCDR"))
+       for flag in ("--source-emb", "--target-emb", "--mapping")},
+}
+
+
+@pytest.mark.parametrize("command, flag, method", [
+    (command, flag, method) for flag, (commands, _) in _FLAG_TAKERS.items()
+    for command in commands for method in experiment.METHODS])
+def test_a_method_bound_flag_is_checked_before_any_value(
+        chain, tmp_path, capsys, command, flag, method):
+    """Under a config with a bad ``eval.repeats``, a method that does not
+    read the flag exits 2 naming the flag and its takers, and one that
+    reads it gets as far as the bad value; nothing is written.  Under
+    ``eval``, an artifact flag was checked after the config's values."""
+    cfg = _write(tmp_path / "c.cfg", _with(
+        RUN_CFG if command == "run" else PIPE_CFG, "eval.repeats=0"))
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--method", method, "--out", str(out),
+            flag, "4" if flag in ("--hops", "--lambda") else chain["src_emb"]]
+    if command != "run":
+        argv += ["--scenario", str(chain["scen"])]
+    if command == "train-map":
+        argv += ["--source-emb", chain["src_emb"],
+                 "--target-emb", chain["tgt_emb"]]
+    assert main(argv) == 2
+    takers = _FLAG_TAKERS[flag][1]
+    assert capsys.readouterr().err == (
+        "error: repeats must be >= 1\n" if method in takers else
+        f"error: {flag} applies to {' and '.join(takers)} only, "
+        f"not {method}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "export-vectors"])
+def test_a_command_without_method_flag_rejects_an_unknown_method(
+        chain, tmp_path, capsys, command):
+    cfg = _write(tmp_path / "c.cfg", GEN_CFG + "method=BOGUS\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "export-vectors":
+        argv += ["--scenario", str(chain["scen"]), "--source-emb",
+                 chain["src_emb"], "--mapping", chain["net"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: unknown method 'BOGUS'")
     assert not out.exists()
 
 
