@@ -557,9 +557,11 @@ def load_meta(in_dir):
 
 def load_scenario(in_dir):
     """Inverse of :func:`save_scenario`.  Overlap ids must be distinct, and
-    test users overlap users with no training pairs (else ``DataError``)."""
+    test users source and overlap users with no target training pairs
+    (else ``DataError``)."""
     split, train_overlap = load_meta(in_dir)
-    source = load_interactions(os.path.join(in_dir, _SOURCE_FILE))
+    source_path = os.path.join(in_dir, _SOURCE_FILE)
+    source = load_interactions(source_path)
     overlap_path = os.path.join(in_dir, _OVERLAP_FILE)
     overlap = {}
     for lineno, line in read_lines(overlap_path, DataError):
@@ -585,6 +587,9 @@ def load_scenario(in_dir):
     unlisted = set(heldout).difference(overlap)
     if unlisted:
         raise DataError(f"{overlap_path}: lacks test user {min(unlisted)!r}")
+    sourceless = set(heldout).difference(source.user_ids)
+    if sourceless:
+        raise DataError(f"{source_path}: lacks test user {min(sourceless)!r}")
 
     target_path = os.path.join(in_dir, _TARGET_FILE)
     train = load_interactions(target_path)

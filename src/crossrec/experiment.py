@@ -27,6 +27,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
@@ -300,24 +301,28 @@ def make_scorer(scenario, cfg, art):
     missing artifact :class:`ConfigError` naming its flag, and a space of
     the wrong kind or an artifact of another K a :class:`DataError`,
     before anything is scored.
-    With ``cfg``'s repeats over 1 and its draw covering half the catalogue
-    or more, consecutive calls for one user score each target row at most
-    once.  An inner-space score is then equal to scoring ``rows`` in one
-    block only up to rounding (the matrix-vector product's last bit
-    depends on a row's place in the block), so a positive and a negative
-    within one ulp can rank apart.
+    The first call for a new ``k`` scores the user's whole catalogue once;
+    every call returns its ``rows`` from that, so an item's score depends
+    only on the (user, item) pair.
     """
     missing = [artifact_io(name)[1] for name in required_artifacts(cfg.method)
                if art.get(name) is None]
     if missing:
         raise ConfigError(f"{cfg.method} needs {', '.join(missing)}")
     _check_artifacts(cfg, art)
+    # the last user's whole catalogue, scored once
+    catalogue = functools.lru_cache(maxsize=1)(_catalogue(scenario, cfg, art))
+    return lambda k, rows: catalogue(k)[rows]
+
+
+def _catalogue(scenario, cfg, art):
+    """``catalogue(k)``: the score of every target item, in row order, for
+    test user ``scenario.test_users[k]``."""
     objective, mode = _PLAN[cfg.method]
     target = scenario.target
-    if objective is None:  # popularity
+    if objective is None:  # popularity, the same for every user
         degrees = target.item_degrees().astype(float)
-        return lambda k, rows: degrees[rows]
-
+        return lambda k: degrees
     users = scenario.test_users
     if mode is None:  # one space over both domains
         space, prefix = art["unified_space"], data.TARGET_PREFIX
@@ -328,18 +333,7 @@ def make_scorer(scenario, cfg, art):
             art["source_space"], scenario.source, art["net"],
             cfg.hops if cfg.method == METHOD_SSCDR else 0, users)
     item_rows = data.id_rows(space.item_index, target.item_ids, prefix)
-    if cfg.eval_repeats < 2 or 2 * (cfg.eval_negatives + 1) < target.n_items:
-        # a user's draws overlap too little for a memo to pay
-        return lambda k, rows: space.scores(item_rows[rows], queries[k])
-    # each row's last score and the user it was scored for
-    scores, owner = np.empty(target.n_items), np.full(target.n_items, -1)
-
-    def scorer(k, rows):
-        new = rows[owner[rows] != k]
-        scores[new] = space.scores(item_rows[new], queries[k])
-        owner[new] = k
-        return scores[rows]
-    return scorer
+    return lambda k: space.scores(item_rows, queries[k])
 
 
 def evaluate_method(scenario, cfg, art):

@@ -4,13 +4,12 @@ behaviour" is a check in the suite, not a comparison redone by hand.
 ``golden.json`` maps a case (config, seed, method) to the sha256 of each
 file its run writes, by path under the run directory.  ``manifest.txt`` is
 hashed without its ``config.out_dir`` line, the one line that depends on
-where the run was written.  Two configs cover both branches of
-``experiment.make_scorer``: ``smoke`` is ``tests/test_cli.py``'s 60-user
-config, whose two repeats of 30 negatives cover half the catalogue, so its
-scorer keeps a memo; ``direct`` draws 10 negatives, so its scorer scores
-each candidate block afresh.  ``golden.json`` also pins what
-``export-vectors`` writes over the ``smoke`` SSCDR run of seed 11 (the run
-``tests/test_cli.py``'s step chain reproduces) at hops 0 and 2.
+where the run was written.  Two configs pin two draw sizes: ``smoke`` is
+``tests/test_cli.py``'s 60-user config, whose two repeats of 30 negatives
+cover half the catalogue; ``direct`` draws 10 negatives.  ``golden.json``
+also pins what ``export-vectors`` writes over the ``smoke`` SSCDR run of
+seed 11 (the run ``tests/test_cli.py``'s step chain reproduces) at hops 0
+and 2.
 
 A change that means to alter an artifact re-records the file::
 

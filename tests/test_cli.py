@@ -543,11 +543,14 @@ def _break_relation(scen, case):
     s = load_scenario(str(scen))
     user = s.test_users[0]
     path = scen / {"test-user-trains": "target_train.tsv",
+                   "test-user-not-source": "source.tsv",
                    "equal-held-out-items": "test.tsv"}.get(case, "overlap.txt")
     lines = path.read_text(encoding="utf-8").splitlines(True)
     lineno = None
     if case == "test-user-trains":  # its own test item: a silent leak
         lines.append(f"{user}\t{s.heldout[user][0]}\n")
+    elif case == "test-user-not-source":
+        lines = [line for line in lines if not line.startswith(f"{user}\t")]
     elif case == "test-user-not-overlap":
         lines.remove(f"{user}\n")
     elif case == "equal-held-out-items":
@@ -576,6 +579,24 @@ def test_scenario_breaking_a_split_relation_exits_3(chain, tmp_path, capsys,
     err = capsys.readouterr().err
     where = f"{path}:{lineno}: " if lineno else f"{path}: "
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("method", ["EMCDR-CML", "SSCDR"])
+def test_a_test_user_missing_from_source_exits_3(chain, tmp_path, capsys,
+                                                 method):
+    # a method that translates source vectors, with and without hops
+    scen = tmp_path / "scen"
+    shutil.copytree(chain["scen"], scen)
+    path, _ = _break_relation(scen, "test-user-not-source")
+    user = load_scenario(str(chain["scen"])).test_users[0]
+    report = tmp_path / "r.tsv"
+    assert main(["eval", "--config", chain["pipe_cfg"], "--scenario",
+                 str(scen), "--method", method, "--source-emb",
+                 chain["src_emb"], "--target-emb", chain["tgt_emb"],
+                 "--mapping", chain["net"], "--out", str(report)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {path}: lacks test user {user!r}\n"
     assert not report.exists()
 
 
@@ -669,19 +690,8 @@ def test_infeasible_synth_density_fails_before_any_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_hops_flag_needs_sscdr(chain, tmp_path, capsys):
-    run_cfg = _write(tmp_path / "r.cfg", RUN_CFG)
-    out = tmp_path / "o"
-    assert main(["run", "--config", run_cfg, "--method", "ITEMPOP",
-                 "--hops", "3", "--out", str(out)]) == 2
-    assert not out.exists()
-    assert main(["eval", "--config", chain["pipe_cfg"],
-                 "--scenario", str(chain["scen"]), "--method", "EMCDR-CML",
-                 "--source-emb", chain["src_emb"],
-                 "--target-emb", chain["tgt_emb"], "--mapping", chain["net"],
-                 "--hops", "3", "--out", str(tmp_path / "r.tsv")]) == 2
-    assert "--hops" in capsys.readouterr().err
-    # hops in a config file is shared by every method (PIPE_CFG has it)
+def test_hops_in_a_config_file_applies_to_every_method(chain, tmp_path):
+    # only the --hops flag is SSCDR's; PIPE_CFG sets the key hops
     assert main(["eval", "--config", chain["pipe_cfg"],
                  "--scenario", str(chain["scen"]), "--method", "EMCDR-CML",
                  "--source-emb", chain["src_emb"],
@@ -690,6 +700,7 @@ def test_hops_flag_needs_sscdr(chain, tmp_path, capsys):
 
 
 def test_each_command_checks_the_flags_it_takes(chain, tmp_path, capsys):
+    # the flag table test below covers the method-bound flags;
     # build-scenario over a saved scenario (phi 1) checks --phi as run does
     scen = chain["scen"]
     cfg = _write(tmp_path / "s.cfg", PIPE_CFG + f"scenario={scen}\n")
@@ -698,24 +709,6 @@ def test_each_command_checks_the_flags_it_takes(chain, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: --phi 0.5 differs from the phi 1 of scenario {scen}\n")
-    assert not out.exists()
-    # --lambda weighs the semi-supervised mapping's unsupervised term only
-    run_cfg = _write(tmp_path / "r.cfg", RUN_CFG)
-    for method in ("EMCDR-CML", "ITEMPOP", "BPR", "CML"):
-        out = tmp_path / method
-        assert main(["run", "--config", run_cfg, "--method", method,
-                     "--lambda", "4", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: --lambda applies to SSCDR-naive and SSCDR only, "
-            f"not {method}\n")
-        assert not out.exists()
-    out = tmp_path / "map.txt"
-    assert main(["train-map", "--config", chain["pipe_cfg"],
-                 "--scenario", str(scen), "--method", "EMCDR-CML",
-                 "--source-emb", chain["src_emb"],
-                 "--target-emb", chain["tgt_emb"], "--lambda", "4",
-                 "--out", str(out)]) == 2
-    assert "--lambda applies" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -735,12 +728,11 @@ def test_an_unknown_method_is_named_before_a_flag_check(chain, tmp_path,
 
 @pytest.mark.parametrize("method, flag, path", [
     ("ITEMPOP", "--mapping", "missing.txt"),
-    ("ITEMPOP", "--source-emb", "src_emb"),
-    ("EMCDR-CML", "--unified-emb", "missing.txt"),
-    ("SSCDR", "--unified-emb", "src_emb")])
+    ("EMCDR-CML", "--unified-emb", "missing.txt")])
 def test_eval_rejects_an_artifact_flag_its_method_does_not_use(
         chain, tmp_path, capsys, method, flag, path):
-    path = chain.get(path, str(tmp_path / path))
+    # before it looks for the file; the table test below passes one
+    path = str(tmp_path / path)
     used = [] if method == "ITEMPOP" else [
         "--source-emb", chain["src_emb"], "--target-emb", chain["tgt_emb"],
         "--mapping", chain["net"]]
