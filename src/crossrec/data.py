@@ -27,7 +27,6 @@ from .errors import (
     DegenerateScenario,
     EmptyDataset,
     IndexMismatch,
-    InsufficientCandidates,
     MalformedLine,
     NoOverlap,
 )
@@ -448,18 +447,6 @@ def build_unified(scenario):
         np.concatenate([source._pair_i, source.n_items + target._pair_i]))
 
 
-def sample_negatives(n_items, blocked_rows, n, rng):
-    """Draw ``n`` distinct item rows out of ``range(n_items)`` minus
-    ``blocked_rows``.  Raises :class:`InsufficientCandidates` when that
-    pool is too small."""
-    pool = np.ones(n_items, bool)
-    pool[blocked_rows] = False
-    pool = np.flatnonzero(pool)
-    if pool.shape[0] < n:
-        raise InsufficientCandidates(pool.shape[0], n)
-    return pool[rng.choice(pool.shape[0], size=n, replace=False)]
-
-
 # -- scenario serialization ---------------------------------------------
 
 _SOURCE_FILE = "source.tsv"
@@ -556,9 +543,10 @@ def load_meta(in_dir):
 
 
 def load_scenario(in_dir):
-    """Inverse of :func:`save_scenario`.  Overlap ids must be distinct, and
-    test users source and overlap users with no target training pairs
-    (else ``DataError``)."""
+    """Inverse of :func:`save_scenario`.  Overlap ids must be distinct,
+    test users source and overlap users with no target training pairs, and
+    train-overlap users distinct non-test overlap users with pairs in both
+    domains (else ``DataError``)."""
     split, train_overlap = load_meta(in_dir)
     source_path = os.path.join(in_dir, _SOURCE_FILE)
     source = load_interactions(source_path)
@@ -597,6 +585,19 @@ def load_scenario(in_dir):
     if leaked:
         raise DataError(f"{target_path}: test user {min(leaked)!r} has "
                         "training pairs")
+    linked, ordered = set(train_overlap), sorted(train_overlap)
+    for bad, why in (
+            ({a for a, b in zip(ordered, ordered[1:]) if a == b},
+             "is repeated"),
+            (linked.difference(overlap), f"is not in {_OVERLAP_FILE}"),
+            (linked.intersection(heldout), "is a test user"),
+            (linked.difference(source.user_ids),
+             f"has no pairs in {_SOURCE_FILE}"),
+            (linked.difference(train.user_ids),
+             f"has no pairs in {_TARGET_FILE}")):
+        if bad:
+            raise DataError(f"{os.path.join(in_dir, _META_FILE)}: "
+                            f"train-overlap user {min(bad)!r} {why}")
     # held-out items the training pairs never touch join the universe
     extra = {i for p in heldout.values() for i in p}.difference(train.item_ids)
     target = InteractionSet._from_indices(

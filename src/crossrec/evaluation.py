@@ -1,8 +1,9 @@
 """Leave-one-out ranking evaluation.
 
-Each held-out user has one positive target item that must be ranked
-against freshly sampled negative items.  A repeat draws new negatives for
-every user; metrics are reported per repeat and averaged over repeats.
+Each held-out user's test item is ranked against freshly sampled negative
+items; its validation item is held out too, and never ranked or drawn.  A
+repeat draws new negatives for every user; metrics are reported per
+repeat and averaged over repeats.
 
 Metrics at a cutoff ``N`` for a positive ranked at position ``p``:
 
@@ -23,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import id_keys, id_rows, sample_negatives
+from .data import id_keys, id_rows
 from .errors import ConfigError, InsufficientCandidates, ScorerFailure
 
 _DEFAULT_CUTOFFS = (10, 20)
-POSITIVES = ("test", "valid")
 
 
 def rank_of_test_item(scores, keys):
@@ -57,7 +57,6 @@ class EvalConfig:
     repeats: int = 5
     negatives: int = 999
     seed: int = 0
-    positive: str = "test"  # which held-out item is ranked
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -68,9 +67,6 @@ class EvalConfig:
             raise ConfigError("cutoffs must be positive")
         if len(set(self.cutoffs)) < len(self.cutoffs):
             raise ConfigError("cutoffs must be distinct")
-        if self.positive not in POSITIVES:
-            raise ConfigError(f"positive must be one of "
-                              f"{', '.join(POSITIVES)}, got {self.positive!r}")
 
 
 _METRICS = {"HR": hit_at, "NDCG": ndcg_at, "MRR": mrr_at}
@@ -93,10 +89,8 @@ class EvalReport:
     ranks: list = field(default_factory=list)  # one array per repeat
 
     def averaged(self):
-        out = {}
-        for key in self.per_repeat[0]:
-            out[key] = float(np.mean([rep[key] for rep in self.per_repeat]))
-        return out
+        return {key: float(np.mean([rep[key] for rep in self.per_repeat]))
+                for key in self.per_repeat[0]}
 
     def to_tsv(self, method):
         """Machine-readable block: method, phi, repeat, metric, N, value."""
@@ -130,8 +124,8 @@ class EvalReport:
 def heldout_rows(scenario, negatives):
     """Per test user: the target rows of its (test, valid) items and of
     everything its negatives must avoid, its training items included.
-    Raises :class:`InsufficientCandidates` as :func:`evaluate` would, for
-    the first user whose pool is smaller than ``negatives``."""
+    Raises :class:`InsufficientCandidates` for the first user whose pool
+    is smaller than ``negatives``."""
     target = scenario.target
     out = []
     for user in scenario.test_users:
@@ -147,28 +141,32 @@ def heldout_rows(scenario, negatives):
     return out
 
 
-def evaluate(scorer, scenario, cfg):
-    """Rank every held-out user's positive against sampled negatives.
+def sample_negatives(pool, n, rng):
+    """``n`` distinct rows drawn from the row array ``pool``."""
+    return pool[rng.choice(pool.shape[0], size=n, replace=False)]
 
-    ``scorer(k, rows) -> scores`` (higher is better) is called once per
-    user and repeat, all of a user's repeats before the next user, with
-    ``k`` the position in ``scenario.test_users`` and ``rows`` target item
-    rows, the positive first.  ``cfg.positive`` selects the test item
-    (default) or the validation item; both held-out items are always
-    excluded from the negative pool.
+
+def evaluate(scorer, scenario, cfg):
+    """Rank every held-out user's test item against negatives that each
+    repeat draws from the user's pool, built once: the target rows that
+    :func:`heldout_rows` does not block.  ``scorer(k, rows) -> scores``
+    (higher is better) is called once per user and repeat, all of a user's
+    repeats before the next user, with ``k`` the position in
+    ``scenario.test_users`` and ``rows`` target item rows, test item first.
     """
     held = heldout_rows(scenario, cfg.negatives)
     keys = id_keys(scenario.target.item_ids)
-    n_items = scenario.target.n_items
-    col = POSITIVES.index(cfg.positive)
     ranks = np.empty((cfg.repeats, len(held)), dtype=np.int64)
     for k, (pair, blocked) in enumerate(held):
         user = scenario.test_users[k]
+        pool = np.ones(scenario.target.n_items, bool)
+        pool[blocked] = False
+        pool = np.flatnonzero(pool)
         for r in range(cfg.repeats):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed + r, k]))
-            rows = np.concatenate((pair[col:col + 1], sample_negatives(
-                n_items, blocked, cfg.negatives, rng)))
+            rows = np.concatenate(
+                (pair[:1], sample_negatives(pool, cfg.negatives, rng)))
             try:
                 scores = np.asarray(scorer(k, rows), dtype=float)
             except Exception as exc:

@@ -14,6 +14,9 @@ and 2.
 A change that means to alter an artifact re-records the file::
 
     PYTHONPATH=src python tests/golden.py --record
+
+which prints each (case, path) whose digest differs from the file it
+replaces, so that the scope of a re-record shows in its output.
 """
 
 import contextlib
@@ -104,12 +107,16 @@ def differing(want, got):
 
 
 def record():
+    old = load() if os.path.exists(PATH) else {}
     golden = {}
     for case in CASES:
         with tempfile.TemporaryDirectory() as root:
             golden[case_key(*case)] = run_hashes(*case, root)
     with tempfile.TemporaryDirectory() as root:
         golden[EXPORT_KEY] = export_hashes(root)
+    for key in sorted(old.keys() | golden.keys()):
+        for path in differing(old.get(key, {}), golden.get(key, {})):
+            print(f"changed: {key} {path}")
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")

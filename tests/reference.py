@@ -3,13 +3,16 @@ the evaluator counts, a squared distance apart from the spaces' scores,
 one triplet with dense gradients where training takes batches of compact
 rows, the mapping's two loss terms apart where training fuses them into
 one pass, a unit-ball projection by fancy indexing where training
-moves rows with take and put, and the id-level views of an interaction
-set that the numeric code reads by index."""
+moves rows with take and put, the id-level views of an interaction set
+that the numeric code reads by index, and one test user's negative pool
+apart from the evaluation loop."""
 
 import numpy as np
 
+from crossrec.data import CrossDomainScenario, SplitSeedConfig
 from crossrec.embed import triplet_loss_and_grads
 from crossrec.errors import DimensionMismatch, EmptyBatch
+from crossrec.evaluation import heldout_rows
 
 
 def ranking(scores, keys):
@@ -116,3 +119,17 @@ def has_pair(s, user, item):
 def id_pairs(s):
     """All (user_id, item_id) pairs of ``s`` sorted by (user, item) index."""
     return [(s.user_ids[u], s.item_ids[i]) for u, i in zip(*s.pair_arrays())]
+
+
+def negative_pool(target, user, held, negatives=1):
+    """The rows ``evaluate`` draws ``negatives`` negatives from for test
+    user ``user`` over ``target`` with the item pair ``held`` held out:
+    every row that ``heldout_rows`` does not block."""
+    scen = CrossDomainScenario(
+        source=target, target=target, overlap_users=(user,),
+        test_users=(user,), train_overlap_users=(), heldout={user: held},
+        split=SplitSeedConfig())
+    ((_, blocked),) = heldout_rows(scen, negatives)
+    free = np.ones(target.n_items, bool)
+    free[blocked] = False
+    return np.flatnonzero(free)

@@ -155,23 +155,19 @@ def test_criterion_1_analytic_unit_suite(tmp_path):
 
     # negative sampling: exclusion, determinism, exhaustion
     inter = data.InteractionSet([("u", "1")],
-                                items=["1", "2", "3", "4", "5"])
-    seen = inter.item_neighbors(inter.user_index("u"))
+                                items=["1", "2", "3", "4", "5", "6", "7"])
+    pool = reference.negative_pool(inter, "u", ("6", "7"), 3)
     rng = np.random.default_rng(3)
-    negs = [inter.item_ids[r] for r in data.sample_negatives(
-        inter.n_items, seen, 3, rng)]
+    negs = [inter.item_ids[r]
+            for r in evaluation.sample_negatives(pool, 3, rng)]
     assert len(set(negs)) == 3 and set(negs) <= {"2", "3", "4", "5"}
-    again = data.sample_negatives(inter.n_items, seen,
-                                  3, np.random.default_rng(3))
-    assert list(data.sample_negatives(inter.n_items, seen, 3,
-                                      np.random.default_rng(3))) == \
-        list(again)
+    again = evaluation.sample_negatives(pool, 3, np.random.default_rng(3))
+    assert list(evaluation.sample_negatives(
+        pool, 3, np.random.default_rng(3))) == list(again)
     big = data.InteractionSet([("u", "0")],
-                              items=[str(k) for k in range(501)])
+                              items=[str(k) for k in range(503)])
     with pytest.raises(InsufficientCandidates) as err:
-        data.sample_negatives(big.n_items,
-                              big.item_neighbors(big.user_index("u")), 999,
-                              rng)
+        reference.negative_pool(big, "u", ("501", "502"), 999)
     assert err.value.available == 500
 
     # squared distance

@@ -536,12 +536,42 @@ def test_scenario_without_test_users_exits_3(chain, tmp_path, capsys):
     assert not report.exists()
 
 
+# meta.txt's train_overlap_users breaking one rule, and the end of the
+# error that names it
+_BAD_LINKED = {"linked-id-twice": "is repeated",
+               "linked-id-unknown": "'nobody' is not in overlap.txt",
+               "linked-test-user": "is a test user",
+               "linked-not-source": "has no pairs in source.tsv",
+               "linked-not-target": "has no pairs in target_train.tsv"}
+
+
 def _break_relation(scen, case):
     """Edit the saved scenario ``scen`` to break one relation between its
-    files that build_scenario guarantees; the edited file, and the line
-    the error names or None."""
+    files that build_scenario guarantees; the file and the line the error
+    names, the line None where it names none."""
     s = load_scenario(str(scen))
     user = s.test_users[0]
+    if case in _BAD_LINKED:
+        linked = s.train_overlap_users + {
+            "linked-id-twice": s.train_overlap_users[:1],
+            "linked-id-unknown": ("nobody",),
+            "linked-test-user": (user,)}.get(case, ())
+        meta = scen / "meta.txt"
+        meta.write_text("".join(
+            f"train_overlap_users={','.join(linked)}\n"
+            if line.startswith("train_overlap_users=") else line
+            for line in meta.read_text(encoding="utf-8").splitlines(True)),
+            encoding="utf-8")
+        domain = {"linked-not-source": "source.tsv",
+                  "linked-not-target": "target_train.tsv"}.get(case)
+        if domain:  # drop the last train-overlap user's pairs
+            path = scen / domain
+            path.write_text("".join(
+                line for line in path.read_text(encoding="utf-8")
+                .splitlines(True)
+                if not line.startswith(f"{s.train_overlap_users[-1]}\t")),
+                encoding="utf-8")
+        return meta, None
     path = scen / {"test-user-trains": "target_train.tsv",
                    "test-user-not-source": "source.tsv",
                    "equal-held-out-items": "test.tsv"}.get(case, "overlap.txt")
@@ -567,7 +597,8 @@ def _break_relation(scen, case):
 
 @pytest.mark.parametrize("case", [
     "test-user-trains", "test-user-not-overlap", "overlap-id-with-space",
-    "overlap-id-with-hash", "overlap-id-twice", "equal-held-out-items"])
+    "overlap-id-with-hash", "overlap-id-twice", "equal-held-out-items",
+    *_BAD_LINKED])
 def test_scenario_breaking_a_split_relation_exits_3(chain, tmp_path, capsys,
                                                     case):
     scen = tmp_path / "scen"
@@ -579,6 +610,8 @@ def test_scenario_breaking_a_split_relation_exits_3(chain, tmp_path, capsys,
     err = capsys.readouterr().err
     where = f"{path}:{lineno}: " if lineno else f"{path}: "
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
+    if case in _BAD_LINKED:
+        assert err.endswith(f" {_BAD_LINKED[case]}\n")
     assert not report.exists()
 
 
@@ -639,8 +672,8 @@ def test_negative_seed_is_rejected_before_any_file(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["eval.positive=x", "eval.repeats=0",
-                                     "eval.cutoffs=0"])
+@pytest.mark.parametrize("setting", ["eval.positive=test",
+                                     "eval.repeats=0", "eval.cutoffs=0"])
 def test_bad_eval_setting_is_rejected_before_any_file(tmp_path, capsys,
                                                       setting):
     cfg = _write(tmp_path / "r.cfg", _with(RUN_CFG, setting))

@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import has_pair, id_pairs, items_of, users_of
+from reference import has_pair, id_pairs, items_of, negative_pool, users_of
 
 from crossrec import data
 from crossrec.data import (
@@ -19,7 +19,6 @@ from crossrec.data import (
     build_unified,
     load_interactions,
     load_scenario,
-    sample_negatives,
     save_scenario,
     write_interactions,
 )
@@ -32,6 +31,7 @@ from crossrec.errors import (
     MalformedLine,
     NoOverlap,
 )
+from crossrec.evaluation import sample_negatives
 from crossrec.experiment import ExperimentConfig, run_experiment
 from crossrec.synth import generate_synthetic
 
@@ -648,17 +648,12 @@ def test_build_unified_counts_and_prefixes():
 
 # -- sample_negatives ----------------------------------------------------
 
-def _blocked(s, user, exclude):
-    """Rows of ``user``'s training items and of the ``exclude`` ids."""
-    return [s.item_index(i) for i in set(items_of(s, user)) | exclude]
-
-
 def test_sample_negatives_avoids_history_and_exclusions():
     items = [f"i{k:02d}" for k in range(30)]
     s = InteractionSet([("u", i) for i in items[:5]], items=items)
     rng = np.random.default_rng(0)
     negs = [items[r] for r in sample_negatives(
-        s.n_items, _blocked(s, "u", {"i10", "i11"}), 20, rng)]
+        negative_pool(s, "u", ("i10", "i11")), 20, rng)]
     assert len(negs) == len(set(negs)) == 20
     assert not set(negs) & set(items[:5])
     assert not set(negs) & {"i10", "i11"}
@@ -668,17 +663,18 @@ def test_sample_negatives_unknown_user_uses_full_pool():
     items = [f"i{k}" for k in range(10)]
     s = InteractionSet([("u", items[0])], items=items)
     rng = np.random.default_rng(1)
-    negs = sample_negatives(s.n_items, _blocked(s, "ghost", {items[1]}), 9,
-                            rng)
-    assert {items[r] for r in negs} == set(items) - {items[1]}
+    negs = sample_negatives(negative_pool(s, "ghost", (items[1], items[2])),
+                            8, rng)
+    assert {items[r] for r in negs} == set(items) - {items[1], items[2]}
 
 
 def test_sample_negatives_insufficient_pool():
     items = [f"i{k}" for k in range(10)]
     s = InteractionSet([("u", i) for i in items[:4]], items=items)
-    rng = np.random.default_rng(2)
-    with pytest.raises(InsufficientCandidates):
-        sample_negatives(s.n_items, _blocked(s, "u", {"i5"}), 6, rng)
+    with pytest.raises(InsufficientCandidates) as err:
+        negative_pool(s, "u", ("i5", "i6"), 5)
+    assert err.value.available == 4
+    assert len(negative_pool(s, "u", ("i5", "i6"), 4)) == 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -690,7 +686,7 @@ def test_sample_negatives_matches_the_list_pool(n_seen, seed):
     pool = [i for i in items if i not in blocked]
     pick = np.random.default_rng(seed).choice(len(pool), size=5,
                                               replace=False)
-    rows = sample_negatives(s.n_items, _blocked(s, "u", {"i05", "i33"}), 5,
+    rows = sample_negatives(negative_pool(s, "u", ("i05", "i33")), 5,
                             np.random.default_rng(seed))
     assert [items[r] for r in rows] == [pool[k] for k in pick]
 
@@ -698,13 +694,39 @@ def test_sample_negatives_matches_the_list_pool(n_seen, seed):
 def test_sample_negatives_deterministic_per_stream():
     items = [f"i{k:03d}" for k in range(50)]
     s = InteractionSet([("u", items[0])], items=items)
-    blocked = _blocked(s, "u", set())
-    a = sample_negatives(s.n_items, blocked, 30, np.random.default_rng(9))
-    b = sample_negatives(s.n_items, blocked, 30, np.random.default_rng(9))
+    pool = negative_pool(s, "u", (items[1], items[2]))
+    a = sample_negatives(pool, 30, np.random.default_rng(9))
+    b = sample_negatives(pool, 30, np.random.default_rng(9))
     assert list(a) == list(b)
 
 
 # -- serialization -------------------------------------------------------
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(8, 60), st.integers(10, 40), st.integers(10, 40),
+       st.floats(0.05, 0.4), st.floats(0.1, 1.0), st.floats(0.05, 1.0),
+       st.integers(0, 2 ** 16), st.integers(1, 3), st.integers(1, 3))
+def test_every_built_scenario_loads_back(users, source_items, target_items,
+                                         density, overlap, phi, seed,
+                                         min_overlap, min_other):
+    # what build_scenario makes passes every relation load_scenario checks
+    source, target = generate_synthetic(users, source_items, target_items,
+                                        4, overlap, density, seed)
+    try:
+        scen = build_scenario(source, target, SplitSeedConfig(
+            phi=phi, seed=seed, min_overlap_interactions=min_overlap,
+            min_other_interactions=min_other))
+    except (NoOverlap, EmptyDataset, DegenerateScenario):
+        assume(False)
+    with tempfile.TemporaryDirectory() as out:
+        save_scenario(scen, out)
+        back = load_scenario(out)
+    assert back.test_users == scen.test_users
+    assert back.heldout == scen.heldout
+    assert back.train_overlap_users == scen.train_overlap_users
+    assert sorted(back.overlap_users) == sorted(scen.overlap_users)
+    assert back.split == scen.split
+
 
 def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
     source, target = _filter_toy()

@@ -1,20 +1,13 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import items_of, ranking
 
-from crossrec.data import (
-    CrossDomainScenario,
-    InteractionSet,
-    SplitSeedConfig,
-    sample_negatives,
-)
+from crossrec import evaluation
+from crossrec.data import CrossDomainScenario, InteractionSet, SplitSeedConfig
 from crossrec.errors import ConfigError, ScorerFailure
 from crossrec.evaluation import (
-    POSITIVES,
     EvalConfig,
     EvalReport,
     evaluate,
@@ -25,6 +18,7 @@ from crossrec.evaluation import (
     mrr_at,
     ndcg_at,
     rank_of_test_item,
+    sample_negatives,
 )
 
 # frozen oracle values (mpmath, 30 digits): log(2)/log(3), log(2)/log(11)
@@ -140,10 +134,9 @@ def _ids(scenario, rows):
     return [scenario.target.item_ids[r] for r in rows]
 
 
-def _oracle_scorer(scenario, positive="test"):
+def _oracle_scorer(scenario):
     def scorer(k, rows):
-        user = scenario.test_users[k]
-        want = scenario.heldout[user][0 if positive == "test" else 1]
+        want = scenario.heldout[scenario.test_users[k]][0]
         return np.array([1.0 if c == want else 0.0
                          for c in _ids(scenario, rows)])
     return scorer
@@ -180,31 +173,6 @@ def test_evaluate_hopeless_scorer_scores_zero():
         assert list(ranks) == [31] * 8
 
 
-def test_evaluate_validation_mode_targets_the_validation_item():
-    scen = _eval_scenario()
-    cfg = EvalConfig(cutoffs=(10,), repeats=2, negatives=20, seed=3,
-                     positive="valid")
-    report = evaluate(_oracle_scorer(scen, "valid"), scen, cfg)
-    assert report.averaged()[("HR", 10)] == 1.0
-
-    # the candidate set carries the validation item and never the test item
-    def probing(k, rows):
-        t, v = scen.heldout[scen.test_users[k]]
-        candidates = _ids(scen, rows)
-        assert v in candidates and t not in candidates
-        return np.arange(len(candidates), dtype=float)
-
-    evaluate(probing, scen, cfg)
-
-    def probing_test(k, rows):
-        t, v = scen.heldout[scen.test_users[k]]
-        candidates = _ids(scen, rows)
-        assert t in candidates and v not in candidates
-        return np.arange(len(candidates), dtype=float)
-
-    evaluate(probing_test, scen, replace(cfg, positive="test"))
-
-
 def test_evaluate_is_deterministic_and_repeats_differ():
     scen = _eval_scenario()
     cfg = EvalConfig(cutoffs=(10,), repeats=3, negatives=25, seed=9)
@@ -236,15 +204,16 @@ def _repeat_major_evaluate(scorer, scenario, cfg):
     by a full sort: the oracle for :func:`evaluate`'s user-major loop."""
     held = heldout_rows(scenario, cfg.negatives)
     keys = id_keys(scenario.target.item_ids)
-    col = POSITIVES.index(cfg.positive)
     report = EvalReport(cutoffs=tuple(cfg.cutoffs), phi=scenario.split.phi)
     for r in range(cfg.repeats):
         ranks = np.empty(len(held), dtype=np.int64)
         for k, (pair, blocked) in enumerate(held):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed + r, k]))
-            rows = np.concatenate((pair[col:col + 1], sample_negatives(
-                scenario.target.n_items, blocked, cfg.negatives, rng)))
+            pool = np.ones(scenario.target.n_items, bool)
+            pool[blocked] = False
+            rows = np.concatenate((pair[:1], sample_negatives(
+                np.flatnonzero(pool), cfg.negatives, rng)))
             scores = np.asarray(scorer(k, rows), dtype=float)
             order = ranking(scores, keys[rows])
             ranks[k] = 1 + int(np.flatnonzero(order == 0)[0])
@@ -253,15 +222,13 @@ def _repeat_major_evaluate(scorer, scenario, cfg):
     return report
 
 
-@pytest.mark.parametrize("positive", POSITIVES)
-def test_evaluate_matches_the_repeat_major_loop(positive):
+def test_evaluate_matches_the_repeat_major_loop():
     scen = _eval_scenario(n_test=12, n_items=80)
     # a fixed score per (user, item), five levels and signed zeros: ties
     # everywhere, so the id tie-break decides many ranks
     levels = np.array([0.0, -0.0, 1.0, 2.0, 3.0, 4.0])
     table = levels[np.random.default_rng(4).integers(0, 6, size=(12, 80))]
-    cfg = EvalConfig(cutoffs=(1, 5, 10), repeats=4, negatives=40, seed=3,
-                     positive=positive)
+    cfg = EvalConfig(cutoffs=(1, 5, 10), repeats=4, negatives=40, seed=3)
     got = evaluate(lambda k, rows: table[k, rows], scen, cfg)
     want = _repeat_major_evaluate(lambda k, rows: table[k, rows], scen, cfg)
     assert [r.tolist() for r in got.ranks] == \
@@ -286,6 +253,36 @@ def test_evaluate_excludes_both_heldout_items_from_negatives():
     evaluate(scorer, scen, cfg)
     assert not problems
 
+    # the test item is in every candidate set, the validation item in none
+    def probing_test(k, rows):
+        t, v = scen.heldout[scen.test_users[k]]
+        candidates = _ids(scen, rows)
+        assert t in candidates and v not in candidates
+        return np.arange(len(candidates), dtype=float)
+
+    evaluate(probing_test, scen, cfg)
+
+
+def test_evaluate_draws_each_ranking_from_one_pool_per_user(monkeypatch):
+    scen = _eval_scenario(n_test=5)
+    cfg = EvalConfig(cutoffs=(10,), repeats=3, negatives=20, seed=2)
+    calls = []
+
+    def recording(pool, n, rng):
+        calls.append(pool)
+        return sample_negatives(pool, n, rng)
+
+    monkeypatch.setattr(evaluation, "sample_negatives", recording)
+    evaluate(_oracle_scorer(scen), scen, cfg)
+    assert len(calls) == cfg.repeats * len(scen.test_users)
+    pools = calls[::cfg.repeats]
+    for k, pool in enumerate(pools):
+        assert all(p is pool for p in calls[k * cfg.repeats:
+                                            (k + 1) * cfg.repeats])
+        held = scen.heldout[scen.test_users[k]]
+        assert _ids(scen, pool) == [i for i in scen.target.item_ids
+                                    if i not in held]
+
 
 def test_evaluate_wraps_scorer_errors():
     scen = _eval_scenario()
@@ -297,11 +294,6 @@ def test_evaluate_wraps_scorer_errors():
     with pytest.raises(ScorerFailure):
         evaluate(lambda k, rows: np.full(len(rows), np.nan), scen,
                  cfg)
-
-
-def test_evaluate_rejects_bad_positive_mode():
-    with pytest.raises(ConfigError, match="positive"):
-        EvalConfig(positive="x")
 
 
 def test_eval_config_validation():
@@ -358,16 +350,15 @@ def _pin_scenario():
         split=SplitSeedConfig(phi=1.0, seed=0))
 
 
-def _string_ranks(scen, table, cfg, positive):
+def _string_ranks(scen, table, cfg):
     """The ranks of the id-list pool and the per-candidate dict rank."""
     items = scen.target.item_ids
     out = []
     for r in range(cfg.repeats):
         ranks = []
         for k, user in enumerate(scen.test_users):
-            test_item, valid_item = scen.heldout[user]
-            pos = test_item if positive == "test" else valid_item
-            blocked = ({test_item, valid_item}
+            pos, valid_item = scen.heldout[user]
+            blocked = ({pos, valid_item}
                        | set(items_of(scen.target, user)))
             pool = [i for i in items if i not in blocked]
             rng = np.random.default_rng(
@@ -384,15 +375,14 @@ def _string_ranks(scen, table, cfg, positive):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["test", "valid"]),
+@given(st.integers(0, 2 ** 32 - 1),
        st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                          min_size=len(_PIN_ITEMS), max_size=len(_PIN_ITEMS)),
                 min_size=3, max_size=3))
-def test_row_ranks_match_the_string_path(seed, positive, table):
+def test_row_ranks_match_the_string_path(seed, table):
     scen = _pin_scenario()
-    cfg = EvalConfig(cutoffs=(3,), repeats=2, negatives=6, seed=seed,
-                     positive=positive)
+    cfg = EvalConfig(cutoffs=(3,), repeats=2, negatives=6, seed=seed)
     rows = np.array(table)
     report = evaluate(lambda k, r: rows[k, r], scen, cfg)
     assert [list(r) for r in report.ranks] == \
-        _string_ranks(scen, table, cfg, positive)
+        _string_ranks(scen, table, cfg)

@@ -106,7 +106,6 @@ _DOCUMENTED_KEYS = {
     "eval.cutoffs": ("eval_cutoffs", "5,10,20", (5, 10, 20)),
     "eval.repeats": ("eval_repeats", "3", 3),
     "eval.negatives": ("eval_negatives", "99", 99),
-    "eval.positive": ("eval_positive", "valid", "valid"),
 }
 
 
