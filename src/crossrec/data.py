@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -205,16 +206,25 @@ class CrossDomainScenario:
     their pairs are removed from it, but the full filtered item universe is
     kept so every candidate item stays addressable.  ``heldout`` maps each
     test user to its (test_item, valid_item) pair in the target domain,
-    and ``split`` holds the settings the scenario was built with.
+    and ``split`` holds the settings the scenario was built with.  Derived
+    from these, each sorted: ``test_users``, the ``heldout`` users, and
+    ``overlap_users``, the test users and the users in both domains.
     """
 
     source: InteractionSet
     target: InteractionSet
-    overlap_users: tuple
-    test_users: tuple
     train_overlap_users: tuple
     heldout: dict
     split: SplitSeedConfig
+
+    @cached_property
+    def test_users(self):
+        return tuple(sorted(self.heldout))
+
+    @cached_property
+    def overlap_users(self):
+        both = set(self.source.user_ids).intersection(self.target.user_ids)
+        return tuple(sorted(both.union(self.heldout)))
 
 
 def _field_codes(code, starts, stops):
@@ -412,14 +422,9 @@ def build_scenario(source, target, cfg):
         _used_items(target, tgt_keep))
 
     return CrossDomainScenario(
-        source=filtered_source,
-        target=target_train,
-        overlap_users=tuple(overlap),
-        test_users=tuple(sorted(heldout)),
-        train_overlap_users=tuple(sorted(train_overlap)),
-        heldout=heldout,
-        split=cfg,
-    )
+        source=filtered_source, target=target_train,
+        train_overlap_users=tuple(sorted(train_overlap)), heldout=heldout,
+        split=cfg)
 
 
 SOURCE_PREFIX = "s:"
@@ -451,7 +456,6 @@ def build_unified(scenario):
 
 _SOURCE_FILE = "source.tsv"
 _TARGET_FILE = "target_train.tsv"
-_OVERLAP_FILE = "overlap.txt"
 _TEST_FILE = "test.tsv"
 _META_FILE = "meta.txt"
 
@@ -485,12 +489,11 @@ def write_interactions(path, interactions):
 
 
 def save_scenario(scenario, out_dir):
-    """Write a scenario as five text files under ``out_dir``."""
+    """Write a scenario as four text files under ``out_dir``: the two
+    domains, the held-out triples and ``meta.txt``."""
     os.makedirs(out_dir, exist_ok=True)
     write_interactions(os.path.join(out_dir, _SOURCE_FILE), scenario.source)
     write_interactions(os.path.join(out_dir, _TARGET_FILE), scenario.target)
-    _write_lines(os.path.join(out_dir, _OVERLAP_FILE),
-                 (f"{u}\n" for u in sorted(scenario.overlap_users)))
     _write_lines(os.path.join(out_dir, _TEST_FILE),
                  (f"{u}\t{t}\t{v}\n"
                   for u, (t, v) in sorted(scenario.heldout.items())))
@@ -543,22 +546,13 @@ def load_meta(in_dir):
 
 
 def load_scenario(in_dir):
-    """Inverse of :func:`save_scenario`.  Overlap ids must be distinct,
-    test users source and overlap users with no target training pairs, and
-    train-overlap users distinct non-test overlap users with pairs in both
-    domains (else ``DataError``)."""
+    """Inverse of :func:`save_scenario`; any other file in ``in_dir`` is
+    ignored.  Test users must be source users with no target training
+    pairs, and train-overlap users distinct non-test users with pairs in
+    both domains (else ``DataError``)."""
     split, train_overlap = load_meta(in_dir)
     source_path = os.path.join(in_dir, _SOURCE_FILE)
     source = load_interactions(source_path)
-    overlap_path = os.path.join(in_dir, _OVERLAP_FILE)
-    overlap = {}
-    for lineno, line in read_lines(overlap_path, DataError):
-        user = line.strip()
-        if user and (user in overlap or not _check_id(user)):
-            raise MalformedLine(overlap_path, lineno,
-                                f"expected a new user id, got {user!r}")
-        overlap[user] = None
-    overlap.pop("", None)  # from blank lines
     heldout = {}
     test_path = os.path.join(in_dir, _TEST_FILE)
     for lineno, line in read_lines(test_path, DataError):
@@ -572,9 +566,6 @@ def load_scenario(in_dir):
         heldout[fields[0]] = (fields[1], fields[2])
     if not heldout:
         raise DegenerateScenario(f"{test_path}: no test users")
-    unlisted = set(heldout).difference(overlap)
-    if unlisted:
-        raise DataError(f"{overlap_path}: lacks test user {min(unlisted)!r}")
     sourceless = set(heldout).difference(source.user_ids)
     if sourceless:
         raise DataError(f"{source_path}: lacks test user {min(sourceless)!r}")
@@ -589,7 +580,6 @@ def load_scenario(in_dir):
     for bad, why in (
             ({a for a, b in zip(ordered, ordered[1:]) if a == b},
              "is repeated"),
-            (linked.difference(overlap), f"is not in {_OVERLAP_FILE}"),
             (linked.intersection(heldout), "is a test user"),
             (linked.difference(source.user_ids),
              f"has no pairs in {_SOURCE_FILE}"),
@@ -603,13 +593,6 @@ def load_scenario(in_dir):
     target = InteractionSet._from_indices(
         train.user_ids, train.item_ids + tuple(sorted(extra)),
         *train.pair_arrays())
-
-    return CrossDomainScenario(
-        source=source,
-        target=target,
-        overlap_users=tuple(overlap),
-        test_users=tuple(sorted(heldout)),
-        train_overlap_users=train_overlap,
-        heldout=heldout,
-        split=split,
-    )
+    return CrossDomainScenario(source=source, target=target,
+                               train_overlap_users=train_overlap,
+                               heldout=heldout, split=split)

@@ -126,18 +126,18 @@ def heldout_rows(scenario, negatives):
     everything its negatives must avoid, its training items included.
     Raises :class:`InsufficientCandidates` for the first user whose pool
     is smaller than ``negatives``."""
-    target = scenario.target
+    target, users = scenario.target, scenario.test_users
+    held = id_rows(target.item_index, [i for u in users for i in
+                                       scenario.heldout[u]]).reshape(-1, 2)
     out = []
-    for user in scenario.test_users:
-        held = id_rows(target.item_index, scenario.heldout[user])
-        seen = (target.item_neighbors(target.user_index(user))
-                if target.has_user(user) else held[:0])
-        blocked = np.sort(np.concatenate([seen, held]))
-        blocked = blocked[np.diff(blocked, prepend=-1) > 0]
+    for user, pair, end in zip(users, held, np.sort(held, axis=1)):
+        blocked = (np.union1d(target.item_neighbors(target.user_index(user)),
+                              pair) if target.has_user(user)
+                   else end[:1 + (end[0] != end[1])])  # sorted, deduped
         pool = target.n_items - blocked.shape[0]
         if pool < negatives:
             raise InsufficientCandidates(pool, negatives)
-        out.append((held, blocked))
+        out.append((pair, blocked))
     return out
 
 

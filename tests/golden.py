@@ -16,7 +16,9 @@ A change that means to alter an artifact re-records the file::
     PYTHONPATH=src python tests/golden.py --record
 
 which prints each (case, path) whose digest differs from the file it
-replaces, so that the scope of a re-record shows in its output.
+replaces as ``changed:``, and one that only the old or the new file holds
+as ``removed:`` or ``added:``, so that the scope of a re-record shows in
+its output.
 """
 
 import contextlib
@@ -115,8 +117,11 @@ def record():
     with tempfile.TemporaryDirectory() as root:
         golden[EXPORT_KEY] = export_hashes(root)
     for key in sorted(old.keys() | golden.keys()):
-        for path in differing(old.get(key, {}), golden.get(key, {})):
-            print(f"changed: {key} {path}")
+        was, now = old.get(key, {}), golden.get(key, {})
+        for path in differing(was, now):
+            kind = ("added" if path not in was else
+                    "removed" if path not in now else "changed")
+            print(f"{kind}: {key} {path}")
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")

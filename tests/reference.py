@@ -4,8 +4,8 @@ one triplet with dense gradients where training takes batches of compact
 rows, the mapping's two loss terms apart where training fuses them into
 one pass, a unit-ball projection by fancy indexing where training
 moves rows with take and put, the id-level views of an interaction set
-that the numeric code reads by index, and one test user's negative pool
-apart from the evaluation loop."""
+that the numeric code reads by index, one test user's negative pool
+apart from the evaluation loop, and the files a saved scenario holds."""
 
 import numpy as np
 
@@ -13,6 +13,9 @@ from crossrec.data import CrossDomainScenario, SplitSeedConfig
 from crossrec.embed import triplet_loss_and_grads
 from crossrec.errors import DimensionMismatch, EmptyBatch
 from crossrec.evaluation import heldout_rows
+
+# every file save_scenario writes, as sorted(os.listdir(...)) lists them
+SCENARIO_FILES = ["meta.txt", "source.tsv", "target_train.tsv", "test.tsv"]
 
 
 def ranking(scores, keys):
@@ -126,9 +129,8 @@ def negative_pool(target, user, held, negatives=1):
     user ``user`` over ``target`` with the item pair ``held`` held out:
     every row that ``heldout_rows`` does not block."""
     scen = CrossDomainScenario(
-        source=target, target=target, overlap_users=(user,),
-        test_users=(user,), train_overlap_users=(), heldout={user: held},
-        split=SplitSeedConfig())
+        source=target, target=target, train_overlap_users=(),
+        heldout={user: held}, split=SplitSeedConfig())
     ((_, blocked),) = heldout_rows(scen, negatives)
     free = np.ones(target.n_items, bool)
     free[blocked] = False

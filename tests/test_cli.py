@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import SCENARIO_FILES
 
 import crossrec
 from crossrec import embed, experiment, mapping
@@ -130,8 +131,9 @@ def test_step_chain_matches_run_byte_for_byte(chain):
         step = _read(step_path)
         full = (run_out / run_name).read_bytes()
         assert step == full, f"{run_name} differs between chain and run"
-    for name in ("source.tsv", "target_train.tsv", "overlap.txt",
-                 "test.tsv", "meta.txt"):
+    names = sorted(os.listdir(chain["scen"]))
+    assert names == sorted(os.listdir(run_out / "scenario")) == SCENARIO_FILES
+    for name in names:
         assert (chain["scen"] / name).read_bytes() == \
             (run_out / "scenario" / name).read_bytes()
 
@@ -539,7 +541,7 @@ def test_scenario_without_test_users_exits_3(chain, tmp_path, capsys):
 # meta.txt's train_overlap_users breaking one rule, and the end of the
 # error that names it
 _BAD_LINKED = {"linked-id-twice": "is repeated",
-               "linked-id-unknown": "'nobody' is not in overlap.txt",
+               "linked-id-unknown": "'nobody' has no pairs in source.tsv",
                "linked-test-user": "is a test user",
                "linked-not-source": "has no pairs in source.tsv",
                "linked-not-target": "has no pairs in target_train.tsv"}
@@ -574,31 +576,22 @@ def _break_relation(scen, case):
         return meta, None
     path = scen / {"test-user-trains": "target_train.tsv",
                    "test-user-not-source": "source.tsv",
-                   "equal-held-out-items": "test.tsv"}.get(case, "overlap.txt")
+                   "equal-held-out-items": "test.tsv"}[case]
     lines = path.read_text(encoding="utf-8").splitlines(True)
     lineno = None
     if case == "test-user-trains":  # its own test item: a silent leak
         lines.append(f"{user}\t{s.heldout[user][0]}\n")
     elif case == "test-user-not-source":
         lines = [line for line in lines if not line.startswith(f"{user}\t")]
-    elif case == "test-user-not-overlap":
-        lines.remove(f"{user}\n")
-    elif case == "equal-held-out-items":
+    else:  # equal-held-out-items
         test_user, item, _ = lines[1].split("\t")
         lines[1], lineno = f"{test_user}\t{item}\t{item}\n", 2
-    else:
-        lines.append({"overlap-id-with-space": "a b\n",
-                      "overlap-id-with-hash": "#x\n",
-                      "overlap-id-twice": lines[0]}[case])
-        lineno = len(lines)
     path.write_text("".join(lines), encoding="utf-8")
     return path, lineno
 
 
 @pytest.mark.parametrize("case", [
-    "test-user-trains", "test-user-not-overlap", "overlap-id-with-space",
-    "overlap-id-with-hash", "overlap-id-twice", "equal-held-out-items",
-    *_BAD_LINKED])
+    "test-user-trains", "equal-held-out-items", *_BAD_LINKED])
 def test_scenario_breaking_a_split_relation_exits_3(chain, tmp_path, capsys,
                                                     case):
     scen = tmp_path / "scen"
@@ -1328,15 +1321,15 @@ def test_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["source.tsv", "meta.txt", "overlap.txt",
-                                  "test.tsv", "embedding", "mapping"])
+@pytest.mark.parametrize("kind", ["source.tsv", "meta.txt", "test.tsv",
+                                  "embedding", "mapping"])
 def test_non_utf8_data_file_exits_3_naming_the_file(chain, tmp_path, capsys,
                                                     kind):
     scen = tmp_path / "scen"
     shutil.copytree(chain["scen"], scen)
     raw = chain["root"] / "raw"
     files = {name: scen / name
-             for name in ("meta.txt", "overlap.txt", "test.tsv")}
+             for name in ("meta.txt", "test.tsv")}
     for name, src in (("source.tsv", raw / "source.tsv"),
                       ("embedding", chain["src_emb"]),
                       ("mapping", chain["net"])):

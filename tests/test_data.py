@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import has_pair, id_pairs, items_of, negative_pool, users_of
+from reference import (
+    SCENARIO_FILES,
+    has_pair,
+    id_pairs,
+    items_of,
+    negative_pool,
+    users_of,
+)
 
 from crossrec import data
 from crossrec.data import (
@@ -724,7 +731,7 @@ def test_every_built_scenario_loads_back(users, source_items, target_items,
     assert back.test_users == scen.test_users
     assert back.heldout == scen.heldout
     assert back.train_overlap_users == scen.train_overlap_users
-    assert sorted(back.overlap_users) == sorted(scen.overlap_users)
+    assert back.overlap_users == scen.overlap_users
     assert back.split == scen.split
 
 
@@ -734,8 +741,8 @@ def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     save_scenario(scen, d1)
     save_scenario(scen, d2)
-    for name in ("source.tsv", "target_train.tsv", "overlap.txt",
-                 "test.tsv", "meta.txt"):
+    assert sorted(os.listdir(d1)) == sorted(os.listdir(d2)) == SCENARIO_FILES
+    for name in SCENARIO_FILES:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     back = load_scenario(d1)
@@ -744,7 +751,7 @@ def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
     assert back.test_users == scen.test_users
     assert back.train_overlap_users == scen.train_overlap_users
     assert back.heldout == scen.heldout
-    assert sorted(back.overlap_users) == sorted(scen.overlap_users)
+    assert back.overlap_users == scen.overlap_users
     assert set(id_pairs(back.source)) == set(id_pairs(scen.source))
     assert set(id_pairs(back.target)) == set(id_pairs(scen.target))
     assert set(back.target.item_ids) == set(scen.target.item_ids)
@@ -752,9 +759,26 @@ def test_scenario_round_trip_and_byte_identical_writes(tmp_path):
     # saving the loaded scenario reproduces the original bytes
     d3 = tmp_path / "c"
     save_scenario(back, d3)
-    for name in ("source.tsv", "target_train.tsv", "overlap.txt",
-                 "test.tsv", "meta.txt"):
+    assert sorted(os.listdir(d3)) == SCENARIO_FILES
+    for name in SCENARIO_FILES:
         assert (d1 / name).read_bytes() == (d3 / name).read_bytes()
+
+
+def test_a_leftover_overlap_file_is_ignored(tmp_path):
+    # scenarios saved before the overlap set was derived hold overlap.txt
+    source, target = _filter_toy()
+    scen = build_scenario(source, target, SplitSeedConfig(seed=13, phi=0.5))
+    save_scenario(scen, tmp_path / "plain")
+    save_scenario(scen, tmp_path / "old")
+    (tmp_path / "old" / "overlap.txt").write_bytes(b"a b\n#x\nnobody\n\xff\n")
+    old, plain = (load_scenario(tmp_path / name) for name in ("old", "plain"))
+    for view in (id_pairs, lambda s: s.item_ids):
+        assert view(old.source) == view(plain.source)
+        assert view(old.target) == view(plain.target)
+    for field in ("overlap_users", "test_users", "train_overlap_users",
+                  "heldout", "split"):
+        assert getattr(old, field) == getattr(plain, field) == \
+            getattr(scen, field)
 
 
 _META_KEYS = ["phi", "seed", "test_fraction", "min_overlap_interactions",

@@ -124,9 +124,8 @@ def _eval_scenario(n_test=8, n_items=60, phi=1.0):
                for k, u in enumerate(test_users)}
     target = InteractionSet([("trainuser", items[-1])], items=items)
     return CrossDomainScenario(
-        source=target, target=target, overlap_users=test_users,
-        test_users=test_users, train_overlap_users=(), heldout=heldout,
-        split=SplitSeedConfig(phi=phi, seed=0))
+        source=target, target=target, train_overlap_users=(),
+        heldout=heldout, split=SplitSeedConfig(phi=phi, seed=0))
 
 
 def _ids(scenario, rows):
@@ -343,11 +342,9 @@ def _pin_scenario():
     target = InteractionSet(
         [("tu1", "t5"), ("tu1", "t0"), ("tu1", "t12"), ("other", "t10"),
          ("other", "t3")], items=items)
-    users = tuple(sorted(heldout))
     return CrossDomainScenario(
-        source=target, target=target, overlap_users=users, test_users=users,
-        train_overlap_users=(), heldout=heldout,
-        split=SplitSeedConfig(phi=1.0, seed=0))
+        source=target, target=target, train_overlap_users=(),
+        heldout=heldout, split=SplitSeedConfig(phi=1.0, seed=0))
 
 
 def _string_ranks(scen, table, cfg):

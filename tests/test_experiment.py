@@ -410,8 +410,7 @@ def _unified_case(kind, n_users=4, n_items=70, dim=6):
     users = tuple(f"u{k}" for k in range(n_users))
     target = InteractionSet([("other", items[0])], items=items)
     scen = CrossDomainScenario(
-        source=target, target=target, overlap_users=users,
-        test_users=users, train_overlap_users=(),
+        source=target, target=target, train_overlap_users=(),
         heldout={u: (items[1], items[2]) for u in users},
         split=SplitSeedConfig(phi=1.0, seed=0))
     rng = np.random.default_rng(8)

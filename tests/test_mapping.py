@@ -189,9 +189,8 @@ def _mapping_scenario(n_users=12, n_items=15, per_user=4, seed=0):
     source = InteractionSet(pairs, items=items)
     target = InteractionSet([(u, "t0") for u in users], items=["t0", "t1"])
     return CrossDomainScenario(
-        source=source, target=target, overlap_users=tuple(users),
-        test_users=(), train_overlap_users=tuple(users), heldout={},
-        split=SplitSeedConfig(phi=1.0, seed=seed))
+        source=source, target=target, train_overlap_users=tuple(users),
+        heldout={}, split=SplitSeedConfig(phi=1.0, seed=seed))
 
 
 def _paired_spaces(scenario, k, seed, rotate=False):
@@ -309,8 +308,8 @@ def test_semi_supervised_triplets_are_drawn_for_linked_users(monkeypatch):
     linked = ("u7", "u5", "u3", "u1")
     scen = CrossDomainScenario(
         source=source, target=InteractionSet([(u, "t0") for u in users]),
-        overlap_users=linked, test_users=(), train_overlap_users=linked,
-        heldout={}, split=SplitSeedConfig(phi=1.0, seed=0))
+        train_overlap_users=linked, heldout={},
+        split=SplitSeedConfig(phi=1.0, seed=0))
     src, tgt = _paired_spaces(scen, 4, seed=3)
     user_of = {tuple(row): u for u, row in zip(src.user_ids, src.U)}
     item_of = {tuple(row): i for i, row in zip(src.item_ids, src.V)}
@@ -357,7 +356,6 @@ def test_train_mapping_never_reads_test_user_targets():
     test_users = users[6:]
     scen = CrossDomainScenario(
         source=scen.source, target=scen.target,
-        overlap_users=users, test_users=test_users,
         train_overlap_users=users[:6],
         heldout={u: ("t0", "t1") for u in test_users},
         split=SplitSeedConfig(phi=1.0, seed=0))
@@ -377,7 +375,6 @@ def test_train_mapping_requires_linked_users():
     src, tgt = _paired_spaces(scen, 5, seed=2)
     empty = CrossDomainScenario(
         source=scen.source, target=scen.target,
-        overlap_users=scen.overlap_users, test_users=(),
         train_overlap_users=(), heldout={},
         split=SplitSeedConfig(phi=1.0, seed=0))
     with pytest.raises(NoOverlapUsers):
